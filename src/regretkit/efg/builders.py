@@ -81,20 +81,26 @@ def build_liars_dice(players: int = 2, faces: int = 2) -> GameTree:
         payoffs[loser] = -1.0
         return payoffs
 
-    def subgame(rolls, history: tuple[int, ...]) -> int:
-        mover = len(history) % players
-        key = "h" + ",".join(str(i) for i in history) if history else "h-"
-        children = []
-        last = history[-1] if history else -1
-        for bid in range(last + 1, len(bids)):
-            children.append(subgame(rolls, history + (bid,)))
-        if history:
-            bidder = (len(history) - 1) % players
-            children.append(b.leaf(settle(rolls, last, bidder, mover)))
-        return b.decision(mover, f"P{mover}:d{rolls[mover]}:{key}", children)
+    def subgame(rolls) -> int:
+        # bid histories are strictly increasing index tuples; build every
+        # history after all its one-bid extensions, longest first
+        node_of: dict[tuple[int, ...], int] = {}
+        for length in range(len(bids), -1, -1):
+            for history in itertools.combinations(range(len(bids)), length):
+                mover = len(history) % players
+                key = "h" + ",".join(str(i) for i in history) if history else "h-"
+                last = history[-1] if history else -1
+                children = [node_of[history + (bid,)]
+                            for bid in range(last + 1, len(bids))]
+                if history:
+                    bidder = (len(history) - 1) % players
+                    children.append(b.leaf(settle(rolls, last, bidder, mover)))
+                node_of[history] = b.decision(
+                    mover, f"P{mover}:d{rolls[mover]}:{key}", children)
+        return node_of[()]
 
     outcomes = list(itertools.product(range(faces), repeat=players))
-    roots = [subgame(rolls, ()) for rolls in outcomes]
+    roots = [subgame(rolls) for rolls in outcomes]
     return b.build(b.chance([1.0 / len(outcomes)] * len(outcomes), roots))
 
 

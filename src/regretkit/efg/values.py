@@ -14,6 +14,43 @@ instantaneous regret is H_j = G_j - <G_j, x_j> 1, orthogonal to x_j.
 
 All values here are in the tree's [0, 1] payoff units; ``exploitability``
 converts its output back to original units via the stored affine map.
+
+Compiled layout
+---------------
+The passes run on ``tree.compiled`` (``CompiledTree``), built once per
+tree on first use: nodes renumbered in breadth-first order, so every
+depth is a contiguous range of positions and siblings are contiguous in
+action order; per position the parent, depth, sibling rank, mover and
+infoset; a leaf-payoff matrix; per-infoset offsets into one flat
+behavioural vector; and the depth-first pre-order of the decision nodes.
+A profile becomes one gather: the probability on the edge into every
+position.  Reach is then computed top-down, one multiply per edge and one
+vectorized step per depth, and node values bottom-up, one scatter-add per
+depth.  Nothing recurses, so a tree's depth is not bounded by Python's
+recursion limit, and the per-node cost is numpy's instead of the
+interpreter's.
+
+Summation order
+---------------
+Each pass returns exactly the floats of the straightforward recursive
+pass (kept as the reference in the tests), so that trace files stay
+byte-identical.  Floating-point addition is not associative, so every
+sum and product keeps the recursive order:
+
+* reach products run root to leaf, starting from 1.0;
+* the opponents-and-chance weight of a decision node multiplies the reach
+  of players 0..n-1, then chance, in index order (its own entry set to
+  1.0, which multiplies exactly);
+* a node's value starts from zeros and adds ``prob * child_value`` in
+  action order (``np.add.at`` applies repeated indices one after another,
+  in index order);
+* an infoset's accumulator receives its member nodes' contributions in
+  depth-first pre-order, which is not breadth-first order, because members
+  can sit at different depths.
+
+Cross-node reductions (``np.sum``, ``np.dot``, matmul, ``reduceat``) are
+not used: numpy sums with pairwise or SIMD partial sums, whose rounding
+differs from a left-to-right loop in the last bits.
 """
 
 from __future__ import annotations
@@ -21,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import _normalize_nonneg
-from .tree import ChanceNode, GameTree, LeafNode
+from .tree import CompiledTree, GameTree
 
 __all__ = [
     "uniform_behavioral",
@@ -71,45 +108,57 @@ def behavioral_distance(x, y) -> float:
     return sum(float(np.sum((a - b) ** 2)) for a, b in zip(x, y)) ** 0.5
 
 
+def _edge_probs(flat: CompiledTree, x) -> np.ndarray:
+    """Probability on the edge into every position (1.0 at the root)."""
+    probs = np.concatenate([*x, flat.chance_probs])
+    if probs.size != flat.offsets[-1] + flat.chance_probs.size:
+        raise ValueError("profile does not match the tree's infosets")
+    return probs[flat.edge_source]
+
+
+def _reach(flat: CompiledTree, probs: np.ndarray) -> np.ndarray:
+    """Reach products per position, flat row-major (position, k): k < n is
+    player k's own probability product on the path, k = n chance's."""
+    m = flat.num_players + 1
+    factors = np.ones(flat.size * m)
+    factors[flat.reach_factor] = probs[1:]
+    reach = np.ones(flat.size * m)
+    for lo, hi in flat.levels:
+        np.multiply(reach[flat.reach_gather[(lo - 1) * m:(hi - 1) * m]],
+                    factors[lo * m:hi * m], out=reach[lo * m:hi * m])
+    return reach
+
+
+def _node_values(flat: CompiledTree, probs: np.ndarray) -> np.ndarray:
+    """Per-player expected payoff below every position, (size, n)."""
+    n = flat.num_players
+    values = np.zeros((flat.size, n))
+    values[flat.leaves] = flat.leaf_payoffs
+    scattered = values.reshape(-1)
+    for lo, hi in reversed(flat.levels):
+        np.add.at(scattered, flat.value_scatter[(lo - 1) * n:(hi - 1) * n],
+                  (values[lo:hi] * probs[lo:hi, None]).reshape(-1))
+    return values
+
+
 def counterfactual_values(tree: GameTree, x, validate: bool = True) -> list[np.ndarray]:
-    """All counterfactual values in one bottom-up pass, O(tree size)."""
+    """All counterfactual values in one top-down and one bottom-up sweep."""
     if validate:
         x = check_behavioral(tree, x)
-    n = tree.num_players
-    values = [np.zeros(j.num_actions) for j in tree.infosets]
-
-    def visit(nid: int, reach: list[float]) -> np.ndarray:
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            return node.payoffs
-        if isinstance(node, ChanceNode):
-            total = np.zeros(n)
-            saved = reach[n]
-            for prob, child in zip(node.probs, node.children):
-                reach[n] = saved * prob
-                total += prob * visit(child, reach)
-            reach[n] = saved
-            return total
-        player = node.player
-        block = x[node.infoset]
-        excl = 1.0
-        for k in range(n + 1):
-            if k != player:
-                excl *= reach[k]
-        total = np.zeros(n)
-        accumulator = values[node.infoset]
-        for action, child in enumerate(node.children):
-            prob = block[action]
-            saved = reach[player]
-            reach[player] = saved * prob
-            child_value = visit(child, reach)
-            reach[player] = saved
-            accumulator[action] += excl * child_value[player]
-            total += prob * child_value
-        return total
-
-    visit(0, [1.0] * (n + 1))
-    return values
+    flat = tree.compiled
+    m = flat.num_players + 1
+    probs = _edge_probs(flat, x)
+    reach = _reach(flat, probs)
+    values = _node_values(flat, probs)
+    reach[flat.dfs_own_slot] = 1.0  # a decision node's mover is excluded
+    columns = reach.reshape(flat.size, m)
+    excl = columns[:, 0].copy()
+    for k in range(1, m):
+        excl *= columns[:, k]
+    flat_values = np.zeros(int(flat.offsets[-1]))
+    np.add.at(flat_values, flat.edge_slot,
+              excl[flat.edge_parent] * values.reshape(-1)[flat.edge_value])
+    return [flat_values[lo:hi] for lo, hi in flat.blocks]
 
 
 def counterfactual_regret_operator(tree: GameTree, x,
@@ -125,67 +174,30 @@ def expected_values(tree: GameTree, x, validate: bool = True) -> np.ndarray:
     """Per-player expected payoff of the joint profile, in [0, 1] units."""
     if validate:
         x = check_behavioral(tree, x)
-    n = tree.num_players
-
-    def visit(nid: int) -> np.ndarray:
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            return node.payoffs
-        if isinstance(node, ChanceNode):
-            return sum((p * visit(c) for p, c in zip(node.probs, node.children)),
-                       np.zeros(n))
-        block = x[node.infoset]
-        return sum((block[a] * visit(c) for a, c in enumerate(node.children)),
-                   np.zeros(n))
-
-    return visit(0)
+    flat = tree.compiled
+    return _node_values(flat, _edge_probs(flat, x))[0].copy()
 
 
 def leaf_excl_weights(tree: GameTree, x, player: int) -> np.ndarray:
     """Per-node array: at each leaf, the product of chance and opponent
     probabilities on its path (player's own probabilities excluded)."""
+    flat = tree.compiled
+    factors = np.where(flat.parent_mover == player, 1.0, _edge_probs(flat, x))
+    path = np.ones(flat.size)
+    for lo, hi in flat.levels:
+        np.multiply(path[flat.parent[lo:hi]], factors[lo:hi], out=path[lo:hi])
     weights = np.zeros(len(tree.nodes))
-
-    def visit(nid: int, w: float) -> None:
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            weights[nid] = w
-            return
-        if isinstance(node, ChanceNode):
-            for prob, child in zip(node.probs, node.children):
-                visit(child, w * prob)
-            return
-        block = x[node.infoset]
-        for action, child in enumerate(node.children):
-            factor = 1.0 if node.player == player else block[action]
-            visit(child, w * factor)
-
-    visit(0, 1.0)
+    weights[flat.node_id[flat.leaves]] = path[flat.leaves]
     return weights
 
 
 def own_reach_per_infoset(tree: GameTree, x) -> np.ndarray:
     """Owner's own reach mass of every infoset (sum over member nodes of the
     product of the owner's probabilities above the node)."""
+    flat = tree.compiled
+    reach = _reach(flat, _edge_probs(flat, x))
     mass = np.zeros(len(tree.infosets))
-
-    def visit(nid: int, own: list[float]) -> None:
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            return
-        if isinstance(node, ChanceNode):
-            for child in node.children:
-                visit(child, own)
-            return
-        mass[node.infoset] += own[node.player]
-        block = x[node.infoset]
-        for action, child in enumerate(node.children):
-            saved = own[node.player]
-            own[node.player] = saved * block[action]
-            visit(child, own)
-            own[node.player] = saved
-
-    visit(0, [1.0] * tree.num_players)
+    np.add.at(mass, flat.dfs_infoset, reach[flat.dfs_own_slot])
     return mass
 
 
@@ -195,34 +207,37 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
     ``leaf_weights`` aggregates everything outside the player's control
     (one round's opponents/chance reach, or a cumulative sum over rounds);
     the optimum over the player's strategies is attained at a pure
-    behavioral strategy, found by resolving the player's infosets in
-    deepest-own-history-first order.
+    behavioral strategy.  Each infoset takes its first best action once
+    the subtrees below all its members are valued (see
+    ``CompiledTree.best_response_waves``).
     """
+    flat = tree.compiled
     leaf_weights = np.asarray(leaf_weights, dtype=float)
-    choice: dict[int, int] = {}
-
-    def node_value(nid: int) -> float:
-        node = tree.nodes[nid]
-        if isinstance(node, LeafNode):
-            return float(leaf_weights[nid] * node.payoffs[player])
-        if isinstance(node, ChanceNode):
-            return sum(node_value(c) for c in node.children)
-        if node.player != player:
-            return sum(node_value(c) for c in node.children)
-        return node_value(node.children[choice[node.infoset]])
-
-    own = sorted(tree.infosets_of(player),
-                 key=lambda i: len(tree.own_sequences[i]), reverse=True)
-    for iid in own:
-        iset = tree.infosets[iid]
-        best_action, best_value = 0, -np.inf
-        for action in range(iset.num_actions):
-            value = sum(node_value(tree.nodes[nid].children[action])
-                        for nid in iset.nodes)
-            if value > best_value:
-                best_action, best_value = action, value
-        choice[iid] = best_action
-    return node_value(0)
+    value = np.zeros(flat.size)
+    value[flat.leaves] = (leaf_weights[flat.node_id[flat.leaves]]
+                          * flat.leaf_payoffs[:, player])
+    action_value = np.zeros(int(flat.offsets[-1]))
+    choice = np.zeros(len(tree.infosets), dtype=np.intp)
+    for wave in flat.best_response_waves[player]:
+        np.add.at(value, wave.sum_parents, value[wave.sum_children])
+        value[wave.own] = value[flat.first_child[wave.own]
+                                + choice[flat.infoset[wave.own]]]
+        if not wave.resolved.size:
+            continue
+        np.add.at(action_value, wave.slots, value[wave.slot_children])
+        start = flat.offsets[wave.resolved]
+        width = flat.offsets[wave.resolved + 1] - start
+        best = np.full(wave.resolved.size, -np.inf)
+        pick = np.zeros(wave.resolved.size, dtype=np.intp)
+        for action in range(int(width.max())):
+            candidate = np.where(action < width,
+                                 action_value[start + np.minimum(action, width - 1)],
+                                 -np.inf)
+            better = candidate > best  # strict: ties keep the first action
+            best = np.where(better, candidate, best)
+            pick[better] = action
+        choice[wave.resolved] = pick
+    return float(value[0])
 
 
 def exploitability(tree: GameTree, x) -> np.ndarray:

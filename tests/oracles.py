@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from regretkit.efg import ChanceNode, LeafNode
+from regretkit.efg import ChanceNode, GameTree, LeafNode, check_behavioral
 
 
 def grid_project_simplex(y: np.ndarray, resolution: float = 1e-4) -> np.ndarray:
@@ -177,3 +177,153 @@ def count_paths(tree) -> int:
         else:
             stack.extend(node.children)
     return total
+
+
+# The recursive tree passes the library used before its passes became
+# array sweeps, kept unchanged as the reference the sweeps must match bit
+# for bit.  They recurse once per tree level.
+
+
+def counterfactual_values(tree: GameTree, x, validate: bool = True) -> list[np.ndarray]:
+    """All counterfactual values in one bottom-up pass, O(tree size)."""
+    if validate:
+        x = check_behavioral(tree, x)
+    n = tree.num_players
+    values = [np.zeros(j.num_actions) for j in tree.infosets]
+
+    def visit(nid: int, reach: list[float]) -> np.ndarray:
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            return node.payoffs
+        if isinstance(node, ChanceNode):
+            total = np.zeros(n)
+            saved = reach[n]
+            for prob, child in zip(node.probs, node.children):
+                reach[n] = saved * prob
+                total += prob * visit(child, reach)
+            reach[n] = saved
+            return total
+        player = node.player
+        block = x[node.infoset]
+        excl = 1.0
+        for k in range(n + 1):
+            if k != player:
+                excl *= reach[k]
+        total = np.zeros(n)
+        accumulator = values[node.infoset]
+        for action, child in enumerate(node.children):
+            prob = block[action]
+            saved = reach[player]
+            reach[player] = saved * prob
+            child_value = visit(child, reach)
+            reach[player] = saved
+            accumulator[action] += excl * child_value[player]
+            total += prob * child_value
+        return total
+
+    visit(0, [1.0] * (n + 1))
+    return values
+
+
+def expected_values(tree: GameTree, x, validate: bool = True) -> np.ndarray:
+    """Per-player expected payoff of the joint profile, in [0, 1] units."""
+    if validate:
+        x = check_behavioral(tree, x)
+    n = tree.num_players
+
+    def visit(nid: int) -> np.ndarray:
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            return node.payoffs
+        if isinstance(node, ChanceNode):
+            return sum((p * visit(c) for p, c in zip(node.probs, node.children)),
+                       np.zeros(n))
+        block = x[node.infoset]
+        return sum((block[a] * visit(c) for a, c in enumerate(node.children)),
+                   np.zeros(n))
+
+    return visit(0)
+
+
+def leaf_excl_weights(tree: GameTree, x, player: int) -> np.ndarray:
+    """Per-node array: at each leaf, the product of chance and opponent
+    probabilities on its path (player's own probabilities excluded)."""
+    weights = np.zeros(len(tree.nodes))
+
+    def visit(nid: int, w: float) -> None:
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            weights[nid] = w
+            return
+        if isinstance(node, ChanceNode):
+            for prob, child in zip(node.probs, node.children):
+                visit(child, w * prob)
+            return
+        block = x[node.infoset]
+        for action, child in enumerate(node.children):
+            factor = 1.0 if node.player == player else block[action]
+            visit(child, w * factor)
+
+    visit(0, 1.0)
+    return weights
+
+
+def own_reach_per_infoset(tree: GameTree, x) -> np.ndarray:
+    """Owner's own reach mass of every infoset (sum over member nodes of the
+    product of the owner's probabilities above the node)."""
+    mass = np.zeros(len(tree.infosets))
+
+    def visit(nid: int, own: list[float]) -> None:
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            return
+        if isinstance(node, ChanceNode):
+            for child in node.children:
+                visit(child, own)
+            return
+        mass[node.infoset] += own[node.player]
+        block = x[node.infoset]
+        for action, child in enumerate(node.children):
+            saved = own[node.player]
+            own[node.player] = saved * block[action]
+            visit(child, own)
+            own[node.player] = saved
+
+    visit(0, [1.0] * tree.num_players)
+    return mass
+
+
+def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
+    """Value of the best response to fixed per-leaf environment weights.
+
+    ``leaf_weights`` aggregates everything outside the player's control
+    (one round's opponents/chance reach, or a cumulative sum over rounds);
+    the optimum over the player's strategies is attained at a pure
+    behavioral strategy, found by resolving the player's infosets in
+    deepest-own-history-first order.
+    """
+    leaf_weights = np.asarray(leaf_weights, dtype=float)
+    choice: dict[int, int] = {}
+
+    def node_value(nid: int) -> float:
+        node = tree.nodes[nid]
+        if isinstance(node, LeafNode):
+            return float(leaf_weights[nid] * node.payoffs[player])
+        if isinstance(node, ChanceNode):
+            return sum(node_value(c) for c in node.children)
+        if node.player != player:
+            return sum(node_value(c) for c in node.children)
+        return node_value(node.children[choice[node.infoset]])
+
+    own = sorted(tree.infosets_of(player),
+                 key=lambda i: len(tree.own_sequences[i]), reverse=True)
+    for iid in own:
+        iset = tree.infosets[iid]
+        best_action, best_value = 0, -np.inf
+        for action in range(iset.num_actions):
+            value = sum(node_value(tree.nodes[nid].children[action])
+                        for nid in iset.nodes)
+            if value > best_value:
+                best_action, best_value = action, value
+        choice[iid] = best_action
+    return node_value(0)

@@ -84,6 +84,24 @@ class TestRun:
         assert "t,player," in out
 
 
+    @pytest.mark.parametrize("lines,lineno,message", [
+        (["infoset 0 player 0 actions 2 key P1:pick",
+          "node 0 player 0 infoset 0 2 1 7", "node 1 leaf 0.5"],
+         3, "node 0 has unknown child 7"),
+        (["infoset 0 player 0", "node 0 leaf 0.5"],
+         2, "expected 'infoset <id> player <i> actions <k> key <token>'"),
+    ], ids=["dangling-child", "truncated-infoset"])
+    def test_malformed_tree_file_exits_two(self, tmp_path, capsys, lines,
+                                           lineno, message):
+        path = tmp_path / "bad.efg"
+        path.write_text("\n".join(["efg 1"] + lines) + "\n")
+        code, _, err = run_cli(
+            ["run", "--algo", "predictive-cfr", "--game", str(path),
+             "--iters", "2"], capsys)
+        assert code == 2
+        assert f"{path}:{lineno}: " in err and message in err
+
+
 class TestGenAndSweep:
     def test_gen_random_matrix_round_trip(self, tmp_path, capsys):
         out = tmp_path / "m.game"

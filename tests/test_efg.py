@@ -1,12 +1,19 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretkit import efg
 from regretkit.core import AggregateState, _normalize_nonneg, prm_plus_step
 from regretkit.fixedpoint import initial_lifted_point, exrm_round
 from regretkit.games import NormalFormGame
 from regretkit.core import regret_loss
+from regretkit.harness import SolverConfig, run
 
+from . import oracles
 from .oracles import count_paths, counterfactual_values_by_paths
 
 
@@ -24,6 +31,17 @@ def single_decision_tree() -> efg.GameTree:
     b = efg.TreeBuilder(1)
     root = b.decision(0, "P1:pick", [b.leaf([0.3]), b.leaf([0.9])])
     return b.build(root)
+
+
+def chain_tree(depth: int) -> efg.GameTree:
+    """A chance root over a ``depth``-long chain of decision nodes; the two
+    players alternate, action 0 stops at a leaf and action 1 goes on."""
+    b = efg.TreeBuilder(2)
+    below = b.leaf([0.5, 0.5])
+    for d in reversed(range(depth)):
+        stop = b.leaf([(d % 7) / 6.0, 1.0 - (d % 5) / 4.0])
+        below = b.decision(d % 2, f"P{d % 2}:d{d}", [stop, below])
+    return b.build(b.chance([0.25, 0.75], [below, b.leaf([1.0, 0.0])]))
 
 
 # payoffs inside [0, 1] keep the payoff map at identity
@@ -427,3 +445,72 @@ class TestTreeFiles:
         path.write_text("efg 1\nnode 0 leaf 0.5 0.5\n")
         with pytest.raises(ValueError):
             efg.load_tree(path)
+
+
+TREES = {
+    "kuhn3": efg.build_kuhn(2, 3),
+    "kuhn4": efg.build_kuhn(2, 4),
+    "liars2": efg.build_liars_dice(2, 2),
+    "liars3": efg.build_liars_dice(3, 2),
+    "bimatrix": efg.build_bimatrix_tree(4.0 * U1 - 1.0, U2),
+}
+
+
+class TestArrayPassesMatchRecursive:
+    """The array passes return the very floats of the recursive ones."""
+
+    @pytest.mark.parametrize("name", sorted(TREES))
+    @given(seed=st.integers(0, 2**32 - 1), sparsity=st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=20, deadline=None)
+    def test_bit_identical(self, name, seed, sparsity):
+        tree = TREES[name]
+        rng = np.random.default_rng(seed)
+        x = []
+        for iset in tree.infosets:
+            block = rng.dirichlet(np.ones(iset.num_actions))
+            block[rng.random(iset.num_actions) < sparsity] = 0.0
+            if block.sum() == 0.0:
+                block[rng.integers(iset.num_actions)] = 1.0
+            x.append(block / block.sum())
+        for a, b in zip(efg.counterfactual_values(tree, x),
+                        oracles.counterfactual_values(tree, x)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(efg.own_reach_per_infoset(tree, x),
+                              oracles.own_reach_per_infoset(tree, x))
+        assert np.array_equal(efg.expected_values(tree, x),
+                              oracles.expected_values(tree, x))
+        for i in range(tree.num_players):
+            weights = efg.leaf_excl_weights(tree, x, i)
+            assert np.array_equal(weights, oracles.leaf_excl_weights(tree, x, i))
+            for w in (weights, rng.random(len(tree.nodes))):
+                assert (efg.best_response_value(tree, i, w)
+                        == oracles.best_response_value(tree, i, w))
+
+
+class TestDeepTrees:
+    def test_no_function_in_efg_recurses(self):
+        for source in sorted(Path(efg.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(source.read_text())):
+                if isinstance(fn, ast.FunctionDef):
+                    called = {node.func.id for node in ast.walk(fn)
+                              if isinstance(node, ast.Call)
+                              and isinstance(node.func, ast.Name)}
+                    assert fn.name not in called, f"{source.name}: {fn.name}"
+
+    def test_chain_deeper_than_recursion_limit(self, tmp_path):
+        tree = chain_tree(1500)
+        path = tmp_path / "chain.efg"
+        efg.save_tree(tree, path)
+        loaded = efg.load_tree(path)
+        assert len(loaded.nodes) == len(tree.nodes) == 3003
+        x = efg.uniform_behavioral(tree)
+        for a, b in zip(efg.counterfactual_values(tree, x),
+                        efg.counterfactual_values(loaded, x)):
+            assert np.array_equal(a, b)
+        for algo in ("predictive-cfr", "clairvoyant-cfr"):
+            for alternate in (False, True):
+                trace = run(SolverConfig(algorithm=algo, iters=3,
+                                         alternation=alternate), loaded)
+                assert np.all(np.isfinite(trace.gap))
+                gaps = efg.exploitability(loaded, trace.behavioral_average)
+                assert np.all(np.isfinite(gaps)) and np.all(gaps >= -1e-12)

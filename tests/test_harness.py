@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -279,3 +280,42 @@ class TestTreeRuns:
         assert "eta_contraction" in trace.header
         assert "P" in trace.header
         assert np.all(np.isfinite(trace.gap))
+
+
+# SHA-256 of whole trace CSVs (eta auto, linear averaging), recorded from
+# the recursive tree passes; the array passes must reproduce them byte for
+# byte.
+TREE_TRACE_DIGESTS = {
+    ("kuhn3", "predictive-cfr", False):
+        "d9a90d90725f2faa98ea9bb50f129414c833032e18a998f683fa5d1063c2c981",
+    ("kuhn3", "predictive-cfr", True):
+        "34bbc9ab06784f4311cf26c0f9987b97ec5a58b85f8df638a267a5b626456678",
+    ("kuhn3", "clairvoyant-cfr", False):
+        "7da9a618f51b2c4aeb2a62cf2644137bd99c7fa9935e0edc66b3ad39e34c7422",
+    ("kuhn3", "clairvoyant-cfr", True):
+        "8f53cbcf0eee923ed6a171b158f7a4bb6c316a7d3908e3d8e3e89e187a15c215",
+    ("liars3", "predictive-cfr", False):
+        "f3523ec1a3a71b399f16162722efb46ad5c22fb81e6db49f686ede0f99b5bd2d",
+    ("liars3", "predictive-cfr", True):
+        "18a089f4eea80b982e9a45995752296b41523fdef2691c6ac8503b75d0871475",
+    ("liars3", "clairvoyant-cfr", False):
+        "c8f01934eec3629106b3cd2904a68a09d747f783320603614c48d54627ce3a85",
+    ("liars3", "clairvoyant-cfr", True):
+        "c06d282fab455a06e2fb65d445795012e8f93c19bad3b4a3b5169f155afb8b39",
+}
+
+
+class TestTreeTraceDigests:
+    TREES = {"kuhn3": (lambda: efg.build_kuhn(2, 3), 50),
+             "liars3": (lambda: efg.build_liars_dice(3, 2), 5)}
+
+    @pytest.mark.parametrize("key", sorted(TREE_TRACE_DIGESTS))
+    def test_trace_csv_is_byte_identical(self, key):
+        name, algo, alternate = key
+        build, iters = self.TREES[name]
+        config = SolverConfig(algorithm=algo, eta="auto", iters=iters,
+                              alternation=alternate)
+        buf = io.StringIO()
+        run(config, build()).write_csv(buf)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == TREE_TRACE_DIGESTS[key]
