@@ -39,16 +39,11 @@ __all__ = [
     "prm_plus_step",
     "lifted_regret_equivalence",
     "replay_exact",
-    "uniform_strategy",
 ]
 
 
 class NonFiniteError(ValueError):
     """A vector that must be finite contains NaN or infinities."""
-
-
-def uniform_strategy(dim: int) -> np.ndarray:
-    return np.full(dim, 1.0 / dim)
 
 
 def _normalize_nonneg(r: np.ndarray) -> np.ndarray:
@@ -166,9 +161,6 @@ class RegretLedger:
 
     def max_action_regret(self) -> float:
         return float(self.cum.max())
-
-    def regret_against(self, comparator: np.ndarray) -> float:
-        return float(np.dot(self.cum, comparator))
 
 
 def lifted_regret_equivalence(strategies, losses, lifted, comparator) -> tuple[float, float]:

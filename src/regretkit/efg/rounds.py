@@ -13,10 +13,11 @@ operator per round:
 with P the per-block chopped projection (floors fixed at 1), i.e. the
 exact tree analogue of extragradient RM+ with the operator -H o ghat.
 
-Both rounds are pure value transformations; the ``alternate`` flag updates
-players sequentially within the round, each against the freshest opponent
-blocks.  ``BehavioralAverager`` maintains the reach-weighted running
-average of played behavioral profiles (uniform or linearly weighted).
+Both rounds are pure value transformations with one loop over update
+groups: every infoset at once, or, with ``alternate``, one player's
+infosets at a time, each player against the freshest opponent blocks.
+``BehavioralAverager`` maintains the reach-weighted running average of
+played behavioral profiles (uniform or linearly weighted).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import AggregateState, _normalize_nonneg, prm_plus_step
-from ..stabilized import project_chopped
+from ..stabilized import _in_chopped, project_chopped
 from .tree import GameTree
 from .values import (
     counterfactual_regret_operator,
@@ -72,6 +73,14 @@ def _check_cfr_state(state, tree) -> None:
             raise ValueError(f"infoset {iset.key!r}: state dimension mismatch")
 
 
+def _update_groups(tree: GameTree, alternate: bool):
+    """Infosets that update together against one profile: all of them at
+    once, or one player's at a time (alternation)."""
+    if alternate:
+        return [tree.infosets_of(player) for player in range(tree.num_players)]
+    return [range(len(tree.infosets))]
+
+
 def predictive_cfr_round(state: PredictiveCfrState, tree: GameTree,
                          alternate: bool = False
                          ) -> tuple[PredictiveCfrState, list[np.ndarray]]:
@@ -80,16 +89,12 @@ def predictive_cfr_round(state: PredictiveCfrState, tree: GameTree,
     _check_cfr_state(state, tree)
     states = list(state.infoset_states)
     played: list[np.ndarray] = [state.play(j) for j in range(len(tree.infosets))]
-    if not alternate:
-        h = counterfactual_regret_operator(tree, played, validate=False)
-        for j in range(len(states)):
+    profile = list(played)
+    for group in _update_groups(tree, alternate):
+        h = counterfactual_regret_operator(tree, profile, validate=False)
+        for j in group:
             states[j], _ = prm_plus_step(states[j], -h[j])
-    else:
-        profile = list(played)
-        for player in range(tree.num_players):
-            h = counterfactual_regret_operator(tree, profile, validate=False)
-            for j in tree.infosets_of(player):
-                states[j], _ = prm_plus_step(states[j], -h[j])
+            if alternate:
                 # freshly updated blocks are visible to later players
                 profile[j] = _normalize_nonneg(
                     np.maximum(states[j].r + states[j].prediction, 0.0))
@@ -120,32 +125,20 @@ def clairvoyant_cfr_round(state: LiftedCfrState, tree: GameTree, eta: float,
     if len(state.z) != len(tree.infosets):
         raise ValueError("state does not match the tree's infosets")
     for block, iset in zip(state.z, tree.infosets):
-        if np.any(block < 0.0) or block.sum() < 1.0 - 1e-9:
+        if not _in_chopped(block):
             raise ValueError(f"infoset {iset.key!r}: block outside its "
                              "chopped orthant")
-    if not alternate:
-        x_prev = lifted_normalize(state.z)
-        h0 = counterfactual_regret_operator(tree, x_prev, validate=False)
-        w = [project_chopped(z + eta * hj) for z, hj in zip(state.z, h0)]
-        x_mid = lifted_normalize(w)
-        h1 = counterfactual_regret_operator(tree, x_mid, validate=False)
-        z_next = [project_chopped(z + eta * hj) for z, hj in zip(state.z, h1)]
-        return LiftedCfrState(tuple(z_next), state.t + 1), x_mid
-
     profile = lifted_normalize(state.z)
     z_next = list(state.z)
-    played: list[np.ndarray] = list(profile)
-    for player in range(tree.num_players):
-        own = tree.infosets_of(player)
+    for group in _update_groups(tree, alternate):
         h0 = counterfactual_regret_operator(tree, profile, validate=False)
-        w = {j: project_chopped(state.z[j] + eta * h0[j]) for j in own}
-        for j in own:
-            profile[j] = _normalize_nonneg(w[j])
-            played[j] = profile[j]
+        for j in group:
+            profile[j] = _normalize_nonneg(
+                project_chopped(state.z[j] + eta * h0[j]))
         h1 = counterfactual_regret_operator(tree, profile, validate=False)
-        for j in own:
+        for j in group:
             z_next[j] = project_chopped(state.z[j] + eta * h1[j])
-    return LiftedCfrState(tuple(z_next), state.t + 1), played
+    return LiftedCfrState(tuple(z_next), state.t + 1), profile
 
 
 class BehavioralAverager:

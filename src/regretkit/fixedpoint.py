@@ -27,34 +27,22 @@ with L_F from ``lipschitz_bound``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .core import _normalize_nonneg, regret_loss
 from .games import MatrixGame, spectral_norm
-from .stabilized import project_chopped
+from .stabilized import _in_chopped, project_chopped
 
 __all__ = [
-    "GameOperator",
     "FixedPointReport",
     "operator_F",
-    "operator_for",
     "lipschitz_bound",
     "initial_lifted_point",
     "solve_fixed_point",
     "conceptual_round",
     "exrm_round",
 ]
-
-
-@dataclass(frozen=True)
-class GameOperator:
-    """The joint operator F with its Lipschitz bound over X>."""
-
-    evaluate: Callable[[list[np.ndarray]], list[np.ndarray]]
-    lipschitz_bound: float
-    dims: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -79,7 +67,7 @@ def _check_in_chopped(z_blocks, dims) -> list[np.ndarray]:
     for block, d in zip(blocks, dims):
         if block.shape != (d,):
             raise ValueError("block dimension mismatch")
-        if np.any(block < 0.0) or block.sum() < 1.0 - 1e-9:
+        if not _in_chopped(block):
             raise ValueError("point outside the chopped joint space")
     return blocks
 
@@ -99,14 +87,6 @@ def lipschitz_bound(game) -> float:
         return 6.0**0.5 * spectral_norm(game.payoff) * max(d1, d2)
     b_u, l_u = game.constants
     return max(game.dims) * (2.0 * b_u**2 + 4.0 * l_u**2) ** 0.5
-
-
-def operator_for(game) -> GameOperator:
-    return GameOperator(
-        evaluate=lambda blocks: operator_F(blocks, game),
-        lipschitz_bound=lipschitz_bound(game),
-        dims=tuple(game.dims),
-    )
 
 
 def initial_lifted_point(dims) -> list[np.ndarray]:
@@ -137,21 +117,16 @@ def _solve(z_prev, game, eta, eps_target, k_max):
     z_prev = _check_in_chopped(z_prev, game.dims)
     w = z_prev
     history: list[float] = []
-    for k in range(1, k_max + 1):
+    # with the budget of k_max iterations exhausted, the last iterate is
+    # accepted; measuring its residual doubles as the state advance
+    for k in range(1, k_max + 2):
         advanced = _prox(z_prev, [eta * f for f in operator_F(w, game)])
         residual = _joint_distance(w, advanced)
         history.append(residual)
-        if residual <= eps_target:
-            return w, advanced, FixedPointReport(k, residual, True, tuple(history))
+        if residual <= eps_target or k > k_max:
+            return w, advanced, FixedPointReport(
+                min(k, k_max), residual, residual <= eps_target, tuple(history))
         w = advanced
-    # budget exhausted: accept the last iterate; measuring its residual
-    # doubles as the state advance
-    advanced = _prox(z_prev, [eta * f for f in operator_F(w, game)])
-    residual = _joint_distance(w, advanced)
-    history.append(residual)
-    return w, advanced, FixedPointReport(
-        k_max, residual, residual <= eps_target, tuple(history)
-    )
 
 
 def solve_fixed_point(z_prev, game, eta: float, eps_target: float,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,8 +50,6 @@ __all__ = [
     "MatrixGame",
     "NormalFormGame",
     "LossSequence",
-    "matrix_gradients",
-    "nfg_gradients",
     "hard_instance",
     "instability_losses",
     "random_matrix_game",
@@ -92,9 +91,6 @@ class MatrixGame:
         if player == 0:
             return -self.payoff @ strategies[1]
         return self.payoff.T @ strategies[0]
-
-    def value(self, x, y) -> float:
-        return float(x @ self.payoff @ y)
 
     @functools.cached_property
     def constants(self) -> tuple[float, float]:
@@ -240,22 +236,6 @@ def spectral_norm(a: np.ndarray, max_iters: int = 200, rel_tol: float = 1e-10) -
     return sigma
 
 
-def matrix_gradients(game: MatrixGame, x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Loss pair (-A y, A^T x) for the maximizing row player and the
-    minimizing column player."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    d1, d2 = game.dims
-    if x.shape != (d1,) or y.shape != (d2,):
-        raise ValueError("dimension mismatch")
-    lx, ly = game.gradients([x, y])
-    return lx, ly
-
-
-def nfg_gradients(game: NormalFormGame, strategies) -> list[np.ndarray]:
-    return game.gradients(strategies)
-
-
 def hard_instance() -> MatrixGame:
     """The 3x3 game on which unstabilized (P)RM+ slows to ~T^-0.5."""
     return MatrixGame(np.array([
@@ -383,39 +363,63 @@ def save_game(game, path) -> None:
 
 
 def _tokens(path):
+    """Iterator over (token, line number); ``#`` starts a comment."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0]
-            yield from line.split()
+        lines = fh.readlines()
+    return ((token, lineno) for lineno, line in enumerate(lines, start=1)
+            for token in line.split("#", 1)[0].split())
 
 
 def load_game(path):
-    """Parse a game file (see the module docstring for the grammar)."""
+    """Parse a game file (see the module docstring for the grammar).
+
+    Every malformed input raises ValueError naming the file and the line
+    of the offending token."""
     tokens = _tokens(path)
-    try:
-        kind = next(tokens)
-    except StopIteration:
-        raise ValueError(f"{path}: empty game file") from None
-    try:
-        if kind == "matrix":
-            d1, d2 = int(next(tokens)), int(next(tokens))
-            entries = [float(next(tokens)) for _ in range(d1 * d2)]
-            leftovers = list(tokens)
-            if leftovers:
-                raise ValueError(f"{path}: trailing tokens {leftovers[:3]}")
-            return MatrixGame(np.array(entries).reshape(d1, d2))
-        if kind == "nfg":
-            n = int(next(tokens))
-            dims = tuple(int(next(tokens)) for _ in range(n))
-            size = int(np.prod(dims))
-            tensors = tuple(
-                np.array([float(next(tokens)) for _ in range(size)]).reshape(dims)
-                for _ in range(n)
-            )
-            leftovers = list(tokens)
-            if leftovers:
-                raise ValueError(f"{path}: trailing tokens {leftovers[:3]}")
-            return NormalFormGame(tensors)
-    except StopIteration:
-        raise ValueError(f"{path}: truncated game file") from None
-    raise ValueError(f"{path}: unknown game kind {kind!r}")
+    kind, line = next(tokens, (None, 0))
+    if kind is None:
+        raise ValueError(f"{path}: empty game file")
+
+    def error(message: str) -> ValueError:
+        return ValueError(f"{path}:{line}: {message}")
+
+    def take(what: str) -> str:
+        nonlocal line
+        token, line = next(tokens, (None, line))
+        if token is None:
+            raise error(f"truncated game file: expected {what}")
+        return token
+
+    def count(what: str) -> int:
+        token = take(what)
+        if not token.isdecimal() or int(token) < 1:
+            raise error(f"{what} must be a positive integer, got {token!r}")
+        return int(token)
+
+    def payoffs(shape) -> np.ndarray:
+        size = math.prod(shape)
+        values = []
+        for _ in range(size):
+            token = take(f"{size} payoffs")
+            try:
+                values.append(float(token))
+            except ValueError:
+                raise error(f"bad payoff {token!r}") from None
+            if not math.isfinite(values[-1]):
+                raise error(f"non-finite payoff {token!r}")
+        return np.array(values).reshape(shape)
+
+    if kind == "matrix":
+        shape = (count("row count"), count("column count"))
+        game = MatrixGame(payoffs(shape))
+    elif kind == "nfg":
+        n = count("player count")
+        shape = tuple(count(f"action count of player {i + 1}") for i in range(n))
+        game = NormalFormGame(tuple(payoffs(shape) for _ in range(n)))
+    else:
+        raise error(f"unknown game kind {kind!r}")
+    leftover = next(tokens, None)
+    if leftover is not None:
+        token, line = leftover
+        raise error(f"trailing token {token!r}")
+    return game

@@ -28,6 +28,20 @@ available opponent strategies, and later players see earlier players'
 freshly updated strategies.  The recorded play of round t is what each
 player put forward before updating; regret ledgers and gap metrics are
 accounted against the losses of that recorded joint profile.
+
+Structure: ``run`` owns the one round loop.  Each algorithm family
+(RM+/PRM+, the stabilized lifted rounds, the fixed-point solvers, the
+tree rounds) supplies only how its state advances: ``advance(t)`` plays
+round t and hands back the play as blocks, each owned by one player (one
+block per player for matrix and normal-form games, one per infoset for
+trees), one regret increment per block, and optional per-round extras.
+One ``_Recorder`` keeps every family's books from those blocks; per
+family it picks only the regret formula (max-action regret, or the sum
+of per-infoset positive maxima), the gap (duality gap, or the CCE gap
+max_i [regret_i]+ / t) and the averager.  A non-finite value, raised
+inside a round (``NonFiniteError``) or met by the recorder's one
+per-round check, ends the run with ``NumericalDivergence`` naming the
+round.
 """
 
 from __future__ import annotations
@@ -38,18 +52,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import efg
+from . import efg, fixedpoint
 from .core import (
     AggregateState,
     NonFiniteError,
-    RegretLedger,
     _normalize_nonneg,
     prm_plus_step,
     rm_plus_step,
 )
-from .fixedpoint import _solve as fixedpoint_solve
 from .fixedpoint import initial_lifted_point, lipschitz_bound
-from .games import MatrixGame, NormalFormGame, cce_gap, duality_gap
+from .games import MatrixGame, NormalFormGame, duality_gap
 from .stabilized import (
     smooth_initial_state,
     smooth_prmp_round,
@@ -65,7 +77,6 @@ __all__ = [
     "RunTrace",
     "NumericalDivergence",
     "run",
-    "linear_average",
     "rate_estimate",
     "slope_loglog",
     "stored_rounds",
@@ -196,19 +207,6 @@ def stored_rounds(iters: int, report_skip: int = 0) -> np.ndarray:
     kept = [t for t in range(report_skip + 1, iters + 1)
             if t <= 1000 or t % -(-t // 1000) == 0]
     return np.asarray(kept, dtype=np.int64)
-
-
-def linear_average(iterates, T: int) -> np.ndarray:
-    """Weighted average 2/(T(T+1)) * sum_t t * x^t of the first T iterates."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    iterates = list(iterates)[:T]
-    if len(iterates) < T:
-        raise ValueError("fewer iterates than T")
-    total = np.zeros_like(np.asarray(iterates[0], dtype=float))
-    for t, x in enumerate(iterates, start=1):
-        total += t * np.asarray(x, dtype=float)
-    return total * (2.0 / (T * (T + 1)))
 
 
 def slope_loglog(ts, values, t_lo, t_hi, max_points: int = 500) -> float:
@@ -350,175 +348,204 @@ def _header(config: SolverConfig, game, eta: float, constants: dict) -> dict:
     return header
 
 
-# --- shared per-round bookkeeping ---------------------------------------------
+# --- one recorder for every family ---------------------------------------------
+
+
+class _StrategyAverager:
+    """Running average of played strategies, round t weighted by t
+    (linear) or 1 (uniform): ``efg.BehavioralAverager``'s normal-form
+    counterpart."""
+
+    def __init__(self, dims, scheme: str):
+        self._linear = scheme == "linear"
+        self._sums = [np.zeros(d) for d in dims]
+        self._t = 0
+        self._weight = 0.0
+
+    def observe(self, x) -> None:
+        self._t += 1
+        weight = float(self._t) if self._linear else 1.0
+        self._weight += weight
+        for acc, block in zip(self._sums, x):
+            acc += weight * block
+
+    def average(self) -> list[np.ndarray]:
+        return [acc / self._weight for acc in self._sums]
 
 
 class _Recorder:
-    def __init__(self, config: SolverConfig, dims, gap_fn):
-        self.config = config
-        self.dims = tuple(dims)
-        n = len(self.dims)
-        self.gap_fn = gap_fn
-        self.ledgers = [RegretLedger.empty(d) for d in self.dims]
-        self.stored = stored_rounds(config.iters, config.report_skip)
-        rows = self.stored.size
-        self.t = self.stored
-        self.regret_max = np.zeros((rows, n))
-        self.gap = np.zeros(rows)
-        self.iter_var = np.zeros((rows, n))
-        self.restart = np.zeros((rows, n), dtype=np.int8)
-        self.fp_k = np.full(rows, np.nan)
-        self.fp_residual = np.full(rows, np.nan)
+    """Per-round bookkeeping for every family (see the module docstring):
+    accumulates the blocks' regret increments and average, and fills the
+    trace, a row per stored round with each player's regret, the gap and
+    the squared step of the player's blocks."""
+
+    def __init__(self, config: SolverConfig, game):
+        if isinstance(game, efg.GameTree):
+            self.owned = [game.infosets_of(i) for i in range(game.num_players)]
+            dims = [j.num_actions for j in game.infosets]
+            averager = efg.BehavioralAverager(game, config.averaging)
+            self.regret_of = lambda cums: sum(max(float(c.max()), 0.0)
+                                              for c in cums)
+            store_full = False  # tree rounds hand over no losses
+        else:
+            self.owned = [[i] for i in range(len(game.dims))]
+            dims = game.dims
+            averager = _StrategyAverager(dims, config.averaging)
+            self.regret_of = lambda cums: float(cums[0].max())
+            store_full = config.store_full
+        self.averager = averager
+        if isinstance(game, MatrixGame):
+            # closes over the averager, not self: no reference cycle keeps
+            # a finished recorder and its trace alive until a collection
+            self.gap_of = lambda t, regrets: duality_gap(
+                game, *averager.average())
+        else:
+            self.gap_of = lambda t, regrets: max(0.0, *regrets) / t
+        self.cum = [np.zeros(d) for d in dims]
+        stored = stored_rounds(config.iters, config.report_skip)
+        rows, n = stored.size, len(self.owned)
+
+        def full():
+            return [np.zeros((config.iters, d)) for d in dims] if store_full else None
+
+        self.trace = RunTrace(
+            header={}, t=stored, regret_max=np.zeros((rows, n)),
+            gap=np.zeros(rows), iter_var=np.zeros((rows, n)),
+            restart=np.zeros((rows, n), dtype=np.int8),
+            fp_k=np.full(rows, np.nan), fp_residual=np.full(rows, np.nan),
+            ledgers=[], strategies=full(), losses=full(), lifted=full())
+        self.restart_events: list[tuple[int, int]] = []
         self._cursor = 0
         self._prev: list[np.ndarray] | None = None
-        self._avg_weight = 0.0
-        self._avg = [np.zeros(d) for d in self.dims]
-        if config.store_full:
-            self.full_x = [np.zeros((config.iters, d)) for d in self.dims]
-            self.full_loss = [np.zeros((config.iters, d)) for d in self.dims]
-            self.full_lifted = [np.zeros((config.iters, d)) for d in self.dims]
-        else:
-            self.full_x = self.full_loss = self.full_lifted = None
 
-    def observe(self, t, strategies, losses, lifted=None, restarts=None,
-                fp=(math.nan, math.nan)) -> None:
-        for x in strategies:
+    def observe(self, t, blocks, increments, losses=None, lifted=None,
+                restarts=(), fp=None) -> None:
+        for x in blocks:
             if not np.all(np.isfinite(x)):
                 raise NumericalDivergence(t)
-        for ledger, x, loss in zip(self.ledgers, strategies, losses):
-            ledger.observe(x, loss)
-        weight = float(t) if self.config.averaging == "linear" else 1.0
-        self._avg_weight += weight
-        for acc, x in zip(self._avg, strategies):
-            acc += weight * x
-        if self.full_x is not None:
-            for i, (x, loss) in enumerate(zip(strategies, losses)):
-                self.full_x[i][t - 1] = x
-                self.full_loss[i][t - 1] = loss
+        for acc, increment in zip(self.cum, increments):
+            acc += increment
+        self.averager.observe(blocks)
+        self.restart_events.extend(restarts)
+        trace = self.trace
+        if trace.strategies is not None:
+            for i, (x, loss) in enumerate(zip(blocks, losses)):
+                trace.strategies[i][t - 1] = x
+                trace.losses[i][t - 1] = loss
                 if lifted is not None:
-                    self.full_lifted[i][t - 1] = lifted[i]
-        if self._cursor < self.stored.size and self.stored[self._cursor] == t:
+                    trace.lifted[i][t - 1] = lifted[i]
+        if self._cursor < trace.t.size and trace.t[self._cursor] == t:
             row = self._cursor
-            for i, ledger in enumerate(self.ledgers):
-                self.regret_max[row, i] = ledger.max_action_regret()
-            self.gap[row] = self.gap_fn(t, self.averages())
+            regrets = [self.regret_of([self.cum[j] for j in own])
+                       for own in self.owned]
+            trace.regret_max[row] = regrets
+            trace.gap[row] = self.gap_of(t, regrets)
             if self._prev is not None:
-                for i, (x, prev) in enumerate(zip(strategies, self._prev)):
-                    self.iter_var[row, i] = float(np.sum((x - prev) ** 2))
-            if restarts is not None:
-                self.restart[row] = restarts
-            self.fp_k[row], self.fp_residual[row] = fp
+                steps = [float(np.sum((x - prev) ** 2))
+                         for x, prev in zip(blocks, self._prev)]
+                trace.iter_var[row] = [sum([steps[j] for j in own])
+                                       for own in self.owned]
+            for _, player in restarts:
+                trace.restart[row, player] = 1
+            if fp is not None:
+                trace.fp_k[row], trace.fp_residual[row] = fp
             self._cursor += 1
-        # step functions hand back fresh arrays, so references suffice
-        self._prev = list(strategies)
+        # rounds hand back fresh arrays, so references suffice
+        self._prev = blocks
 
-    def averages(self) -> list[np.ndarray]:
-        if self._avg_weight == 0.0:
-            return [np.full(d, 1.0 / d) for d in self.dims]
-        return [acc / self._avg_weight for acc in self._avg]
-
-    def build_trace(self, header, restart_events=()) -> RunTrace:
-        return RunTrace(
-            header=header,
-            t=self.t,
-            regret_max=self.regret_max,
-            gap=self.gap,
-            iter_var=self.iter_var,
-            restart=self.restart,
-            fp_k=self.fp_k,
-            fp_residual=self.fp_residual,
-            ledgers=[ledger.cum for ledger in self.ledgers],
-            averages=self.averages(),
-            strategies=self.full_x,
-            losses=self.full_loss,
-            lifted=self.full_lifted,
-            restart_events=tuple(restart_events),
-        )
+    def finish(self, header) -> RunTrace:
+        trace = self.trace
+        trace.header = header
+        trace.ledgers = [np.concatenate([self.cum[j] for j in own]) if own
+                         else np.zeros(0) for own in self.owned]
+        if isinstance(self.averager, efg.BehavioralAverager):
+            trace.behavioral_average = self.averager.average()
+        else:
+            trace.averages = self.averager.average()
+        trace.restart_events = tuple(self.restart_events)
+        return trace
 
 
-# --- drivers -------------------------------------------------------------------
+# --- families: each builds its state and returns ``advance(t)``, which plays
+# round t and returns (blocks, regret increments, ``observe`` keywords) ----------
 
 
-def _drive_simplex(config: SolverConfig, game, eta, recorder: _Recorder) -> None:
-    step = rm_plus_step if config.algorithm == "rm+" else prm_plus_step
+def _action_regrets(plays, losses) -> list[np.ndarray]:
+    """The round's per-action regret increments <x, l> - l."""
+    return [np.dot(x, loss) - loss for x, loss in zip(plays, losses)]
+
+
+def _simplex_family(config: SolverConfig, game, eta):
+    rm = config.algorithm == "rm+"
+    step = rm_plus_step if rm else prm_plus_step
     states = [AggregateState.initial(d, 0.0) for d in game.dims]
 
-    def play(state: AggregateState) -> np.ndarray:
-        if config.algorithm == "rm+":
-            return _normalize_nonneg(state.r)
-        return _normalize_nonneg(np.maximum(state.r + state.prediction, 0.0))
+    def lifted(state: AggregateState) -> np.ndarray:
+        # the point whose normalization is played
+        return state.r if rm else np.maximum(state.r + state.prediction, 0.0)
 
-    for t in range(1, config.iters + 1):
-        try:
-            lifted = None
-            if config.store_full:
-                lifted = ([np.maximum(s.r + s.prediction, 0.0) for s in states]
-                          if config.algorithm == "prm+" else [s.r for s in states])
-            plays = [play(s) for s in states]
-            losses = game.gradients(plays)
-            if not config.alternation:
-                for i in range(len(states)):
-                    states[i], _ = step(states[i], losses[i])
-            else:
-                profile = list(plays)
-                for i in range(len(states)):
-                    loss_i = game.gradient_for(i, profile)
-                    states[i], _ = step(states[i], loss_i)
-                    profile[i] = play(states[i])
-        except NonFiniteError:
-            raise NumericalDivergence(t) from None
-        recorder.observe(t, plays, losses, lifted=lifted)
+    def advance(t):
+        points = [lifted(s) for s in states]
+        plays = [_normalize_nonneg(p) for p in points]
+        losses = game.gradients(plays)
+        profile = list(plays)
+        for i in range(len(states)):
+            loss_i = (game.gradient_for(i, profile) if config.alternation
+                      else losses[i])
+            states[i], _ = step(states[i], loss_i)
+            if config.alternation:
+                profile[i] = _normalize_nonneg(lifted(states[i]))
+        return plays, _action_regrets(plays, losses), dict(
+            losses=losses, lifted=points)
+
+    return advance
 
 
-def _drive_lifted(config: SolverConfig, game, eta, recorder: _Recorder) -> tuple:
-    stable = config.algorithm == "stable-prm+"
-    if stable:
+def _lifted_family(config: SolverConfig, game, eta):
+    if config.algorithm == "stable-prm+":
         # scale-invariant form of the restarting algorithm: unit-mass
         # initialization (R0/d_i) * 1 per player with matching restart
         # floors, which is how the reproduced experiments initialize
         floors = [config.r0 / d for d in game.dims]
         state = stable_initial_state(game.dims, floors)
+        round_fn = (stable_prmp_round_alternating if config.alternation
+                    else stable_prmp_round)
+        args = (floors,)
     else:
         state = smooth_initial_state(game.dims)
-    seen_events = 0
-    n = len(game.dims)
-    for t in range(1, config.iters + 1):
-        try:
-            if stable:
-                round_fn = (stable_prmp_round_alternating if config.alternation
-                            else stable_prmp_round)
-                state, plays = round_fn(state, game, eta, floors)
-            else:
-                round_fn = (smooth_prmp_round_alternating if config.alternation
-                            else smooth_prmp_round)
-                state, plays = round_fn(state, game, eta)
-            losses = game.gradients(plays)
-        except NonFiniteError:
-            raise NumericalDivergence(t) from None
-        flags = np.zeros(n, dtype=np.int8)
-        for _, player in state.restart_events[seen_events:]:
-            flags[player] = 1
-        seen_events = len(state.restart_events)
-        recorder.observe(t, plays, losses, lifted=list(state.z), restarts=flags)
-    return state.restart_events
+        round_fn = (smooth_prmp_round_alternating if config.alternation
+                    else smooth_prmp_round)
+        args = ()
+
+    def advance(t):
+        nonlocal state
+        seen = len(state.restart_events)
+        state, plays = round_fn(state, game, eta, *args)
+        losses = game.gradients(plays)
+        return plays, _action_regrets(plays, losses), dict(
+            losses=losses, lifted=state.z,
+            restarts=state.restart_events[seen:])
+
+    return advance
 
 
-def _drive_fixedpoint(config: SolverConfig, game, eta, recorder: _Recorder) -> None:
+def _fixedpoint_family(config: SolverConfig, game, eta):
     z = initial_lifted_point(game.dims)
-    for t in range(1, config.iters + 1):
-        if config.algorithm == "exrm+":
-            eps, k_max = -1.0, 1  # exactly one inner iteration
-        else:
-            eps, k_max = _eps_at(config, t), config.k_max
-        try:
-            w, z, report = fixedpoint_solve(z, game, eta, eps, k_max)
-            plays = [_normalize_nonneg(block) for block in w]
-            losses = game.gradients(plays)
-        except NonFiniteError:
-            raise NumericalDivergence(t) from None
-        fp = ((math.nan, math.nan) if config.algorithm == "exrm+"
-              else (float(report.iterations), report.residual))
-        recorder.observe(t, plays, losses, lifted=w, fp=fp)
+    exrm = config.algorithm == "exrm+"
+
+    def advance(t):
+        nonlocal z
+        # exrm+ is the conceptual round cut to exactly one inner iteration;
+        # the solve's w (played as g(w)) is the round's lifted point
+        eps, k_max = (-1.0, 1) if exrm else (_eps_at(config, t), config.k_max)
+        w, z, report = fixedpoint._solve(z, game, eta, eps, k_max)
+        plays = [_normalize_nonneg(block) for block in w]
+        losses = game.gradients(plays)
+        fp = None if exrm else (float(report.iterations), report.residual)
+        return plays, _action_regrets(plays, losses), dict(
+            losses=losses, lifted=w, fp=fp)
+
+    return advance
 
 
 def _eps_at(config: SolverConfig, t: int) -> float:
@@ -529,100 +556,48 @@ def _eps_at(config: SolverConfig, t: int) -> float:
     return float(config.eps_schedule)
 
 
-def _drive_tree(config: SolverConfig, tree, eta, recorder_args):
-    header, stored = recorder_args
-    players = tree.num_players
-    own_sets = [tree.infosets_of(i) for i in range(players)]
-    cum_h = [np.zeros(j.num_actions) for j in tree.infosets]
-    averager = efg.BehavioralAverager(tree, config.averaging)
-    rows = stored.size
-    regret_max = np.zeros((rows, players))
-    gap = np.zeros(rows)
-    iter_var = np.zeros((rows, players))
-    cursor = 0
-    prev = None
-    if config.algorithm == "predictive-cfr":
-        state = efg.predictive_cfr_state(tree)
-    else:
-        state = efg.clairvoyant_cfr_state(tree)
-    for t in range(1, config.iters + 1):
-        try:
-            if config.algorithm == "predictive-cfr":
-                state, played = efg.predictive_cfr_round(
-                    state, tree, alternate=config.alternation)
-            else:
-                state, played = efg.clairvoyant_cfr_round(
-                    state, tree, eta, alternate=config.alternation)
-        except NonFiniteError:
-            raise NumericalDivergence(t) from None
-        for block in played:
-            if not np.all(np.isfinite(block)):
-                raise NumericalDivergence(t)
-        averager.observe(played)
-        h = efg.counterfactual_regret_operator(tree, played, validate=False)
-        for j, hj in enumerate(h):
-            cum_h[j] += hj
-        if cursor < rows and stored[cursor] == t:
-            bounds = [
-                sum(max(float(cum_h[j].max()), 0.0) for j in own_sets[i])
-                for i in range(players)
-            ]
-            regret_max[cursor] = bounds
-            gap[cursor] = max(bounds) / t
-            if prev is not None:
-                for i in range(players):
-                    iter_var[cursor, i] = sum(
-                        float(np.sum((played[j] - prev[j]) ** 2))
-                        for j in own_sets[i])
-            cursor += 1
-        prev = [np.array(b) for b in played]
-    ledgers = [np.concatenate([cum_h[j] for j in own_sets[i]])
-               if own_sets[i] else np.zeros(0) for i in range(players)]
-    return RunTrace(
-        header=header,
-        t=stored,
-        regret_max=regret_max,
-        gap=gap,
-        iter_var=iter_var,
-        restart=np.zeros((rows, players), dtype=np.int8),
-        fp_k=np.full(rows, np.nan),
-        fp_residual=np.full(rows, np.nan),
-        ledgers=ledgers,
-        behavioral_average=averager.average(),
-    )
+def _tree_family(config: SolverConfig, tree, eta):
+    predictive = config.algorithm == "predictive-cfr"
+    state = (efg.predictive_cfr_state(tree) if predictive
+             else efg.clairvoyant_cfr_state(tree))
+
+    def advance(t):
+        nonlocal state
+        if predictive:
+            state, played = efg.predictive_cfr_round(
+                state, tree, alternate=config.alternation)
+        else:
+            state, played = efg.clairvoyant_cfr_round(
+                state, tree, eta, alternate=config.alternation)
+        regrets = efg.counterfactual_regret_operator(tree, played,
+                                                     validate=False)
+        return played, regrets, {}
+
+    return advance
 
 
 def run(config: SolverConfig, game) -> RunTrace:
     """Execute one solver configuration on one game."""
     config.validate()
-    is_tree = isinstance(game, efg.GameTree)
-    if (config.algorithm in _TREE_ALGOS) != is_tree:
-        raise ValueError(
-            f"{config.algorithm} is incompatible with {type(game).__name__}")
+    algo = config.algorithm
+    if (algo in _TREE_ALGOS) != isinstance(game, efg.GameTree):
+        raise ValueError(f"{algo} is incompatible with {type(game).__name__}")
     eta, constants = resolve_eta(config, game)
     header = _header(config, game, eta, constants)
-    if is_tree:
-        stored = stored_rounds(config.iters, config.report_skip)
-        return _drive_tree(config, game, eta, (header, stored))
-
-    if isinstance(game, MatrixGame):
-        def gap_fn(t, averages):
-            return duality_gap(game, averages[0], averages[1])
+    if algo in _SIMPLEX_ALGOS:
+        family = _simplex_family
+    elif algo in _LIFTED_ALGOS:
+        family = _lifted_family
+    elif algo in _FIXEDPOINT_ALGOS:
+        family = _fixedpoint_family
     else:
-        recorder_box: list[_Recorder] = []
-
-        def gap_fn(t, averages):
-            return cce_gap(recorder_box[0].ledgers, t)
-
-    recorder = _Recorder(config, game.dims, gap_fn)
-    if not isinstance(game, MatrixGame):
-        recorder_box.append(recorder)
-    events: tuple = ()
-    if config.algorithm in _SIMPLEX_ALGOS:
-        _drive_simplex(config, game, eta, recorder)
-    elif config.algorithm in _LIFTED_ALGOS:
-        events = _drive_lifted(config, game, eta, recorder)
-    else:
-        assert config.algorithm in _FIXEDPOINT_ALGOS
-        _drive_fixedpoint(config, game, eta, recorder)
-    return recorder.build_trace(header, events)
+        family = _tree_family
+    advance = family(config, game, eta)
+    recorder = _Recorder(config, game)
+    for t in range(1, config.iters + 1):
+        try:
+            blocks, increments, extras = advance(t)
+        except NonFiniteError:
+            raise NumericalDivergence(t) from None
+        recorder.observe(t, blocks, increments, **extras)
+    return recorder.finish(header)

@@ -14,7 +14,7 @@ property.  Two fixes, both operating on the lifted joint state:
 One round of either algorithm, for each player i with prediction m_i:
 
     z_i = P(w_i - eta * m_i)          # play x_i = g(z_i)
-    w_i = P(w_i - eta * f_i)          # f_i = f(x_i, l_i), l = G(x)
+    w_i = P(w_i - eta * f_i)          # f_i = f(x_i, l_i), l_i = G_i(profile)
 
 where P is the orthant projection (stable) or the chopped projection
 (smooth); the next round's prediction is f_i, reset to zero for a player
@@ -22,10 +22,15 @@ that restarted.  The chopped projection follows the two-case rule: the
 positive part if it already has mass >= 1, otherwise the ordinary simplex
 projection (both cases solve the constrained least-squares exactly).
 
-Rounds are synchronous across players and pure: (state, game) -> (state,
-strategies).  The ``*_alternating`` variants update players sequentially
-within a round, each against the freshest opponent strategies, matching
-the alternation convention used by the experiment harness.
+All four public rounds run one body, ``_lifted_round``: the family picks
+P and, for restarting, the floors; the players update in index order.
+The profile that player i's loss is evaluated at starts as the round's
+plays x.  Synchronous rounds leave it there.  Alternating rounds replace
+entry i, once player i has updated, by its next-round play (the first
+step above, taken from the updated w_i and m_i), so each later player
+sees the freshest opponent strategies; this is the alternation
+convention of the experiment harness.  Rounds are pure:
+(state, game) -> (state, played strategies).
 """
 
 from __future__ import annotations
@@ -34,10 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NonFiniteError, _normalize_nonneg, regret_loss, uniform_strategy
+from .core import NonFiniteError, _normalize_nonneg, regret_loss
 
 __all__ = [
-    "ChoppedOrthant",
     "JointLiftedState",
     "project_orthant",
     "project_simplex",
@@ -95,18 +99,9 @@ def project_chopped(y) -> np.ndarray:
     return project_simplex(y)
 
 
-@dataclass(frozen=True)
-class ChoppedOrthant:
-    """The set D> = { r in R+^dim : ||r||_1 >= floor } (floor fixed at 1)."""
-
-    dim: int
-    floor: float = 1.0
-
-    def contains(self, r, tol: float = 1e-9) -> bool:
-        r = np.asarray(r, dtype=float)
-        return bool(r.shape == (self.dim,)
-                    and np.all(r >= -tol)
-                    and r.sum() >= self.floor - tol)
+def _in_chopped(r) -> bool:
+    """Membership in D> (floor 1), with 1e-9 slack on the mass."""
+    return not (np.any(r < 0.0) or r.sum() < 1.0 - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -115,15 +110,13 @@ class JointLiftedState:
 
     ``w`` are the per-player aggregate vectors, ``z`` the latest proximal
     midpoints (the played strategies are g(z_i)), ``prediction`` the next
-    round's per-player predictions, ``last_strategies`` the strategies
-    played in the latest round (consumed by the alternating drivers).
-    ``restart_events`` collects (round, player) pairs.
+    round's per-player predictions.  ``restart_events`` collects
+    (round, player) pairs.
     """
 
     w: tuple[np.ndarray, ...]
     z: tuple[np.ndarray, ...]
     prediction: tuple[np.ndarray, ...]
-    last_strategies: tuple[np.ndarray, ...]
     restart_events: tuple[tuple[int, int], ...]
     t: int
 
@@ -141,31 +134,25 @@ def _floors(r0, num_players: int) -> list[float]:
     return values
 
 
-def stable_initial_state(dims, r0=1.0) -> JointLiftedState:
-    """w^0 = R0 * 1 per player, zero predictions."""
-    floors = _floors(r0, len(tuple(dims)))
-    w = tuple(np.full(d, floor) for d, floor in zip(dims, floors))
+def _initial_state(w) -> JointLiftedState:
     return JointLiftedState(
         w=w,
         z=tuple(v.copy() for v in w),
-        prediction=tuple(np.zeros(d) for d in dims),
-        last_strategies=tuple(uniform_strategy(d) for d in dims),
+        prediction=tuple(np.zeros(v.size) for v in w),
         restart_events=(),
         t=0,
     )
+
+
+def stable_initial_state(dims, r0=1.0) -> JointLiftedState:
+    """w^0 = R0 * 1 per player, zero predictions."""
+    floors = _floors(r0, len(tuple(dims)))
+    return _initial_state(tuple(np.full(d, floor) for d, floor in zip(dims, floors)))
 
 
 def smooth_initial_state(dims) -> JointLiftedState:
     """w^0 = (1/d_i) * 1 per player (unit mass, inside the chopped set)."""
-    w = tuple(np.full(d, 1.0 / d) for d in dims)
-    return JointLiftedState(
-        w=w,
-        z=tuple(v.copy() for v in w),
-        prediction=tuple(np.zeros(d) for d in dims),
-        last_strategies=tuple(uniform_strategy(d) for d in dims),
-        restart_events=(),
-        t=0,
-    )
+    return _initial_state(tuple(np.full(d, 1.0 / d) for d in dims))
 
 
 def _check_round_args(state: JointLiftedState, game, eta: float) -> None:
@@ -186,6 +173,49 @@ def _should_restart(w_next: np.ndarray, f: np.ndarray, floor: float) -> bool:
     return bool(np.any(w_next != floor) or np.any(f != 0.0))
 
 
+def _lifted_round(state: JointLiftedState, game, eta: float, floors,
+                  alternate: bool) -> tuple[JointLiftedState, list[np.ndarray]]:
+    """The one round body (see the module docstring).
+
+    ``floors`` (one per player) selects the restarting algorithm: orthant
+    projections and the restart check.  ``None`` selects the chopped
+    projections, with no restarts.
+    """
+    _check_round_args(state, game, eta)
+    if floors is None and not all(_in_chopped(w) for w in state.w):
+        raise ValueError("state outside the chopped orthant")
+    # resolved per call, so that a wrapper installed on this module's
+    # globals sees every projection
+    project = project_chopped if floors is None else project_orthant
+    t = state.t + 1
+    z = tuple(project(w - eta * m) for w, m in zip(state.w, state.prediction))
+    strategies = [_normalize_nonneg(zi) for zi in z]
+    profile = list(strategies)
+    new_w = []
+    new_pred = []
+    events = list(state.restart_events)
+    for i, (w, x) in enumerate(zip(state.w, strategies)):
+        f = regret_loss(x, game.gradient_for(i, profile))
+        wi = project(w - eta * f)
+        if floors is not None and _should_restart(wi, f, floors[i]):
+            wi = np.full(wi.shape, floors[i])
+            f = np.zeros(wi.shape)
+            events.append((t, i))
+        new_w.append(wi)
+        new_pred.append(f)
+        if alternate:
+            # the later players see i's next-round play
+            profile[i] = _normalize_nonneg(project(wi - eta * f))
+    next_state = JointLiftedState(
+        w=tuple(new_w),
+        z=z,
+        prediction=tuple(new_pred),
+        restart_events=tuple(events),
+        t=t,
+    )
+    return next_state, strategies
+
+
 def stable_prmp_round(state: JointLiftedState, game, eta: float,
                       r0=1.0) -> tuple[JointLiftedState, list[np.ndarray]]:
     """One synchronous round of the restarting algorithm.
@@ -197,112 +227,22 @@ def stable_prmp_round(state: JointLiftedState, game, eta: float,
     form the experiment protocol uses (floor R0/d_i with unit-mass
     initialization).
     """
-    _check_round_args(state, game, eta)
-    floors = _floors(r0, state.num_players)
-    t = state.t + 1
-    z = tuple(np.maximum(w - eta * m, 0.0)
-              for w, m in zip(state.w, state.prediction))
-    strategies = [_normalize_nonneg(zi) for zi in z]
-    losses = game.gradients(strategies)
-    fs = [regret_loss(x, l) for x, l in zip(strategies, losses)]
-    new_w = []
-    new_pred = []
-    events = list(state.restart_events)
-    for i, (w, f) in enumerate(zip(state.w, fs)):
-        wi = np.maximum(w - eta * f, 0.0)
-        if _should_restart(wi, f, floors[i]):
-            wi = np.full(wi.shape, floors[i])
-            new_pred.append(np.zeros(wi.shape))
-            events.append((t, i))
-        else:
-            new_pred.append(f)
-        new_w.append(wi)
-    next_state = JointLiftedState(
-        w=tuple(new_w),
-        z=z,
-        prediction=tuple(new_pred),
-        last_strategies=tuple(strategies),
-        restart_events=tuple(events),
-        t=t,
-    )
-    return next_state, strategies
+    return _lifted_round(state, game, eta, _floors(r0, state.num_players), False)
 
 
 def smooth_prmp_round(state: JointLiftedState, game,
                       eta: float) -> tuple[JointLiftedState, list[np.ndarray]]:
-    """One synchronous round of the chopped-orthant algorithm.
-
-    Identical structure to the stable round, but both proximal steps
-    project onto the chopped set and there is no restart branch, so every
-    iterate keeps ||.||_1 >= 1 per player.
-    """
-    _check_round_args(state, game, eta)
-    for w in state.w:
-        if np.any(w < 0.0) or w.sum() < 1.0 - 1e-9:
-            raise ValueError("state outside the chopped orthant")
-    t = state.t + 1
-    z = tuple(project_chopped(w - eta * m)
-              for w, m in zip(state.w, state.prediction))
-    strategies = [_normalize_nonneg(zi) for zi in z]
-    losses = game.gradients(strategies)
-    fs = [regret_loss(x, l) for x, l in zip(strategies, losses)]
-    new_w = tuple(project_chopped(w - eta * f) for w, f in zip(state.w, fs))
-    next_state = JointLiftedState(
-        w=new_w,
-        z=z,
-        prediction=tuple(fs),
-        last_strategies=tuple(strategies),
-        restart_events=state.restart_events,
-        t=t,
-    )
-    return next_state, strategies
-
-
-def _alternating_round(state: JointLiftedState, game, eta: float, r0,
-                       chopped: bool) -> tuple[JointLiftedState, list[np.ndarray]]:
-    # every player's round-t play comes from the pre-round state; players
-    # then update in index order, each seeing the loss induced by the
-    # not-yet-updated players' round-t plays and by the already-updated
-    # players' *next-round* plays (their freshly updated strategies)
-    _check_round_args(state, game, eta)
-    project = project_chopped if chopped else project_orthant
-    floors = None if chopped else _floors(r0, state.num_players)
-    t = state.t + 1
-    z = tuple(project(w - eta * m) for w, m in zip(state.w, state.prediction))
-    strategies = [_normalize_nonneg(zi) for zi in z]
-    profile = list(strategies)
-    new_w = list(state.w)
-    new_pred = list(state.prediction)
-    events = list(state.restart_events)
-    for i in range(state.num_players):
-        loss_i = game.gradient_for(i, profile)
-        fi = regret_loss(strategies[i], loss_i)
-        wi = project(state.w[i] - eta * fi)
-        if not chopped and _should_restart(wi, fi, floors[i]):
-            wi = np.full(wi.shape, floors[i])
-            new_pred[i] = np.zeros(wi.shape)
-            events.append((t, i))
-        else:
-            new_pred[i] = fi
-        new_w[i] = wi
-        profile[i] = _normalize_nonneg(project(wi - eta * new_pred[i]))
-    next_state = JointLiftedState(
-        w=tuple(new_w),
-        z=z,
-        prediction=tuple(new_pred),
-        last_strategies=tuple(strategies),
-        restart_events=tuple(events),
-        t=t,
-    )
-    return next_state, strategies
+    """One synchronous round of the chopped-orthant algorithm: both
+    proximal steps project onto the chopped set and nothing restarts, so
+    every iterate keeps ||.||_1 >= 1 per player."""
+    return _lifted_round(state, game, eta, None, False)
 
 
 def stable_prmp_round_alternating(state, game, eta: float, r0=1.0):
-    return _alternating_round(state, game, eta, r0, chopped=False)
+    """``stable_prmp_round`` with the players updating in index order."""
+    return _lifted_round(state, game, eta, _floors(r0, state.num_players), True)
 
 
 def smooth_prmp_round_alternating(state, game, eta: float):
-    for w in state.w:
-        if np.any(w < 0.0) or w.sum() < 1.0 - 1e-9:
-            raise ValueError("state outside the chopped orthant")
-    return _alternating_round(state, game, eta, None, chopped=True)
+    """``smooth_prmp_round`` with the players updating in index order."""
+    return _lifted_round(state, game, eta, None, True)

@@ -101,6 +101,28 @@ class TestRun:
         assert code == 2
         assert f"{path}:{lineno}: " in err and message in err
 
+    @pytest.mark.parametrize("text,lineno,message", [
+        ("matrix\n-1 2\n", 2, "row count must be a positive integer"),
+        ("nfg 2\n2 -3\n", 2,
+         "action count of player 2 must be a positive integer"),
+        ("matrix\n2 2\n1 2 3 x\n", 3, "bad payoff 'x'"),
+        ("matrix\n2 2\n1 2\n3\n# end\n", 4,
+         "truncated game file: expected 4 payoffs"),
+        ("matrix\n1 1\n5\n6\n", 4, "trailing token '6'"),
+        ("nfg 2\n1 2\n1 nan\n", 3, "non-finite payoff 'nan'"),
+        ("\nmatrx 2 2\n", 2, "unknown game kind 'matrx'"),
+    ], ids=["negative-dim", "negative-nfg-dim", "bad-payoff", "truncated",
+            "trailing", "non-finite", "unknown-kind"])
+    def test_malformed_game_file_exits_two(self, tmp_path, capsys, text,
+                                           lineno, message):
+        path = tmp_path / "bad.game"
+        path.write_text(text)
+        code, _, err = run_cli(
+            ["run", "--algo", "rm+", "--game", str(path), "--iters", "2"],
+            capsys)
+        assert code == 2
+        assert f"{path}:{lineno}: {message}" in err
+
 
 class TestGenAndSweep:
     def test_gen_random_matrix_round_trip(self, tmp_path, capsys):

@@ -9,14 +9,12 @@ from regretkit.fixedpoint import (
     initial_lifted_point,
     lipschitz_bound,
     operator_F,
-    operator_for,
     solve_fixed_point,
 )
 from regretkit.games import (
     MatrixGame,
     NormalFormGame,
     hard_instance,
-    matrix_gradients,
     random_matrix_game,
     random_nfg,
 )
@@ -49,7 +47,7 @@ class TestOperatorF:
         game = hard_instance()
         z = [np.full(3, 2.0), np.full(3, 5.0)]  # normalize to uniform
         uniform = np.full(3, 1 / 3)
-        lx, ly = matrix_gradients(game, uniform, uniform)
+        lx, ly = game.gradients([uniform, uniform])
         expected = [regret_loss(uniform, lx), regret_loss(uniform, ly)]
         result = operator_F(z, game)
         for got, want in zip(result, expected):
@@ -109,14 +107,6 @@ class TestLipschitzBound:
             z2 = _feasible_blocks(rng, game.dims)
             lhs = _joint_diff(operator_F(z1, game), operator_F(z2, game))
             assert lhs <= bound * _joint_diff(z1, z2) + 1e-9
-
-    def test_operator_for_carries_bound(self):
-        game = hard_instance()
-        op = operator_for(game)
-        assert op.lipschitz_bound == lipschitz_bound(game)
-        z = initial_lifted_point(game.dims)
-        for a, b in zip(op.evaluate(z), operator_F(z, game)):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestSolveFixedPoint:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretkit.core import AggregateState, RegretLedger, rm_plus_step
 from regretkit.games import (
@@ -10,8 +12,6 @@ from regretkit.games import (
     hard_instance,
     instability_losses,
     load_game,
-    matrix_gradients,
-    nfg_gradients,
     random_matrix_game,
     random_nfg,
     save_game,
@@ -24,14 +24,13 @@ from .oracles import nfg_gradient_by_enumeration
 class TestMatrixGradients:
     def test_zero_game(self):
         game = MatrixGame(np.zeros((3, 2)))
-        lx, ly = matrix_gradients(game, np.full(3, 1 / 3), np.array([0.5, 0.5]))
+        lx, ly = game.gradients([np.full(3, 1 / 3), np.array([0.5, 0.5])])
         np.testing.assert_array_equal(lx, np.zeros(3))
         np.testing.assert_array_equal(ly, np.zeros(2))
 
     def test_identity_pure_column(self):
         game = MatrixGame(np.eye(2))
-        lx, _ = matrix_gradients(game, np.array([0.5, 0.5]),
-                                 np.array([1.0, 0.0]))
+        lx, _ = game.gradients([np.array([0.5, 0.5]), np.array([1.0, 0.0])])
         np.testing.assert_array_equal(lx, [-1.0, 0.0])
 
     def test_bilinearity(self):
@@ -41,16 +40,16 @@ class TestMatrixGradients:
         y1, y2 = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
         for lam in (0.0, 0.3, 0.7, 1.0):
             mix = lam * y1 + (1 - lam) * y2
-            lx_mix, _ = matrix_gradients(game, x, mix)
-            lx1, _ = matrix_gradients(game, x, y1)
-            lx2, _ = matrix_gradients(game, x, y2)
+            lx_mix, _ = game.gradients([x, mix])
+            lx1, _ = game.gradients([x, y1])
+            lx2, _ = game.gradients([x, y2])
             np.testing.assert_allclose(lx_mix, lam * lx1 + (1 - lam) * lx2,
                                        atol=1e-12)
 
     def test_dimension_mismatch(self):
         game = MatrixGame(np.eye(2))
         with pytest.raises(ValueError):
-            matrix_gradients(game, np.full(3, 1 / 3), np.array([0.5, 0.5]))
+            game.gradients([np.full(3, 1 / 3), np.array([0.5, 0.5])])
 
     def test_rm_plus_on_losses_maximizes(self):
         # the row player's aggregate grows toward the maximizing action
@@ -60,7 +59,7 @@ class TestMatrixGradients:
         for _ in range(50):
             x = (state.r / state.r.sum() if state.r.sum() > 0
                  else np.full(2, 0.5))
-            lx, _ = matrix_gradients(game, x, y)
+            lx, _ = game.gradients([x, y])
             state, _ = rm_plus_step(state, lx)
         x_final = state.r / state.r.sum()
         assert x_final[0] > 0.95
@@ -74,14 +73,14 @@ class TestNfgGradients:
         nfg = NormalFormGame((a, -a))  # zero-sum: u2 = -u1
         x = rng.dirichlet(np.ones(3))
         y = rng.dirichlet(np.ones(4))
-        lx_m, ly_m = matrix_gradients(matrix, x, y)
-        lx_n, ly_n = nfg_gradients(nfg, [x, y])
+        lx_m, ly_m = matrix.gradients([x, y])
+        lx_n, ly_n = nfg.gradients([x, y])
         np.testing.assert_allclose(lx_n, lx_m, atol=1e-12)
         np.testing.assert_allclose(ly_n, ly_m, atol=1e-12)
 
     def test_constant_payoff_three_player(self):
         game = NormalFormGame(tuple(np.ones((2, 2, 2)) for _ in range(3)))
-        grads = nfg_gradients(game, [np.array([0.5, 0.5])] * 3)
+        grads = game.gradients([np.array([0.5, 0.5])] * 3)
         for g in grads:
             np.testing.assert_allclose(g, [-1.0, -1.0], atol=1e-15)
 
@@ -90,7 +89,7 @@ class TestNfgGradients:
         rng = np.random.default_rng(2)
         for _ in range(20):
             xs = [rng.dirichlet(np.ones(d)) for d in game.dims]
-            grads = nfg_gradients(game, xs)
+            grads = game.gradients(xs)
             for i in range(3):
                 expected = -nfg_gradient_by_enumeration(game.payoffs[i], i, xs)
                 np.testing.assert_allclose(grads[i], expected, atol=1e-12)
@@ -307,3 +306,22 @@ class TestGameFiles:
         path.write_text("wat\n")
         with pytest.raises(ValueError):
             load_game(path)
+
+    @given(st.lists(st.sampled_from(
+        ["matrix", "nfg", "0", "1", "2", "3", "-1", "0.5", "x", "inf",
+         "nan", "#", "\n"]), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_any_token_stream_parses_or_names_its_line(self, tmp_path_factory,
+                                                       tokens):
+        path = tmp_path_factory.mktemp("fuzz") / "f.game"
+        path.write_text(" ".join(tokens))
+        try:
+            game = load_game(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:")
+            return
+        save_game(game, path)
+        again = load_game(path)
+        for a, b in zip(getattr(again, "payoffs", [again.payoff]),
+                        getattr(game, "payoffs", [game.payoff])):
+            np.testing.assert_array_equal(a, b)

@@ -7,11 +7,10 @@ import pytest
 from regretkit import efg
 from regretkit.core import lifted_regret_equivalence
 from regretkit.fixedpoint import lipschitz_bound
-from regretkit.games import MatrixGame, hard_instance, random_nfg
+from regretkit.games import MatrixGame, hard_instance, random_matrix_game, random_nfg
 from regretkit.harness import (
     NumericalDivergence,
     SolverConfig,
-    linear_average,
     rate_estimate,
     read_trace_csv,
     run,
@@ -21,21 +20,49 @@ from regretkit.harness import (
 
 
 class TestLinearAverage:
+    """A run's ``averages`` is 2/(T(T+1)) sum_t t x^t of its plays."""
+
     def test_single_iterate(self):
-        np.testing.assert_array_equal(
-            linear_average([np.array([0.3, 0.7])], 1), [0.3, 0.7])
+        trace = run(SolverConfig(algorithm="rm+", iters=1, store_full=True),
+                    hard_instance())
+        for avg, xs in zip(trace.averages, trace.strategies):
+            np.testing.assert_array_equal(avg, xs[0])
 
     def test_two_iterates(self):
-        avg = linear_average([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 2)
-        np.testing.assert_allclose(avg, [1 / 3, 2 / 3], atol=1e-15)
+        trace = run(SolverConfig(algorithm="prm+", iters=2, store_full=True),
+                    hard_instance())
+        for avg, xs in zip(trace.averages, trace.strategies):
+            np.testing.assert_allclose(avg, (xs[0] + 2.0 * xs[1]) / 3.0,
+                                       atol=1e-15)
 
     def test_constant_iterates(self):
-        x = np.array([0.2, 0.8])
-        np.testing.assert_allclose(linear_average([x] * 7, 7), x, atol=1e-12)
+        # nothing moves on the zero game: every round plays uniform
+        trace = run(SolverConfig(algorithm="prm+", iters=7),
+                    MatrixGame(np.zeros((2, 5))))
+        np.testing.assert_allclose(trace.averages[0], np.full(2, 0.5),
+                                   atol=1e-12)
+        np.testing.assert_allclose(trace.averages[1], np.full(5, 0.2),
+                                   atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            linear_average([], 1)
+            run(SolverConfig(algorithm="rm+", iters=0), hard_instance())
+
+    def test_weighted_sum_of_stored_plays(self):
+        T = 60
+        weights = np.arange(1, T + 1, dtype=float)
+        games = (hard_instance(), random_nfg((3, 2, 4), 3))
+        for game in games:
+            for algo, alt in (("rm+", True), ("prm+", False),
+                              ("stable-prm+", False), ("smooth-prm+", True),
+                              ("exrm+", False), ("conceptual-rm+", False)):
+                config = SolverConfig(algorithm=algo, eta=0.1, iters=T,
+                                      alternation=alt, store_full=True)
+                trace = run(config, game)
+                for avg, xs in zip(trace.averages, trace.strategies):
+                    np.testing.assert_allclose(
+                        avg, 2.0 / (T * (T + 1)) * (weights @ xs),
+                        atol=1e-12)
 
 
 class TestRateEstimate:
@@ -319,3 +346,86 @@ class TestTreeTraceDigests:
         run(config, build()).write_csv(buf)
         digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         assert digest == TREE_TRACE_DIGESTS[key]
+
+
+# SHA-256 of whole trace CSVs of the normal-form families (T=150, eta
+# auto, linear averaging), recorded before the four lifted round bodies
+# became one; every refactor must reproduce them byte for byte.
+NORMAL_FORM_TRACE_DIGESTS = {
+    ("hard3x3", "rm+", False):
+        "d1e633924d9dbb69bcd4f4c87b3fa07df3a939047b32813b4a8923e4aa7591d0",
+    ("hard3x3", "rm+", True):
+        "e36697f7119b6c67dce8c7525f9430cef1346bdbabb9c6b20bbb615d93938ace",
+    ("hard3x3", "prm+", False):
+        "d2300669cd37b4699685402b3cf0fbcdfa311c9c6358facb11d2ab9767c1b304",
+    ("hard3x3", "prm+", True):
+        "012439249236d3681672d70e7e9cf484af64ec5dc8ade5fe0be12b4241daa307",
+    ("hard3x3", "stable-prm+", False):
+        "026576c65f80009b205fd2b7482d593c11e07537ef8826a75c7909c8411320f4",
+    ("hard3x3", "stable-prm+", True):
+        "bea24b138e3e54ac5b222e1afa3c26d7cbec03a503399a75edfa912ed90fb61a",
+    ("hard3x3", "smooth-prm+", False):
+        "871ed7e98095087b718a4415936b93f851f0b4a90afee29f81cab590c460a7da",
+    ("hard3x3", "smooth-prm+", True):
+        "49e460401b84edd886983d7c8e13563890cffdb215881d9ed69b167a0a4453f2",
+    ("hard3x3", "exrm+", False):
+        "99e9e9e1918a6a8eeb1fe2c21947cf2129e3eefadc4452cba20414eaf333ba3e",
+    ("hard3x3", "conceptual-rm+", False):
+        "44607becddabd91aeafe61ef2a05d85673a6d5f610b153ad644865d7bc9c74c8",
+    ("matrix30x40", "rm+", False):
+        "cffff6ec0477f83be9009af36248da6184195ca95de7b941167f279bed587026",
+    ("matrix30x40", "rm+", True):
+        "f5ab0b7e92a542d6492e749308541bf039286d160125c205b44200dbf9120640",
+    ("matrix30x40", "prm+", False):
+        "68393eff746a294da5ee6d8ec7b88bde05b200616c3ac26c1ed877e609c46df2",
+    ("matrix30x40", "prm+", True):
+        "22af0767d890d706a3a30e3e2748dec06673013e1dc917edc4b616105bba053d",
+    ("matrix30x40", "stable-prm+", False):
+        "33738dc753c02751903919d3ccb271071e9b3b2c97790fe88870795d2ebb6d32",
+    ("matrix30x40", "stable-prm+", True):
+        "527e65e50bcbeb528c415e77e9d09d8271dadbcdbbd652513f1addbadeec1a1e",
+    ("matrix30x40", "smooth-prm+", False):
+        "6ec0fd925b3f7fd54a60dababe1f3a2063eb7091843fdec90848a771cee44ab1",
+    ("matrix30x40", "smooth-prm+", True):
+        "362a6571ae98129f521035e77b434462145b0e1a9d8c9bd076d18d5d2d612ae2",
+    ("matrix30x40", "exrm+", False):
+        "a0af56b9a2b73b4c0aa7ee27ad285749875d0aefd0468d21761a5c9ec9647989",
+    ("matrix30x40", "conceptual-rm+", False):
+        "86a569730f8655f4c954bc9eb7e4c74f0bff87b501c02a833b34cbea27b36cf1",
+    ("nfg3x3x3", "rm+", False):
+        "9872a250ed79759b3e8bf448dc9151abccc7229c4ce1f1ae57565e5dee4f8322",
+    ("nfg3x3x3", "rm+", True):
+        "25ac6e1b4d7bd55aaab30c72b18022059b0384212e185ed2ca793461515b0a06",
+    ("nfg3x3x3", "prm+", False):
+        "14ee017c9af3cf9b38676f1aaa3fceace14c925f60f8b5ba36fcb07d9a84d57b",
+    ("nfg3x3x3", "prm+", True):
+        "96184ffa4882c050c55b3c209a5c7f297ad5e021bf5fd89afec4e6e5a690da49",
+    ("nfg3x3x3", "stable-prm+", False):
+        "c62d84c4067a77d99915780665aeb5d6854390d2009b2302a37d0836bfc7de1a",
+    ("nfg3x3x3", "stable-prm+", True):
+        "e04d75cfa15a8877952ec05bb1ef6b826d896457eabb3b757e0c5732b6acd9b0",
+    ("nfg3x3x3", "smooth-prm+", False):
+        "fb9cfa0643ad0efb1358b3bc528042ebdb5365f65ae00691f214435571ed6a57",
+    ("nfg3x3x3", "smooth-prm+", True):
+        "293fcd563661ab4bad66be017e0bbd82adc14ee15f91c787adca049788c73cc8",
+    ("nfg3x3x3", "exrm+", False):
+        "6d2b24a57fd6dcb3d928b6f978ec49446c994a95069570d48624b066f56e9175",
+    ("nfg3x3x3", "conceptual-rm+", False):
+        "71e8a01f7284e35d6f548e4d3a498af8557aa53e00e5bcb00d600ddb72c937e9",
+}
+
+
+class TestNormalFormTraceDigests:
+    GAMES = {"hard3x3": hard_instance,
+             "matrix30x40": lambda: random_matrix_game(30, 40, 0),
+             "nfg3x3x3": lambda: random_nfg((3, 3, 3), 0)}
+
+    @pytest.mark.parametrize("key", sorted(NORMAL_FORM_TRACE_DIGESTS))
+    def test_trace_csv_is_byte_identical(self, key):
+        name, algo, alternate = key
+        config = SolverConfig(algorithm=algo, eta="auto", iters=150,
+                              alternation=alternate)
+        buf = io.StringIO()
+        run(config, self.GAMES[name]()).write_csv(buf)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == NORMAL_FORM_TRACE_DIGESTS[key]

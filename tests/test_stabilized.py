@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from regretkit.core import NonFiniteError
 from regretkit.games import MatrixGame, hard_instance, random_nfg
 from regretkit.stabilized import (
-    ChoppedOrthant,
     project_chopped,
     project_orthant,
     project_simplex,
@@ -83,10 +82,19 @@ class TestProjectChopped:
                 project_chopped(y), enumerate_project_chopped(y), atol=1e-9)
 
     def test_membership(self):
-        orthant = ChoppedOrthant(3)
-        assert orthant.contains([0.5, 0.5, 0.0])
-        assert not orthant.contains([0.2, 0.2, 0.2])
-        assert not orthant.contains([-0.5, 1.0, 1.0])
+        # D> = { r >= 0 : ||r||_1 >= 1 }; projections land in it and fix
+        # its points
+        def contains(r):
+            r = np.asarray(r, dtype=float)
+            return bool(np.all(r >= 0.0) and r.sum() >= 1.0 - 1e-9)
+
+        assert contains([0.5, 0.5, 0.0])
+        assert not contains([0.2, 0.2, 0.2])
+        assert not contains([-0.5, 1.0, 1.0])
+        for y in ([0.2, 0.2, 0.2], [-0.5, 1.0, 1.0], [-3.0, -1.0, 0.5]):
+            assert contains(project_chopped(y))
+        np.testing.assert_array_equal(project_chopped([0.5, 0.5, 0.0]),
+                                      [0.5, 0.5, 0.0])
 
 
 class TestNonExpansiveness:
@@ -139,8 +147,7 @@ class TestStableRound:
             np.array([0.5 * r0, 0.9 * r0]) if i == 0 else w
             for i, w in enumerate(state.w))
         state = state.__class__(forced, state.z, state.prediction,
-                                state.last_strategies, state.restart_events,
-                                state.t)
+                                state.restart_events, state.t)
         new_state, _ = stable_prmp_round(state, game, 0.1, r0)
         np.testing.assert_array_equal(new_state.w[0], [r0, r0])
         np.testing.assert_array_equal(new_state.prediction[0], [0.0, 0.0])
@@ -218,7 +225,7 @@ class TestSmoothRound:
         state = smooth_initial_state((2, 2))
         bad = state.__class__(
             (np.array([0.2, 0.2]), state.w[1]), state.z, state.prediction,
-            state.last_strategies, state.restart_events, state.t)
+            state.restart_events, state.t)
         with pytest.raises(ValueError):
             smooth_prmp_round(bad, ZERO_GAME, 0.1)
 
