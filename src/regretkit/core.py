@@ -15,7 +15,21 @@ shared core:
 Strategies and losses are plain 1-D numpy arrays; the solver state is a
 value (``AggregateState``) and each step is a pure function from
 (state, loss) to (state, strategy), so independent trajectories can run
-concurrently without sharing anything.
+concurrently without sharing anything.  The steps, ``regret_loss`` and
+the normalization also take ``(rows, d)`` stacks of independent
+vectors and treat each row exactly as they treat a 1-D vector, bit for
+bit: row sums are ``sum(axis=1)`` and row inner products ``np.vecdot``,
+which on C-contiguous stacks reduce each row in the 1-D order.
+
+Block layouts
+-------------
+Block-structured strategies (one block per player, or one per
+information set of a game tree) are held as one flat vector, cut by a
+``BlockLayout``.  A per-block operation then runs once per *width
+bucket*: the blocks that share a width, gathered as a dense
+``(rows, width)`` stack, so its cost scales with the number of distinct
+widths rather than of blocks.  ``BlockVector`` reads such a vector as a
+sequence of blocks, for callers that index or iterate blocks.
 
 An exact-rational replay (``replay_exact``) exists solely for the
 adversarial two-action loss sequences, whose iterates are all dyadic and
@@ -24,6 +38,7 @@ can therefore be checked without rounding.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,8 +46,11 @@ import numpy as np
 
 __all__ = [
     "AggregateState",
+    "BlockLayout",
+    "BlockVector",
     "NonFiniteError",
     "RegretLedger",
+    "as_flat",
     "normalize",
     "regret_loss",
     "rm_plus_step",
@@ -47,10 +65,14 @@ class NonFiniteError(ValueError):
 
 
 def _normalize_nonneg(r: np.ndarray) -> np.ndarray:
-    total = r.sum()
-    if total > 0.0:
-        return r / total
-    return np.full(r.shape, 1.0 / r.size)
+    if r.ndim == 1:
+        total = r.sum()
+        if total > 0.0:
+            return r / total
+        return np.full(r.shape, 1.0 / r.size)
+    total = r.sum(axis=1, keepdims=True)
+    return np.divide(r, total, out=np.full(r.shape, 1.0 / r.shape[1]),
+                     where=total > 0.0)
 
 
 def normalize(r) -> np.ndarray:
@@ -82,29 +104,27 @@ def regret_loss(x, loss) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {x.shape} vs {loss.shape}")
     if not np.all(np.isfinite(loss)):
         raise NonFiniteError("regret_loss: non-finite loss")
-    return loss - np.dot(x, loss)
+    if x.ndim == 1:
+        return loss - np.dot(x, loss)
+    return loss - np.vecdot(x, loss)[:, None]
 
 
 @dataclass(frozen=True)
 class AggregateState:
-    """Lifted solver state: aggregate payoffs, prediction memory, floor.
+    """Lifted solver state: aggregate payoffs and prediction memory.
 
     ``r`` is the nonnegative aggregate payoff vector, ``prediction`` the
-    stored prediction m (zero when there is none), ``r0`` the
-    initialization level the restart mechanism resets to.
+    stored prediction m (zero when there is none); both may also be
+    ``(rows, d)`` stacks of independent states, which the steps advance
+    row by row.
     """
 
     r: np.ndarray
     prediction: np.ndarray
-    r0: float = 0.0
 
     @staticmethod
     def initial(dim: int, r0: float = 0.0) -> "AggregateState":
-        return AggregateState(np.full(dim, float(r0)), np.zeros(dim), float(r0))
-
-    @property
-    def dim(self) -> int:
-        return self.r.size
+        return AggregateState(np.full(dim, float(r0)), np.zeros(dim))
 
 
 def _check_loss(state: AggregateState, loss: np.ndarray) -> np.ndarray:
@@ -125,7 +145,7 @@ def rm_plus_step(state: AggregateState, loss) -> tuple[AggregateState, np.ndarra
     loss = _check_loss(state, loss)
     x = _normalize_nonneg(state.r)
     r_next = np.maximum(state.r - regret_loss(x, loss), 0.0)
-    return AggregateState(r_next, state.prediction, state.r0), x
+    return AggregateState(r_next, state.prediction), x
 
 
 def prm_plus_step(state: AggregateState, loss) -> tuple[AggregateState, np.ndarray]:
@@ -140,7 +160,72 @@ def prm_plus_step(state: AggregateState, loss) -> tuple[AggregateState, np.ndarr
     x = _normalize_nonneg(r_hat)
     f = regret_loss(x, loss)
     r_next = np.maximum(state.r - f, 0.0)
-    return AggregateState(r_next, -f, state.r0), x
+    return AggregateState(r_next, -f), x
+
+
+class BlockLayout:
+    """Consecutive blocks of one flat vector, grouped by width.
+
+    Block b is entries ``offsets[b]:offsets[b+1]`` (``bounds[b]``).
+    ``buckets`` holds, for every width among ``members`` (all blocks by
+    default), the pair (block numbers ``(rows,)``, positions
+    ``(rows, width)``): ``v[positions]`` gathers those blocks as one
+    C-contiguous stack, ``v[positions] = m`` scatters it back.
+    """
+
+    def __init__(self, widths, members=None):
+        self.widths = np.asarray(widths, dtype=np.intp)
+        self.offsets = np.zeros(self.widths.size + 1, dtype=np.intp)
+        np.cumsum(self.widths, out=self.offsets[1:])
+        self.bounds = tuple(zip(self.offsets[:-1].tolist(),
+                                self.offsets[1:].tolist()))
+        members = (np.arange(self.widths.size) if members is None
+                   else np.asarray(members, dtype=np.intp))
+        self.buckets = tuple(
+            (ids, self.offsets[ids, None] + np.arange(width))
+            for width in np.unique(self.widths[members]).tolist()
+            for ids in [members[self.widths[members] == width]])
+
+    @property
+    def size(self) -> int:
+        return int(self.offsets[-1])
+
+    def restricted(self, members) -> "BlockLayout":
+        """The same blocks, with buckets over ``members`` only."""
+        return BlockLayout(self.widths, members)
+
+    def per_block(self, parts, dtype=float) -> np.ndarray:
+        """One value per block from per-bucket row values (``buckets``
+        order); blocks outside ``members`` are left unset."""
+        out = np.empty(len(self.bounds), dtype)
+        for (ids, _), part in zip(self.buckets, parts):
+            out[ids] = part
+        return out
+
+
+class BlockVector(Sequence):
+    """A flat vector read as the blocks of a ``BlockLayout``: item b is a
+    view of block b, and ``vector`` is the flat vector itself."""
+
+    __slots__ = ("vector", "layout")
+
+    def __init__(self, vector: np.ndarray, layout: BlockLayout):
+        self.vector = vector
+        self.layout = layout
+
+    def __len__(self) -> int:
+        return len(self.layout.bounds)
+
+    def __getitem__(self, b: int) -> np.ndarray:
+        lo, hi = self.layout.bounds[b]
+        return self.vector[lo:hi]
+
+
+def as_flat(blocks) -> np.ndarray:
+    """A ``BlockVector``'s own flat vector, or the blocks concatenated."""
+    if isinstance(blocks, BlockVector):
+        return blocks.vector
+    return np.concatenate([*blocks, ()], dtype=float)
 
 
 @dataclass

@@ -13,11 +13,18 @@ operator per round:
 with P the per-block chopped projection (floors fixed at 1), i.e. the
 exact tree analogue of extragradient RM+ with the operator -H o ghat.
 
-Both rounds are pure value transformations with one loop over update
-groups: every infoset at once, or, with ``alternate``, one player's
-infosets at a time, each player against the freshest opponent blocks.
-``BehavioralAverager`` maintains the reach-weighted running average of
-played behavioral profiles (uniform or linearly weighted).
+States, played profiles and regrets are flat vectors in the compiled
+tree's behavioural layout (``CompiledTree.layout``); played profiles are
+handed back as ``BlockVector``s, which read as one block per infoset.
+Every per-infoset step (``prm_plus_step``, ``project_chopped``, the
+normalization, the chopped-membership check) runs once per width bucket
+on a ``(rows, width)`` stack, with the floats of the per-infoset code
+(see ``efg.values``).  Both rounds are pure value transformations with
+one loop over update groups: every infoset at once, or, with
+``alternate``, one player's infosets at a time, each player against the
+freshest opponent blocks.  ``BehavioralAverager`` maintains the
+reach-weighted running average of played behavioral profiles (uniform or
+linearly weighted).
 """
 
 from __future__ import annotations
@@ -26,12 +33,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import AggregateState, _normalize_nonneg, prm_plus_step
+from ..core import (
+    AggregateState,
+    BlockVector,
+    _normalize_nonneg,
+    as_flat,
+    prm_plus_step,
+)
 from ..stabilized import _in_chopped, project_chopped
-from .tree import GameTree
+from .tree import CompiledTree, GameTree
 from .values import (
     counterfactual_regret_operator,
-    lifted_normalize,
     own_reach_per_infoset,
     uniform_behavioral,
 )
@@ -49,104 +61,114 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PredictiveCfrState:
-    """One predictive RM+ state per infoset."""
+    """Every infoset's predictive RM+ aggregates ``r`` and predictions,
+    one flat vector each."""
 
-    infoset_states: tuple[AggregateState, ...]
+    r: np.ndarray
+    prediction: np.ndarray
     t: int = 0
-
-    def play(self, infoset: int) -> np.ndarray:
-        state = self.infoset_states[infoset]
-        return _normalize_nonneg(np.maximum(state.r + state.prediction, 0.0))
 
 
 def predictive_cfr_state(tree: GameTree) -> PredictiveCfrState:
-    return PredictiveCfrState(
-        tuple(AggregateState.initial(j.num_actions) for j in tree.infosets), 0
-    )
+    return PredictiveCfrState(np.zeros(tree.behavioral_dim),
+                              np.zeros(tree.behavioral_dim), 0)
 
 
-def _check_cfr_state(state, tree) -> None:
-    if len(state.infoset_states) != len(tree.infosets):
+def _check_size(tree: GameTree, *vectors) -> None:
+    if any(v.shape != (tree.compiled.layout.size,) for v in vectors):
         raise ValueError("state does not match the tree's infosets")
-    for st, iset in zip(state.infoset_states, tree.infosets):
-        if st.r.shape != (iset.num_actions,):
-            raise ValueError(f"infoset {iset.key!r}: state dimension mismatch")
 
 
-def _update_groups(tree: GameTree, alternate: bool):
+def _update_groups(flat: CompiledTree, alternate: bool):
     """Infosets that update together against one profile: all of them at
     once, or one player's at a time (alternation)."""
-    if alternate:
-        return [tree.infosets_of(player) for player in range(tree.num_players)]
-    return [range(len(tree.infosets))]
+    return flat.player_layouts if alternate else (flat.layout,)
+
+
+def _play(r: np.ndarray, prediction: np.ndarray) -> np.ndarray:
+    """The blocks predictive RM+ plays from (stacks of) r and m."""
+    return _normalize_nonneg(np.maximum(r + prediction, 0.0))
 
 
 def predictive_cfr_round(state: PredictiveCfrState, tree: GameTree,
                          alternate: bool = False
-                         ) -> tuple[PredictiveCfrState, list[np.ndarray]]:
+                         ) -> tuple[PredictiveCfrState, BlockVector]:
     """Advance every infoset by one predictive RM+ step on its
     counterfactual regrets; returns the profile that was played."""
-    _check_cfr_state(state, tree)
-    states = list(state.infoset_states)
-    played: list[np.ndarray] = [state.play(j) for j in range(len(tree.infosets))]
-    profile = list(played)
-    for group in _update_groups(tree, alternate):
-        h = counterfactual_regret_operator(tree, profile, validate=False)
-        for j in group:
-            states[j], _ = prm_plus_step(states[j], -h[j])
+    _check_size(tree, state.r, state.prediction)
+    flat = tree.compiled
+    played = np.empty(state.r.size)
+    for _, index in flat.layout.buckets:
+        played[index] = _play(state.r[index], state.prediction[index])
+    profile = played.copy() if alternate else played
+    r, prediction = state.r.copy(), state.prediction.copy()
+    for group in _update_groups(flat, alternate):
+        h = counterfactual_regret_operator(
+            tree, BlockVector(profile, flat.layout), validate=False).vector
+        for _, index in group.buckets:
+            step, _ = prm_plus_step(
+                AggregateState(r[index], prediction[index]), -h[index])
+            r[index], prediction[index] = step.r, step.prediction
             if alternate:
                 # freshly updated blocks are visible to later players
-                profile[j] = _normalize_nonneg(
-                    np.maximum(states[j].r + states[j].prediction, 0.0))
-    return PredictiveCfrState(tuple(states), state.t + 1), played
+                profile[index] = _play(step.r, step.prediction)
+    return (PredictiveCfrState(r, prediction, state.t + 1),
+            BlockVector(played, flat.layout))
 
 
 @dataclass(frozen=True)
 class LiftedCfrState:
-    """One chopped-orthant block per infoset (floors fixed at 1)."""
+    """Every infoset's chopped-orthant block (floors fixed at 1), as one
+    flat vector."""
 
-    z: tuple[np.ndarray, ...]
+    z: np.ndarray
     t: int = 0
 
 
 def clairvoyant_cfr_state(tree: GameTree) -> LiftedCfrState:
-    return LiftedCfrState(
-        tuple(np.full(j.num_actions, 1.0 / j.num_actions) for j in tree.infosets), 0
-    )
+    widths = tree.compiled.layout.widths
+    return LiftedCfrState(np.repeat(1.0 / widths, widths), 0)
 
 
 def clairvoyant_cfr_round(state: LiftedCfrState, tree: GameTree, eta: float,
                           alternate: bool = False
-                          ) -> tuple[LiftedCfrState, list[np.ndarray]]:
+                          ) -> tuple[LiftedCfrState, BlockVector]:
     """Single-fixed-point-iteration clairvoyant round (extragradient on the
     lifted counterfactual operator); plays ghat(w)."""
     if eta <= 0.0:
         raise ValueError("step size eta must be positive")
-    if len(state.z) != len(tree.infosets):
-        raise ValueError("state does not match the tree's infosets")
-    for block, iset in zip(state.z, tree.infosets):
-        if not _in_chopped(block):
-            raise ValueError(f"infoset {iset.key!r}: block outside its "
-                             "chopped orthant")
-    profile = lifted_normalize(state.z)
-    z_next = list(state.z)
-    for group in _update_groups(tree, alternate):
-        h0 = counterfactual_regret_operator(tree, profile, validate=False)
-        for j in group:
-            profile[j] = _normalize_nonneg(
-                project_chopped(state.z[j] + eta * h0[j]))
-        h1 = counterfactual_regret_operator(tree, profile, validate=False)
-        for j in group:
-            z_next[j] = project_chopped(state.z[j] + eta * h1[j])
-    return LiftedCfrState(tuple(z_next), state.t + 1), profile
+    _check_size(tree, state.z)
+    flat = tree.compiled
+    z = state.z
+    inside = flat.layout.per_block(
+        [_in_chopped(z[index]) for _, index in flat.layout.buckets], bool)
+    if not inside.all():
+        key = tree.infosets[int(np.argmin(inside))].key
+        raise ValueError(f"infoset {key!r}: block outside its chopped orthant")
+    profile = np.empty(z.size)
+    for _, index in flat.layout.buckets:
+        profile[index] = _normalize_nonneg(z[index])
+    z_next = z.copy()
+    for group in _update_groups(flat, alternate):
+        h0 = counterfactual_regret_operator(
+            tree, BlockVector(profile, flat.layout), validate=False).vector
+        for _, index in group.buckets:
+            profile[index] = _normalize_nonneg(
+                project_chopped(z[index] + eta * h0[index]))
+        h1 = counterfactual_regret_operator(
+            tree, BlockVector(profile, flat.layout), validate=False).vector
+        for _, index in group.buckets:
+            z_next[index] = project_chopped(z[index] + eta * h1[index])
+    return LiftedCfrState(z_next, state.t + 1), BlockVector(profile, flat.layout)
 
 
 class BehavioralAverager:
     """Reach-weighted running average of behavioral profiles.
 
     Each observation adds weight * own_reach(j) * x_j to infoset j's
-    accumulator; the average renormalizes per block (uniform where an
-    infoset was never reached).  ``linear`` weights observation t by t.
+    accumulator, all infosets in one flat vector; the average
+    renormalizes per block (uniform where an infoset was never reached).
+    ``linear`` weights observation t by t.
     """
 
     def __init__(self, tree: GameTree, scheme: str = "linear"):
@@ -154,17 +176,22 @@ class BehavioralAverager:
             raise ValueError(f"unknown averaging scheme {scheme!r}")
         self._tree = tree
         self._scheme = scheme
-        self._sums = [np.zeros(j.num_actions) for j in tree.infosets]
+        layout = tree.compiled.layout
+        self._sums = np.zeros(layout.size)
+        self._infoset_of = np.repeat(np.arange(layout.widths.size), layout.widths)
         self._t = 0
 
     def observe(self, x) -> None:
         self._t += 1
         weight = float(self._t) if self._scheme == "linear" else 1.0
         reach = own_reach_per_infoset(self._tree, x)
-        for j, block in enumerate(x):
-            self._sums[j] += weight * reach[j] * block
+        self._sums += (weight * reach)[self._infoset_of] * as_flat(x)
 
     def average(self) -> list[np.ndarray]:
         if self._t == 0:
             return uniform_behavioral(self._tree)
-        return [_normalize_nonneg(s) for s in self._sums]
+        layout = self._tree.compiled.layout
+        average = np.empty(layout.size)
+        for _, index in layout.buckets:
+            average[index] = _normalize_nonneg(self._sums[index])
+        return [average[lo:hi] for lo, hi in layout.bounds]

@@ -24,8 +24,8 @@ in original units (the [0, 1] map is re-derived on load)::
     node <id> player <i> infoset <iid> <k> <child_1> ... <child_k>
     node <id> leaf <v_1> ... <v_num_players>
 
-Infoset keys are opaque whitespace-free tokens (builders use them to
-identify decision points); they take no part in solving.
+Infoset keys are opaque whitespace-free tokens without ``#`` (builders
+use them to identify decision points); they take no part in solving.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from ..core import BlockLayout
 
 __all__ = [
     "ChanceNode",
@@ -138,8 +140,10 @@ class TreeBuilder:
     def decision(self, player: int, key: str, children) -> int:
         if not 0 <= player < self.num_players:
             raise ValueError(f"bad player {player}")
-        if not key or any(c.isspace() for c in key):
-            raise ValueError("infoset keys must be nonempty and whitespace-free")
+        # "#" starts a comment in tree files: such a key would not load back
+        if not key or "#" in key or any(c.isspace() for c in key):
+            raise ValueError("infoset keys must be nonempty, whitespace-free "
+                             "and without '#'")
         children = tuple(int(c) for c in children)
         if not children:
             raise ValueError("decision node needs at least one action")
@@ -151,8 +155,10 @@ class TreeBuilder:
         children = tuple(int(c) for c in children)
         if probs.shape != (len(children),):
             raise ValueError("one probability per child required")
-        if np.any(probs < 0.0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError("chance probabilities must be nonnegative and sum to 1")
+        if (not np.all(np.isfinite(probs)) or np.any(probs < 0.0)
+                or abs(probs.sum() - 1.0) > 1e-9):
+            raise ValueError("chance probabilities must be finite, nonnegative "
+                             "and sum to 1")
         self._nodes.append(("chance", probs, children))
         return len(self._nodes) - 1
 
@@ -275,7 +281,9 @@ class CompiledTree:
     ``levels`` holds the ``(lo, hi)`` position range of every depth below
     the root; ``leaves`` and ``leaf_payoffs`` (one row per leaf) hold the
     payoff matrix.  Infoset j owns entries ``offsets[j]:offsets[j+1]`` of
-    one flat behavioural vector (``blocks`` lists these bounds).  The
+    one flat behavioural vector, cut by ``layout`` (a ``BlockLayout``
+    bucketing every infoset by action count); ``player_layouts[i]``
+    buckets player i's infosets only, for alternating updates.  The
     probability on the edge into position c is entry ``edge_source[c]`` of
     that vector followed by ``chance_probs`` (chance-edge probabilities,
     then a 1.0 for the root).  ``dfs_decisions`` lists the decision
@@ -307,10 +315,11 @@ class CompiledTree:
         self.parent = np.array(parent, dtype=np.intp)
         self.rank = np.array(rank, dtype=np.intp)
         self.depth = np.array(depth, dtype=np.intp)
-        self.offsets = np.zeros(len(tree.infosets) + 1, dtype=np.intp)
-        self.offsets[1:] = np.cumsum([j.num_actions for j in tree.infosets])
-        self.blocks = tuple(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
-        dim = int(self.offsets[-1])
+        self.layout = BlockLayout([j.num_actions for j in tree.infosets])
+        self.player_layouts = tuple(self.layout.restricted(tree.infosets_of(i))
+                                    for i in range(n))
+        self.offsets = self.layout.offsets
+        dim = self.layout.size
 
         mover = np.full(size, -1, dtype=np.intp)
         infoset = np.full(size, -1, dtype=np.intp)

@@ -253,9 +253,6 @@ class LossSequence:
     variant: str
     scaled: bool
 
-    def __len__(self) -> int:
-        return self.losses.shape[0]
-
     def fractions(self) -> list[tuple[Fraction, Fraction]]:
         """Exact dyadic values for the rational replay."""
         return [(Fraction(float(a)), Fraction(float(b))) for a, b in self.losses]

@@ -35,7 +35,12 @@ tree rounds) supplies only how its state advances: ``advance(t)`` plays
 round t and hands back the play as blocks, each owned by one player (one
 block per player for matrix and normal-form games, one per infoset for
 trees), one regret increment per block, and optional per-round extras.
-One ``_Recorder`` keeps every family's books from those blocks; per
+One ``_Recorder`` keeps every family's books from those blocks, held as
+flat vectors cut by a ``core.BlockLayout`` (the players' strategies, or
+the tree's compiled infoset layout): cumulative regrets and averages are
+one vector operation per round, per-block maxima one ``reduceat`` and
+per-block squared steps one reduction per width bucket, so a tree round
+costs the same few numpy calls whatever its number of infosets.  Per
 family it picks only the regret formula (max-action regret, or the sum
 of per-infoset positive maxima), the gap (duality gap, or the CCE gap
 max_i [regret_i]+ / t) and the averager.  A non-finite value, raised
@@ -55,8 +60,11 @@ import numpy as np
 from . import efg, fixedpoint
 from .core import (
     AggregateState,
+    BlockLayout,
+    BlockVector,
     NonFiniteError,
     _normalize_nonneg,
+    as_flat,
     prm_plus_step,
     rm_plus_step,
 )
@@ -356,43 +364,46 @@ class _StrategyAverager:
     (linear) or 1 (uniform): ``efg.BehavioralAverager``'s normal-form
     counterpart."""
 
-    def __init__(self, dims, scheme: str):
+    def __init__(self, layout: BlockLayout, scheme: str):
+        self._layout = layout
         self._linear = scheme == "linear"
-        self._sums = [np.zeros(d) for d in dims]
+        self._sums = np.zeros(layout.size)
         self._t = 0
         self._weight = 0.0
 
-    def observe(self, x) -> None:
+    def observe(self, x: BlockVector) -> None:
         self._t += 1
         weight = float(self._t) if self._linear else 1.0
         self._weight += weight
-        for acc, block in zip(self._sums, x):
-            acc += weight * block
+        self._sums += weight * x.vector
 
     def average(self) -> list[np.ndarray]:
-        return [acc / self._weight for acc in self._sums]
+        return list(BlockVector(self._sums / self._weight, self._layout))
 
 
 class _Recorder:
     """Per-round bookkeeping for every family (see the module docstring):
     accumulates the blocks' regret increments and average, and fills the
     trace, a row per stored round with each player's regret, the gap and
-    the squared step of the player's blocks."""
+    the squared step of the player's blocks.  Plays, increments and
+    ledgers are flat vectors in the blocks' layout; per-block maxima and
+    squared steps are taken per width bucket (see ``core``)."""
 
     def __init__(self, config: SolverConfig, game):
         if isinstance(game, efg.GameTree):
-            self.owned = [game.infosets_of(i) for i in range(game.num_players)]
-            dims = [j.num_actions for j in game.infosets]
+            layout = game.compiled.layout
+            owned = [game.infosets_of(i) for i in range(game.num_players)]
             averager = efg.BehavioralAverager(game, config.averaging)
-            self.regret_of = lambda cums: sum(max(float(c.max()), 0.0)
-                                              for c in cums)
+            self.regret_of = lambda maxima: sum(np.maximum(maxima, 0.0).tolist())
             store_full = False  # tree rounds hand over no losses
         else:
-            self.owned = [[i] for i in range(len(game.dims))]
-            dims = game.dims
-            averager = _StrategyAverager(dims, config.averaging)
-            self.regret_of = lambda cums: float(cums[0].max())
+            layout = BlockLayout(game.dims)
+            owned = [[i] for i in range(len(game.dims))]
+            averager = _StrategyAverager(layout, config.averaging)
+            self.regret_of = lambda maxima: float(maxima[0])
             store_full = config.store_full
+        self.layout = layout
+        self.owned = [np.array(own, dtype=np.intp) for own in owned]
         self.averager = averager
         if isinstance(game, MatrixGame):
             # closes over the averager, not self: no reference cycle keeps
@@ -401,12 +412,13 @@ class _Recorder:
                 game, *averager.average())
         else:
             self.gap_of = lambda t, regrets: max(0.0, *regrets) / t
-        self.cum = [np.zeros(d) for d in dims]
+        self.cum = np.zeros(layout.size)
         stored = stored_rounds(config.iters, config.report_skip)
         rows, n = stored.size, len(self.owned)
 
         def full():
-            return [np.zeros((config.iters, d)) for d in dims] if store_full else None
+            return ([np.zeros((config.iters, d)) for d in layout.widths.tolist()]
+                    if store_full else None)
 
         self.trace = RunTrace(
             header={}, t=stored, regret_max=np.zeros((rows, n)),
@@ -416,34 +428,35 @@ class _Recorder:
             ledgers=[], strategies=full(), losses=full(), lifted=full())
         self.restart_events: list[tuple[int, int]] = []
         self._cursor = 0
-        self._prev: list[np.ndarray] | None = None
+        self._prev: np.ndarray | None = None
 
     def observe(self, t, blocks, increments, losses=None, lifted=None,
                 restarts=(), fp=None) -> None:
-        for x in blocks:
-            if not np.all(np.isfinite(x)):
-                raise NumericalDivergence(t)
-        for acc, increment in zip(self.cum, increments):
-            acc += increment
-        self.averager.observe(blocks)
+        x = as_flat(blocks)
+        if not np.isfinite(x).all():
+            raise NumericalDivergence(t)
+        self.cum += as_flat(increments)
+        self.averager.observe(BlockVector(x, self.layout))
         self.restart_events.extend(restarts)
         trace = self.trace
         if trace.strategies is not None:
-            for i, (x, loss) in enumerate(zip(blocks, losses)):
-                trace.strategies[i][t - 1] = x
+            for i, (block, loss) in enumerate(zip(blocks, losses)):
+                trace.strategies[i][t - 1] = block
                 trace.losses[i][t - 1] = loss
                 if lifted is not None:
                     trace.lifted[i][t - 1] = lifted[i]
         if self._cursor < trace.t.size and trace.t[self._cursor] == t:
             row = self._cursor
-            regrets = [self.regret_of([self.cum[j] for j in own])
-                       for own in self.owned]
+            maxima = np.maximum.reduceat(self.cum, self.layout.offsets[:-1])
+            regrets = [self.regret_of(maxima[own]) for own in self.owned]
             trace.regret_max[row] = regrets
             trace.gap[row] = self.gap_of(t, regrets)
             if self._prev is not None:
-                steps = [float(np.sum((x - prev) ** 2))
-                         for x, prev in zip(blocks, self._prev)]
-                trace.iter_var[row] = [sum([steps[j] for j in own])
+                squares = (x - self._prev) ** 2
+                steps = self.layout.per_block(
+                    [squares[index].sum(axis=1)
+                     for _, index in self.layout.buckets])
+                trace.iter_var[row] = [sum(steps[own].tolist())
                                        for own in self.owned]
             for _, player in restarts:
                 trace.restart[row, player] = 1
@@ -451,13 +464,14 @@ class _Recorder:
                 trace.fp_k[row], trace.fp_residual[row] = fp
             self._cursor += 1
         # rounds hand back fresh arrays, so references suffice
-        self._prev = blocks
+        self._prev = x
 
     def finish(self, header) -> RunTrace:
         trace = self.trace
         trace.header = header
-        trace.ledgers = [np.concatenate([self.cum[j] for j in own]) if own
-                         else np.zeros(0) for own in self.owned]
+        blocks = BlockVector(self.cum, self.layout)
+        trace.ledgers = [as_flat([blocks[j] for j in own.tolist()])
+                         for own in self.owned]
         if isinstance(self.averager, efg.BehavioralAverager):
             trace.behavioral_average = self.averager.average()
         else:

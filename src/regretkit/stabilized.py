@@ -73,16 +73,29 @@ def project_simplex(y) -> np.ndarray:
     Sort-and-threshold in O(d log d): with u the entries sorted in
     descending order, find the largest k with u_k + (1 - sum_{i<=k} u_i)/k
     > 0 and shift-clip by that amount.  Ties in the sort are harmless (the
-    projection is unique).
+    projection is unique).  A ``(rows, d)`` stack is projected row by row,
+    each row bit for bit as on its own, and raises wherever one of its
+    rows would.
     """
     y = _check_finite(y)
-    u = np.sort(y)[::-1]
-    cumulative = np.cumsum(u)
-    ks = np.arange(1, y.size + 1)
-    candidates = u + (1.0 - cumulative) / ks
-    k = int(np.nonzero(candidates > 0.0)[0][-1]) + 1
-    tau = (1.0 - cumulative[k - 1]) / k
-    return np.maximum(y + tau, 0.0)
+    if y.ndim == 1:
+        u = np.sort(y)[::-1]
+        cumulative = np.cumsum(u)
+        ks = np.arange(1, y.size + 1)
+        candidates = u + (1.0 - cumulative) / ks
+        k = int(np.nonzero(candidates > 0.0)[0][-1]) + 1
+        tau = (1.0 - cumulative[k - 1]) / k
+        return np.maximum(y + tau, 0.0)
+    u = np.sort(y, axis=1)[:, ::-1]
+    cumulative = np.cumsum(u, axis=1)
+    positive = u + (1.0 - cumulative) / np.arange(1, y.shape[1] + 1) > 0.0
+    found = positive.any(axis=1)
+    if not found.all():
+        # the IndexError of the 1-D path, for the first row without a k
+        np.nonzero(positive[np.argmin(found)])[0][-1]
+    k = y.shape[1] - np.argmax(positive[:, ::-1], axis=1)
+    tau = (1.0 - cumulative[np.arange(y.shape[0]), k - 1]) / k
+    return np.maximum(y + tau[:, None], 0.0)
 
 
 def project_chopped(y) -> np.ndarray:
@@ -90,18 +103,27 @@ def project_chopped(y) -> np.ndarray:
 
     KKT case split: if the positive part already has mass >= 1 the mass
     constraint is slack and [y]+ is the answer; otherwise the constraint
-    is tight and the answer is the simplex projection.
+    is tight and the answer is the simplex projection.  A ``(rows, d)``
+    stack splits row by row and projects its tight rows in one call.
     """
     y = _check_finite(y)
     positive = np.maximum(y, 0.0)
-    if positive.sum() >= 1.0:
-        return positive
-    return project_simplex(y)
+    if y.ndim == 1:
+        if positive.sum() >= 1.0:
+            return positive
+        return project_simplex(y)
+    tight = positive.sum(axis=1) < 1.0
+    if tight.any():
+        positive[tight] = project_simplex(y[tight])
+    return positive
 
 
-def _in_chopped(r) -> bool:
-    """Membership in D> (floor 1), with 1e-9 slack on the mass."""
-    return not (np.any(r < 0.0) or r.sum() < 1.0 - 1e-9)
+def _in_chopped(r):
+    """Membership in D> (floor 1), with 1e-9 slack on the mass; one bool
+    per row of a ``(rows, d)`` stack."""
+    if r.ndim == 1:
+        return not (np.any(r < 0.0) or r.sum() < 1.0 - 1e-9)
+    return ~(np.any(r < 0.0, axis=1) | (r.sum(axis=1) < 1.0 - 1e-9))
 
 
 @dataclass(frozen=True)

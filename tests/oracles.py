@@ -10,7 +10,9 @@ import itertools
 
 import numpy as np
 
+from regretkit.core import _normalize_nonneg, prm_plus_step
 from regretkit.efg import ChanceNode, GameTree, LeafNode, check_behavioral
+from regretkit.stabilized import _in_chopped, project_chopped
 
 
 def grid_project_simplex(y: np.ndarray, resolution: float = 1e-4) -> np.ndarray:
@@ -327,3 +329,102 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
                 best_action, best_value = action, value
         choice[iid] = best_action
     return node_value(0)
+
+
+# The per-infoset CFR code the library ran before its rounds, regret
+# operator, averager and recorder became width-bucketed: one step, one
+# projection and one normalization per infoset, blocks held in lists.  The
+# bucketed code must return these floats bit for bit.
+
+
+def regret_operator_per_infoset(tree, x) -> list[np.ndarray]:
+    """H_j = G_j - <G_j, x_j> 1, one ``np.dot`` per infoset."""
+    g = counterfactual_values(tree, x, validate=False)
+    return [gj - np.dot(gj, xj) for gj, xj in zip(g, x)]
+
+
+def _update_groups(tree, alternate):
+    if alternate:
+        return [tree.infosets_of(player) for player in range(tree.num_players)]
+    return [range(len(tree.infosets))]
+
+
+def _play_block(state):
+    return _normalize_nonneg(np.maximum(state.r + state.prediction, 0.0))
+
+
+def predictive_cfr_round(states, tree, alternate=False):
+    """One predictive RM+ step per infoset; ``states`` is a list of
+    per-infoset ``AggregateState``s.  Returns (states, played, increments
+    of the regret operator at the played profile)."""
+    states = list(states)
+    played = [_play_block(s) for s in states]
+    profile = list(played)
+    for group in _update_groups(tree, alternate):
+        h = regret_operator_per_infoset(tree, profile)
+        for j in group:
+            states[j], _ = prm_plus_step(states[j], -h[j])
+            if alternate:
+                profile[j] = _play_block(states[j])
+    return states, played
+
+
+def clairvoyant_cfr_round(z, tree, eta, alternate=False):
+    """One extragradient step per infoset on a list of chopped blocks."""
+    for block in z:
+        assert _in_chopped(block)
+    profile = [_normalize_nonneg(block) for block in z]
+    z_next = list(z)
+    for group in _update_groups(tree, alternate):
+        h0 = regret_operator_per_infoset(tree, profile)
+        for j in group:
+            profile[j] = _normalize_nonneg(project_chopped(z[j] + eta * h0[j]))
+        h1 = regret_operator_per_infoset(tree, profile)
+        for j in group:
+            z_next[j] = project_chopped(z[j] + eta * h1[j])
+    return z_next, profile
+
+
+class BehavioralAverager:
+    """Per-infoset accumulators: weight * own_reach(j) * x_j each."""
+
+    def __init__(self, tree, scheme):
+        self.tree, self.scheme, self.t = tree, scheme, 0
+        self.sums = [np.zeros(j.num_actions) for j in tree.infosets]
+
+    def observe(self, x):
+        self.t += 1
+        weight = float(self.t) if self.scheme == "linear" else 1.0
+        reach = own_reach_per_infoset(self.tree, x)
+        for j, block in enumerate(x):
+            self.sums[j] += weight * reach[j] * block
+
+    def average(self):
+        return [_normalize_nonneg(s) for s in self.sums]
+
+
+def tree_recorder_rows(tree, played_rounds, increment_rounds):
+    """The recorder's rows for a tree run, kept per infoset: per player the
+    sum of positive per-infoset maxima of the cumulative regrets, the CCE
+    gap, and the summed squared steps of the player's blocks."""
+    owned = [tree.infosets_of(i) for i in range(tree.num_players)]
+    cum = [np.zeros(j.num_actions) for j in tree.infosets]
+    regret_rows, gaps, step_rows = [], [], []
+    prev = None
+    for t, (played, increments) in enumerate(
+            zip(played_rounds, increment_rounds), start=1):
+        for acc, increment in zip(cum, increments):
+            acc += increment
+        regrets = [sum(max(float(cum[j].max()), 0.0) for j in own)
+                   for own in owned]
+        regret_rows.append(regrets)
+        gaps.append(max(0.0, *regrets) / t)
+        if prev is None:
+            step_rows.append([0.0] * len(owned))
+        else:
+            steps = [float(np.sum((x - p) ** 2)) for x, p in zip(played, prev)]
+            step_rows.append([sum([steps[j] for j in own]) for own in owned])
+        prev = played
+    ledgers = [np.concatenate([cum[j] for j in own]) if own else np.zeros(0)
+               for own in owned]
+    return np.array(regret_rows), np.array(gaps), np.array(step_rows), ledgers

@@ -49,6 +49,40 @@ def test_traced_counts_per_round():
                    for config, _, _, per_round in cells] == [42, 12, 10]
 
 
+# tree passes per round: groups + 2 for predictive CFR and 2 * groups + 2
+# for clairvoyant CFR, with one update group (sim) or one per player (alt)
+PASSES_PER_ROUND = (
+    ("kuhn3", "predictive-cfr", False, 3),
+    ("kuhn3", "predictive-cfr", True, 4),
+    ("kuhn3", "clairvoyant-cfr", False, 4),
+    ("kuhn3", "clairvoyant-cfr", True, 6),
+    ("liars3", "predictive-cfr", False, 3),
+    ("liars3", "predictive-cfr", True, 5),
+    ("liars3", "clairvoyant-cfr", False, 4),
+    ("liars3", "clairvoyant-cfr", True, 8),
+)
+
+
+def test_tree_passes_per_round_for_every_cfr_variant():
+    tracer_mod = _load_tracer()
+    trees = {"kuhn3": efg.build_kuhn(2, 3), "liars3": efg.build_liars_dice(3, 2)}
+    iters = 3
+    tracer = tracer_mod.Tracer()
+    undo = tracer_mod.install(tracer)
+    try:
+        for index, (tree, algo, alternate, _) in enumerate(PASSES_PER_ROUND):
+            with tracer.span("bench.cell", index):
+                harness.run(harness.SolverConfig(
+                    algorithm=algo, alternation=alternate, iters=iters),
+                    trees[tree])
+    finally:
+        tracer_mod.uninstall(undo)
+    counts = tracer_mod.PassSpans(tracer, tracer.arrays()).per_cell_counts(
+        len(PASSES_PER_ROUND))["tree passes"]
+    assert counts.tolist() == [per_round * iters
+                               for *_, per_round in PASSES_PER_ROUND]
+
+
 def test_uninstall_restores_the_library():
     tracer_mod = _load_tracer()
     before = harness.run

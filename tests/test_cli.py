@@ -90,7 +90,9 @@ class TestRun:
          3, "node 0 has unknown child 7"),
         (["infoset 0 player 0", "node 0 leaf 0.5"],
          2, "expected 'infoset <id> player <i> actions <k> key <token>'"),
-    ], ids=["dangling-child", "truncated-infoset"])
+        (["node 0 chance 2 nan 1.0 1 2", "node 1 leaf 0.5", "node 2 leaf 0.5"],
+         2, "chance probabilities must be finite"),
+    ], ids=["dangling-child", "truncated-infoset", "nan-chance"])
     def test_malformed_tree_file_exits_two(self, tmp_path, capsys, lines,
                                            lineno, message):
         path = tmp_path / "bad.efg"

@@ -106,7 +106,7 @@ class TestPrmPlusStep:
             loss = rng.normal(size=3)
             s_rm, x_rm = rm_plus_step(s_rm, loss)
             # zero out the stored prediction to emulate m = 0 throughout
-            s_prm = AggregateState(s_prm.r, np.zeros(3), s_prm.r0)
+            s_prm = AggregateState(s_prm.r, np.zeros(3))
             s_prm, x_prm = prm_plus_step(s_prm, loss)
             np.testing.assert_array_equal(x_rm, x_prm)
             np.testing.assert_array_equal(s_rm.r, s_prm.r)

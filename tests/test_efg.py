@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretkit import efg
-from regretkit.core import AggregateState, _normalize_nonneg, prm_plus_step
+from regretkit.core import (AggregateState, BlockVector, _normalize_nonneg,
+                            prm_plus_step)
 from regretkit.fixedpoint import initial_lifted_point, exrm_round
 from regretkit.games import NormalFormGame
 from regretkit.core import regret_loss
@@ -103,6 +104,12 @@ class TestTreeBuilder:
         kids = [b.leaf([0.0]), b.leaf([1.0])]
         with pytest.raises(ValueError):
             b.chance([0.7, 0.7], kids)
+
+    def test_key_with_comment_marker_rejected(self):
+        # saved, "A#1" and "A#2" would load back as one infoset "A"
+        b = efg.TreeBuilder(1)
+        with pytest.raises(ValueError, match="'#'"):
+            b.decision(0, "A#1", [b.leaf([0.0]), b.leaf([1.0])])
 
 
 class TestCounterfactualValues:
@@ -334,10 +341,9 @@ class TestClairvoyantCfr:
     def test_constant_tree_is_fixed(self):
         tree = constant_tree()
         state = efg.clairvoyant_cfr_state(tree)
-        previous = [z.copy() for z in state.z]
+        previous = state.z.copy()
         state, _ = efg.clairvoyant_cfr_round(state, tree, 5.0)
-        for a, b in zip(state.z, previous):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.z, previous)
 
     def test_depth_one_tracks_exrm(self):
         tree = efg.build_bimatrix_tree(U1, U2)
@@ -356,7 +362,7 @@ class TestClairvoyantCfr:
         state = efg.clairvoyant_cfr_state(tree)
         for _ in range(100):
             state, played = efg.clairvoyant_cfr_round(state, tree, 10.0)
-            for z in state.z:
+            for z in BlockVector(state.z, tree.compiled.layout):
                 assert np.all(z >= 0) and z.sum() >= 1.0 - 1e-9
 
     def test_alternating_variant_runs(self):
@@ -399,6 +405,49 @@ class TestCfrDecomposition:
                     bound = sum(max(float(cum_h[j].max()), 0.0)
                                 for j in tree.infosets_of(i))
                     assert seq_regret <= bound + 1e-9
+
+
+# token streams: arbitrary tokens; valid tree files with a few tokens
+# replaced, deleted or inserted; and valid tree files with a few numeric
+# fields given other values, so that a fair share of them still load
+TREE_TOKENS = ["efg", "infoset", "node", "player", "actions", "key", "chance",
+               "leaf", "0", "1", "2", "3", "-1", "0.5", "1.5", "1e308", "x",
+               "inf", "nan", "K", "#", "\n"]
+TREE_NUMBERS = ["0", "2", "-1", "0.5", "1e308", "-0", "inf", "nan"]
+FUZZ_BASES = (
+    lambda: chance_tree([0.25, 0.75]),
+    lambda: chain_tree(3),
+    lambda: efg.build_bimatrix_tree(U1, 4.0 * U2 - 1.0),
+)
+TREE_EDITS = st.lists(st.tuples(st.sampled_from(["replace", "delete", "insert"]),
+                                st.integers(0, 80), st.sampled_from(TREE_TOKENS),
+                                st.sampled_from(TREE_NUMBERS)),
+                      min_size=1, max_size=3)
+
+
+def chance_tree(probs) -> efg.GameTree:
+    b = efg.TreeBuilder(1)
+    return b.build(b.chance(probs, [b.leaf([v / len(probs)])
+                                    for v in range(len(probs))]))
+
+
+def _edited_tokens(tree, edits, numbers_only, path) -> list[str]:
+    efg.save_tree(tree, path)
+    tokens = [token for line in path.read_text().splitlines()
+              for token in line.split() + ["\n"]]
+    fields = [i for i, t in enumerate(tokens)
+              if t.lstrip("-").replace(".", "", 1).isdigit()]
+    for op, where, token, number in edits:
+        at = where % len(tokens)
+        if numbers_only:
+            tokens[fields[where % len(fields)]] = number
+        elif op == "insert":
+            tokens.insert(at, token)
+        elif op == "delete":
+            del tokens[at]
+        else:
+            tokens[at] = token
+    return tokens
 
 
 class TestTreeFiles:
@@ -445,6 +494,37 @@ class TestTreeFiles:
         path.write_text("efg 1\nnode 0 leaf 0.5 0.5\n")
         with pytest.raises(ValueError):
             efg.load_tree(path)
+
+    @given(mode=st.sampled_from(["raw", "structure", "numbers"]),
+           raw=st.lists(st.sampled_from(TREE_TOKENS), max_size=30),
+           base=st.sampled_from(range(len(FUZZ_BASES))), edits=TREE_EDITS)
+    @settings(max_examples=600, deadline=None)
+    def test_any_token_stream_parses_or_names_its_line(self, tmp_path_factory,
+                                                       mode, raw, base, edits):
+        path = tmp_path_factory.mktemp("fuzz") / "f.efg"
+        tokens = raw if mode == "raw" else _edited_tokens(
+            FUZZ_BASES[base](), edits, mode == "numbers", path)
+        path.write_text(" ".join(tokens))
+        try:
+            tree = efg.load_tree(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:")
+            return
+        efg.save_tree(tree, path)
+        again = efg.load_tree(path)
+        assert again.num_players == tree.num_players
+        assert again.infosets == tree.infosets
+        assert len(again.nodes) == len(tree.nodes)
+        for nid, (a, b) in enumerate(zip(again.nodes, tree.nodes)):
+            assert type(a) is type(b)
+            if isinstance(a, efg.LeafNode):
+                assert np.array_equal(again.original_leaf_payoffs(nid),
+                                      tree.original_leaf_payoffs(nid))
+            elif isinstance(a, efg.ChanceNode):
+                assert a.children == b.children
+                assert np.array_equal(a.probs, b.probs)
+            else:
+                assert a == b
 
 
 TREES = {
@@ -514,3 +594,143 @@ class TestDeepTrees:
                 assert np.all(np.isfinite(trace.gap))
                 gaps = efg.exploitability(loaded, trace.behavioral_average)
                 assert np.all(np.isfinite(gaps)) and np.all(gaps >= -1e-12)
+
+
+def wide_tree() -> efg.GameTree:
+    """A chance root over three bimatrix games of 9x17, 9x17 and 17x9
+    actions: three infosets of width 9 and three of width 17, wide enough
+    for numpy's pairwise sums and BLAS's SIMD dot kernels."""
+    rng = np.random.default_rng(11)
+    b = efg.TreeBuilder(2)
+    games = []
+    for g, (d1, d2) in enumerate(((9, 17), (9, 17), (17, 9))):
+        u = rng.random((2, d1, d2))
+        rows = [b.decision(1, f"P2:col{g}",
+                           [b.leaf(u[:, a, c]) for c in range(d2)])
+                for a in range(d1)]
+        games.append(b.decision(0, f"P1:row{g}", rows))
+    return b.build(b.chance([0.25, 0.5, 0.25], games))
+
+
+BUCKETED_TREES = {name: TREES[name] for name in ("kuhn3", "liars3")}
+BUCKETED_TREES["wide"] = wide_tree()
+
+
+def _blocks(tree, vector):
+    return list(BlockVector(vector, tree.compiled.layout))
+
+
+def _random_predictive_state(tree, rng):
+    """Per-infoset states with zero-mass rows (uniform play) mixed in."""
+    states = []
+    for iset in tree.infosets:
+        r = rng.exponential(size=iset.num_actions)
+        r[rng.random(iset.num_actions) < 0.3] = 0.0
+        m = rng.normal(size=iset.num_actions)
+        if rng.random() < 0.3:
+            m = -r - rng.random(iset.num_actions)  # [r + m]+ = 0
+        states.append(AggregateState(r, m))
+    return states
+
+
+def _random_lifted_state(tree, rng):
+    """Blocks on the mass-1 boundary (tight) or well inside D> (slack)."""
+    z = []
+    for iset in tree.infosets:
+        block = rng.dirichlet(np.ones(iset.num_actions))
+        if rng.random() < 0.5:
+            block = block * rng.uniform(1.0, 5.0)
+        z.append(block)
+    return z
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBucketedMatchesPerInfoset:
+    """The width-bucketed rounds, regret operator, averager and recorder
+    return the floats of the per-infoset code (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("name", sorted(BUCKETED_TREES))
+    @pytest.mark.parametrize("alternate", [False, True], ids=["sim", "alt"])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_predictive_rounds(self, name, alternate, seed):
+        tree = BUCKETED_TREES[name]
+        rng = np.random.default_rng(seed)
+        states = _random_predictive_state(tree, rng)
+        state = efg.PredictiveCfrState(
+            np.concatenate([s.r for s in states]),
+            np.concatenate([s.prediction for s in states]))
+        averager = efg.BehavioralAverager(tree, "linear")
+        expected_averager = oracles.BehavioralAverager(tree, "linear")
+        for _ in range(4):
+            state, played = efg.predictive_cfr_round(state, tree, alternate)
+            states, expected = oracles.predictive_cfr_round(states, tree,
+                                                            alternate)
+            assert np.array_equal(played.vector, np.concatenate(expected))
+            assert np.array_equal(state.r, np.concatenate([s.r for s in states]))
+            assert np.array_equal(state.prediction,
+                                  np.concatenate([s.prediction for s in states]))
+            h = efg.counterfactual_regret_operator(tree, played, validate=False)
+            assert np.array_equal(h.vector, np.concatenate(
+                oracles.regret_operator_per_infoset(tree, expected)))
+            averager.observe(played)
+            expected_averager.observe(expected)
+            assert np.array_equal(averager._sums,
+                                  np.concatenate(expected_averager.sums))
+        for a, b in zip(averager.average(), expected_averager.average()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", sorted(BUCKETED_TREES))
+    @pytest.mark.parametrize("alternate", [False, True], ids=["sim", "alt"])
+    @given(seed=st.integers(0, 2**32 - 1),
+           eta=st.sampled_from([0.01, 0.3, 10.0]))
+    @settings(max_examples=8, deadline=None)
+    def test_clairvoyant_rounds(self, name, alternate, seed, eta):
+        tree = BUCKETED_TREES[name]
+        z = _random_lifted_state(tree, np.random.default_rng(seed))
+        state = efg.LiftedCfrState(np.concatenate(z))
+        for _ in range(4):
+            state, played = efg.clairvoyant_cfr_round(state, tree, eta,
+                                                      alternate)
+            z, expected = oracles.clairvoyant_cfr_round(z, tree, eta, alternate)
+            assert np.array_equal(played.vector, np.concatenate(expected))
+            assert np.array_equal(state.z, np.concatenate(z))
+
+    @pytest.mark.parametrize("name", sorted(BUCKETED_TREES))
+    @pytest.mark.parametrize("algo", ["predictive-cfr", "clairvoyant-cfr"])
+    @pytest.mark.parametrize("alternate", [False, True], ids=["sim", "alt"])
+    @given(averaging=st.sampled_from(["linear", "uniform"]),
+           eta=st.sampled_from([0.1, 2.0]))
+    @settings(max_examples=3, deadline=None)
+    def test_recorder_rows(self, name, algo, alternate, averaging, eta):
+        tree = BUCKETED_TREES[name]
+        iters = 5
+        trace = run(SolverConfig(algorithm=algo, eta=eta, averaging=averaging,
+                                 alternation=alternate, iters=iters), tree)
+        if algo == "predictive-cfr":
+            states = [AggregateState.initial(j.num_actions) for j in tree.infosets]
+        else:
+            z = [np.full(j.num_actions, 1.0 / j.num_actions)
+                 for j in tree.infosets]
+        averager = oracles.BehavioralAverager(tree, averaging)
+        played_rounds, increment_rounds = [], []
+        for _ in range(iters):
+            if algo == "predictive-cfr":
+                states, played = oracles.predictive_cfr_round(states, tree,
+                                                              alternate)
+            else:
+                z, played = oracles.clairvoyant_cfr_round(z, tree, eta,
+                                                          alternate)
+            played_rounds.append(played)
+            increment_rounds.append(
+                oracles.regret_operator_per_infoset(tree, played))
+            averager.observe(played)
+        regrets, gaps, steps, ledgers = oracles.tree_recorder_rows(
+            tree, played_rounds, increment_rounds)
+        assert np.array_equal(trace.regret_max, regrets)
+        assert np.array_equal(trace.gap, gaps)
+        assert np.array_equal(trace.iter_var, steps)
+        for a, b in zip(trace.ledgers, ledgers):
+            assert np.array_equal(a, b)
+        for a, b in zip(trace.behavioral_average, averager.average()):
+            assert np.array_equal(a, b)

@@ -97,6 +97,37 @@ class TestProjectChopped:
                                       [0.5, 0.5, 0.0])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRowwiseProjections:
+    """A (rows, d) stack projects each row exactly as the 1-D call does."""
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12),
+           d=st.integers(1, 40), scale=st.sampled_from([1e-3, 0.3, 1.0, 1e3]))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_one_dimensional(self, seed, rows, d, scale):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(rows, d)) * scale
+        stack[rng.random(rows) < 0.3] = np.abs(stack[0]) / max(d, 1)  # tight
+        for project in (project_simplex, project_chopped):
+            projected = project(stack)
+            assert projected.shape == stack.shape
+            for row, y in zip(projected, stack):
+                assert np.array_equal(row, project(y))
+
+    def test_a_stack_raises_where_a_row_would(self):
+        # no threshold exists once rounding swamps the unit mass (the
+        # chopped projection never gets here: such a row is slack)
+        bad = np.array([1e17, 1e17])
+        with pytest.raises(IndexError) as alone:
+            project_simplex(bad)
+        with pytest.raises(IndexError) as stacked:
+            project_simplex(np.array([[0.2, 0.3], bad, [0.0, 0.1]]))
+        assert str(stacked.value) == str(alone.value)
+        for project in (project_simplex, project_chopped):
+            with pytest.raises(NonFiniteError):
+                project(np.array([[0.2, 0.3], [np.nan, 0.0]]))
+
+
 class TestNonExpansiveness:
     @pytest.mark.parametrize("project", [project_orthant, project_simplex,
                                          project_chopped])
