@@ -72,12 +72,12 @@ def _load_any_game(spec: str, seed: int = 0):
     if spec in _BUILTIN_TREES:
         return _BUILTIN_TREES[spec]()
     if spec.startswith("random-matrix:"):
-        dims = spec.split(":", 1)[1].split("x")
+        dims = _ints(spec.split(":", 1)[1].split("x"), f"random-matrix spec {spec!r}")
         if len(dims) != 2:
             raise ValueError(f"bad random-matrix spec {spec!r}")
-        return random_matrix_game(int(dims[0]), int(dims[1]), seed)
+        return random_matrix_game(dims[0], dims[1], seed)
     if spec.startswith("random-nfg:"):
-        dims = [int(d) for d in spec.split(":", 1)[1].split(",")]
+        dims = _ints(spec.split(":", 1)[1].split(","), f"random-nfg spec {spec!r}")
         return random_nfg(dims, seed)
     path = Path(spec)
     if not path.exists():
@@ -87,6 +87,14 @@ def _load_any_game(spec: str, seed: int = 0):
     if first and first[0] == "efg":
         return efg.load_tree(path)
     return load_game(path)
+
+
+def _ints(parts, what: str) -> list[int]:
+    """Integer fields of a spec; a bad field is an error naming ``what``."""
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"bad {what}: expected integers") from None
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -172,9 +180,9 @@ def _cmd_sweep(args) -> int:
 
 def _parse_seeds(text: str) -> list[int]:
     if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in text.split(",") if s.strip()]
+        lo, hi = _ints(text.split(":", 1), f"--seeds range {text!r}")
+        return list(range(lo, hi))
+    return _ints([s for s in text.split(",") if s.strip()], f"--seeds list {text!r}")
 
 
 def _cmd_counterexample(args) -> int:
@@ -190,7 +198,7 @@ def _cmd_counterexample(args) -> int:
             lines.append(f"{t},{loss[0]},{loss[1]},{x[0]},{x[1]}")
     else:
         step = rm_plus_step if variant == "rm+" else prm_plus_step
-        state = AggregateState.initial(2, 0.0)
+        state = AggregateState.initial(2)
         for t in range(1, args.iters + 1):
             state, x = step(state, seq.losses[t - 1])
             lines.append(f"{t},{seq.losses[t-1][0]:.17g},{seq.losses[t-1][1]:.17g},"
@@ -211,7 +219,7 @@ def _cmd_gen(args) -> int:
         game = random_matrix_game(args.d1, args.d2, args.seed)
         save_game(game, out)
     elif args.type == "random-nfg":
-        dims = tuple(int(d) for d in args.dims.split(","))
+        dims = _ints(args.dims.split(","), f"--dims {args.dims!r}")
         save_game(random_nfg(dims, args.seed), out)
     elif args.type == "kuhn":
         efg.save_tree(efg.build_kuhn(2, args.ranks), out)

@@ -9,8 +9,12 @@ shared core:
  * ``rm_plus_step``  x = g(R), R' = [R - f(x, l)]+,
  * ``prm_plus_step`` the predictive variant, which plays from [R + m]+ and
    stores m' = -f(x, l) for the next round,
- * regret bookkeeping in strategy space and in the lifted orthant space,
+ * ``joint_distance`` the Euclidean distance between two block sequences,
+ * regret measured in strategy space and in the lifted orthant space,
    which agree exactly (``lifted_regret_equivalence``).
+
+Cumulative regret is kept in one place, the experiment harness's
+recorder, from the per-round increments <x, l> - l that the rounds hand it.
 
 Strategies and losses are plain 1-D numpy arrays; the solver state is a
 value (``AggregateState``) and each step is a pure function from
@@ -49,8 +53,8 @@ __all__ = [
     "BlockLayout",
     "BlockVector",
     "NonFiniteError",
-    "RegretLedger",
     "as_flat",
+    "joint_distance",
     "normalize",
     "regret_loss",
     "rm_plus_step",
@@ -123,17 +127,9 @@ class AggregateState:
     prediction: np.ndarray
 
     @staticmethod
-    def initial(dim: int, r0: float = 0.0) -> "AggregateState":
-        return AggregateState(np.full(dim, float(r0)), np.zeros(dim))
-
-
-def _check_loss(state: AggregateState, loss: np.ndarray) -> np.ndarray:
-    loss = np.asarray(loss, dtype=float)
-    if loss.shape != state.r.shape:
-        raise ValueError(f"dimension mismatch: {loss.shape} vs {state.r.shape}")
-    if not np.all(np.isfinite(loss)):
-        raise NonFiniteError("non-finite loss")
-    return loss
+    def initial(dim: int) -> "AggregateState":
+        """R = 0 and no prediction: the first play is uniform."""
+        return AggregateState(np.zeros(dim), np.zeros(dim))
 
 
 def rm_plus_step(state: AggregateState, loss) -> tuple[AggregateState, np.ndarray]:
@@ -141,8 +137,8 @@ def rm_plus_step(state: AggregateState, loss) -> tuple[AggregateState, np.ndarra
 
     The returned strategy is the one played *before* the loss is seen.
     The prediction memory is carried through untouched (RM+ ignores it).
+    ``regret_loss`` checks the loss's shape and finiteness.
     """
-    loss = _check_loss(state, loss)
     x = _normalize_nonneg(state.r)
     r_next = np.maximum(state.r - regret_loss(x, loss), 0.0)
     return AggregateState(r_next, state.prediction), x
@@ -155,7 +151,6 @@ def prm_plus_step(state: AggregateState, loss) -> tuple[AggregateState, np.ndarr
     next-round prediction m' = -f(x, l).  With m = 0 throughout this is
     exactly ``rm_plus_step`` (R stays nonnegative, so [R + 0]+ = R).
     """
-    loss = _check_loss(state, loss)
     r_hat = np.maximum(state.r + state.prediction, 0.0)
     x = _normalize_nonneg(r_hat)
     f = regret_loss(x, loss)
@@ -228,24 +223,10 @@ def as_flat(blocks) -> np.ndarray:
     return np.concatenate([*blocks, ()], dtype=float)
 
 
-@dataclass
-class RegretLedger:
-    """Cumulative per-action regret: after T rounds, entry a holds
-    sum_t <x^t, l^t> - sum_t l^t[a]."""
-
-    cum: np.ndarray
-    t: int = 0
-
-    @staticmethod
-    def empty(dim: int) -> "RegretLedger":
-        return RegretLedger(np.zeros(dim), 0)
-
-    def observe(self, x: np.ndarray, loss: np.ndarray) -> None:
-        self.cum += np.dot(x, loss) - loss
-        self.t += 1
-
-    def max_action_regret(self) -> float:
-        return float(self.cum.max())
+def joint_distance(a, b) -> float:
+    """Euclidean distance between two equally cut sequences of blocks,
+    taken over all blocks jointly."""
+    return sum(float(np.sum((u - v) ** 2)) for u, v in zip(a, b)) ** 0.5
 
 
 def lifted_regret_equivalence(strategies, losses, lifted, comparator) -> tuple[float, float]:

@@ -95,7 +95,7 @@ class GameTree:
     @property
     def behavioral_dim(self) -> int:
         """P = total number of (infoset, action) pairs."""
-        return sum(j.num_actions for j in self.infosets)
+        return self.compiled.layout.size
 
     def infosets_of(self, player: int) -> list[int]:
         return [i for i, j in enumerate(self.infosets) if j.player == player]
@@ -280,9 +280,9 @@ class CompiledTree:
     ``Infoset.nodes`` order.
     ``levels`` holds the ``(lo, hi)`` position range of every depth below
     the root; ``leaves`` and ``leaf_payoffs`` (one row per leaf) hold the
-    payoff matrix.  Infoset j owns entries ``offsets[j]:offsets[j+1]`` of
-    one flat behavioural vector, cut by ``layout`` (a ``BlockLayout``
-    bucketing every infoset by action count); ``player_layouts[i]``
+    payoff matrix.  Infoset j owns block j of one flat behavioural vector,
+    cut by ``layout`` (a ``BlockLayout`` bucketing every infoset by action
+    count; its ``size`` is P); ``player_layouts[i]``
     buckets player i's infosets only, for alternating updates.  The
     probability on the edge into position c is entry ``edge_source[c]`` of
     that vector followed by ``chance_probs`` (chance-edge probabilities,
@@ -318,8 +318,7 @@ class CompiledTree:
         self.layout = BlockLayout([j.num_actions for j in tree.infosets])
         self.player_layouts = tuple(self.layout.restricted(tree.infosets_of(i))
                                     for i in range(n))
-        self.offsets = self.layout.offsets
-        dim = self.layout.size
+        offsets, dim = self.layout.offsets, self.layout.size
 
         mover = np.full(size, -1, dtype=np.intp)
         infoset = np.full(size, -1, dtype=np.intp)
@@ -342,7 +341,7 @@ class CompiledTree:
                 edge_source[pos] = dim + len(chance_probs)
                 chance_probs.append(float(tree.nodes[node_id[up]].probs[rank[pos]]))
             else:
-                edge_source[pos] = self.offsets[infoset[up]] + rank[pos]
+                edge_source[pos] = offsets[infoset[up]] + rank[pos]
         edge_source[0] = dim + len(chance_probs)
         chance_probs.append(1.0)
         self.mover, self.infoset, self.first_child = mover, infoset, first_child
@@ -386,7 +385,7 @@ class CompiledTree:
         edge_rank = np.arange(edge_parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
         self.edge_parent = edge_parent
         self.edge_value = (first_child[edge_parent] + edge_rank) * n + mover[edge_parent]
-        self.edge_slot = self.offsets[infoset[edge_parent]] + edge_rank
+        self.edge_slot = offsets[infoset[edge_parent]] + edge_rank
 
     @cached_property
     def best_response_waves(self) -> tuple[tuple[BestResponseWave, ...], ...]:
@@ -445,7 +444,7 @@ class CompiledTree:
             summed = [p for p in at if mover[p] != player]
             slots, slot_children = [], []
             for j in resolved:
-                start = int(self.offsets[j])
+                start = int(self.layout.offsets[j])
                 for member in self.members[j].tolist():
                     for action in range(fan[member]):
                         slots.append(start + action)

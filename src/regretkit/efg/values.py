@@ -84,13 +84,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import BlockVector, _normalize_nonneg, as_flat
+from ..core import BlockVector, as_flat
+from ..core import joint_distance as behavioral_distance
 from .tree import CompiledTree, GameTree
 
 __all__ = [
     "uniform_behavioral",
     "check_behavioral",
-    "lifted_normalize",
     "behavioral_distance",
     "counterfactual_values",
     "counterfactual_regret_operator",
@@ -109,30 +109,18 @@ def uniform_behavioral(tree: GameTree) -> list[np.ndarray]:
     return [np.full(j.num_actions, 1.0 / j.num_actions) for j in tree.infosets]
 
 
-def check_behavioral(tree: GameTree, x, tol: float = 1e-9) -> list[np.ndarray]:
+def check_behavioral(tree: GameTree, x) -> list[np.ndarray]:
+    """The profile's blocks as arrays; raises ValueError unless every block
+    has its infoset's width and lies on the simplex, up to 1e-9."""
     blocks = [np.asarray(b, dtype=float) for b in x]
     if len(blocks) != len(tree.infosets):
         raise ValueError("one block per infoset required")
     for block, iset in zip(blocks, tree.infosets):
         if block.shape != (iset.num_actions,):
             raise ValueError(f"infoset {iset.key!r}: block dimension mismatch")
-        if np.any(block < -tol) or abs(block.sum() - 1.0) > tol:
+        if np.any(block < -1e-9) or abs(block.sum() - 1.0) > 1e-9:
             raise ValueError(f"infoset {iset.key!r}: block not on the simplex")
     return blocks
-
-
-def lifted_normalize(z) -> list[np.ndarray]:
-    """Blockwise normalization of a lifted point (per-infoset g)."""
-    blocks = [np.asarray(b, dtype=float) for b in z]
-    for block in blocks:
-        if np.any(block < 0.0):
-            raise ValueError("negative block entries")
-    return [_normalize_nonneg(b) for b in blocks]
-
-
-def behavioral_distance(x, y) -> float:
-    """Joint Euclidean distance between two block lists."""
-    return sum(float(np.sum((a - b) ** 2)) for a, b in zip(x, y)) ** 0.5
 
 
 def _like(x, vector: np.ndarray, flat: CompiledTree):
@@ -145,7 +133,7 @@ def _like(x, vector: np.ndarray, flat: CompiledTree):
 def _edge_probs(flat: CompiledTree, x) -> np.ndarray:
     """Probability on the edge into every position (1.0 at the root)."""
     probs = np.concatenate([as_flat(x), flat.chance_probs])
-    if probs.size != flat.offsets[-1] + flat.chance_probs.size:
+    if probs.size != flat.layout.size + flat.chance_probs.size:
         raise ValueError("profile does not match the tree's infosets")
     return probs[flat.edge_source]
 
@@ -189,7 +177,7 @@ def counterfactual_values(tree: GameTree, x, validate: bool = True) -> list[np.n
     excl = columns[:, 0].copy()
     for k in range(1, m):
         excl *= columns[:, k]
-    flat_values = np.zeros(int(flat.offsets[-1]))
+    flat_values = np.zeros(flat.layout.size)
     np.add.at(flat_values, flat.edge_slot,
               excl[flat.edge_parent] * values.reshape(-1)[flat.edge_value])
     return _like(x, flat_values, flat)
@@ -256,7 +244,7 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
     value = np.zeros(flat.size)
     value[flat.leaves] = (leaf_weights[flat.node_id[flat.leaves]]
                           * flat.leaf_payoffs[:, player])
-    action_value = np.zeros(int(flat.offsets[-1]))
+    action_value = np.zeros(flat.layout.size)
     choice = np.zeros(len(tree.infosets), dtype=np.intp)
     for wave in flat.best_response_waves[player]:
         np.add.at(value, wave.sum_parents, value[wave.sum_children])
@@ -265,8 +253,8 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
         if not wave.resolved.size:
             continue
         np.add.at(action_value, wave.slots, value[wave.slot_children])
-        start = flat.offsets[wave.resolved]
-        width = flat.offsets[wave.resolved + 1] - start
+        start = flat.layout.offsets[wave.resolved]
+        width = flat.layout.widths[wave.resolved]
         best = np.full(wave.resolved.size, -np.inf)
         pick = np.zeros(wave.resolved.size, dtype=np.intp)
         for action in range(int(width.max())):
@@ -297,14 +285,15 @@ def counterfactual_lipschitz(tree: GameTree) -> float:
     return (2.0 * tree.behavioral_dim) ** 0.5
 
 
-def lifted_lipschitz(tree: GameTree, floor: float = 1.0) -> float:
+def lifted_lipschitz(tree: GameTree) -> float:
     """Lipschitz bound of H composed with blockwise normalization on the
-    floor-respecting lifted space: sqrt(2P) * max_j sqrt(n_j) / floor."""
+    chopped lifted space (every block of mass >= 1, the floor of the
+    clairvoyant rounds): sqrt(2P) * max_j sqrt(n_j)."""
     widest = max(j.num_actions for j in tree.infosets)
-    return counterfactual_lipschitz(tree) * widest**0.5 / floor
+    return counterfactual_lipschitz(tree) * widest**0.5
 
 
-def contraction_step_size(tree: GameTree, floor: float = 1.0) -> float:
+def contraction_step_size(tree: GameTree) -> float:
     """The theoretically safe step size 1 / (sqrt(2) L_F) for the lifted
     counterfactual operator (usually impractically small)."""
-    return 1.0 / (2.0**0.5 * lifted_lipschitz(tree, floor))
+    return 1.0 / (2.0**0.5 * lifted_lipschitz(tree))

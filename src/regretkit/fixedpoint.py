@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _normalize_nonneg, regret_loss
+from .core import _normalize_nonneg, joint_distance, regret_loss
 from .games import MatrixGame, spectral_norm
 from .stabilized import _in_chopped, project_chopped
 
@@ -98,10 +98,6 @@ def _prox(z_prev, step_blocks) -> list[np.ndarray]:
     return [project_chopped(z - s) for z, s in zip(z_prev, step_blocks)]
 
 
-def _joint_distance(a, b) -> float:
-    return sum(float(np.sum((u - v) ** 2)) for u, v in zip(a, b)) ** 0.5
-
-
 def _solve(z_prev, game, eta, eps_target, k_max):
     """Shared inner loop.
 
@@ -121,7 +117,7 @@ def _solve(z_prev, game, eta, eps_target, k_max):
     # accepted; measuring its residual doubles as the state advance
     for k in range(1, k_max + 2):
         advanced = _prox(z_prev, [eta * f for f in operator_F(w, game)])
-        residual = _joint_distance(w, advanced)
+        residual = joint_distance(w, advanced)
         history.append(residual)
         if residual <= eps_target or k > k_max:
             return w, advanced, FixedPointReport(

@@ -2,7 +2,9 @@
 
 Matrix games, multiplayer normal-form tensors, their gradient operators and
 smoothness constants, the 3x3 hard instance, the adversarial loss
-generators, seeded random-game generation, and equilibrium-gap metrics.
+generators, seeded random-game generation, and the duality gap (the
+coarse-correlated-equilibrium gap of the other games is the experiment
+harness's, computed from its cumulative regrets).
 
 Sign convention (fixed once, used everywhere): solvers consume *losses*.
 For a matrix game the row player maximizes <x, A y>, so their loss is
@@ -44,7 +46,6 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import PortableRandom
-from .core import RegretLedger
 
 __all__ = [
     "MatrixGame",
@@ -55,7 +56,6 @@ __all__ = [
     "random_matrix_game",
     "random_nfg",
     "duality_gap",
-    "cce_gap",
     "save_game",
     "load_game",
 ]
@@ -212,14 +212,16 @@ class NormalFormGame:
         return b_u, l_u
 
 
-def spectral_norm(a: np.ndarray, max_iters: int = 200, rel_tol: float = 1e-10) -> float:
-    """||A||_op by power iteration on A^T A, deterministic start 1/sqrt(d)."""
+def spectral_norm(a: np.ndarray) -> float:
+    """||A||_op by power iteration on A^T A, deterministic start 1/sqrt(d):
+    at most 200 iterations, stopping once the estimate moves by no more
+    than 1e-10 of itself."""
     a = np.asarray(a, dtype=float)
     if a.size == 0 or not a.any():
         return 0.0
     v = np.full(a.shape[1], 1.0 / a.shape[1] ** 0.5)
     sigma = 0.0
-    for _ in range(max_iters):
+    for _ in range(200):
         w = a.T @ (a @ v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
@@ -230,7 +232,7 @@ def spectral_norm(a: np.ndarray, max_iters: int = 200, rel_tol: float = 1e-10) -
             continue
         v = w / norm
         new_sigma = norm**0.5
-        if sigma > 0.0 and abs(new_sigma - sigma) <= rel_tol * sigma:
+        if sigma > 0.0 and abs(new_sigma - sigma) <= 1e-10 * sigma:
             return new_sigma
         sigma = new_sigma
     return sigma
@@ -325,18 +327,6 @@ def duality_gap(game: MatrixGame, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return float((game.payoff @ y).max() - (x @ game.payoff).min())
-
-
-def cce_gap(ledgers, T: int) -> float:
-    """max over players of [max-action regret]+ / T for the empirical play
-    distribution."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    worst = 0.0
-    for ledger in ledgers:
-        cum = ledger.cum if isinstance(ledger, RegretLedger) else np.asarray(ledger, dtype=float)
-        worst = max(worst, float(cum.max()))
-    return max(worst, 0.0) / T
 
 
 # --- plain-text game files ---------------------------------------------------

@@ -35,9 +35,10 @@ tree rounds) supplies only how its state advances: ``advance(t)`` plays
 round t and hands back the play as blocks, each owned by one player (one
 block per player for matrix and normal-form games, one per infoset for
 trees), one regret increment per block, and optional per-round extras.
-One ``_Recorder`` keeps every family's books from those blocks, held as
-flat vectors cut by a ``core.BlockLayout`` (the players' strategies, or
-the tree's compiled infoset layout): cumulative regrets and averages are
+One ``_Recorder``, the only code that accumulates regret, keeps every
+family's books from those blocks, held as flat vectors cut by a
+``core.BlockLayout`` (the players' strategies, or the tree's compiled
+infoset layout): cumulative regrets and averages are
 one vector operation per round, per-block maxima one ``reduceat`` and
 per-block squared steps one reduction per width bucket, so a tree round
 costs the same few numpy calls whatever its number of infosets.  Per
@@ -85,7 +86,6 @@ __all__ = [
     "RunTrace",
     "NumericalDivergence",
     "run",
-    "rate_estimate",
     "slope_loglog",
     "stored_rounds",
     "read_trace_csv",
@@ -147,8 +147,8 @@ class SolverConfig:
             if not (isinstance(self.eta, (int, float)) and self.eta > 0
                     and math.isfinite(self.eta)):
                 raise ValueError("eta must be 'auto' or a positive real")
-        if self.r0 <= 0:
-            raise ValueError("R0 must be positive")
+        if not (self.r0 > 0 and math.isfinite(self.r0)):
+            raise ValueError(f"r0 must be positive and finite, got {self.r0!r}")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if self.eps_schedule is not None:
@@ -158,8 +158,10 @@ class SolverConfig:
                 except ValueError:
                     raise ValueError(
                         f"unknown eps schedule {self.eps_schedule!r}") from None
-                if value < 0:
-                    raise ValueError("eps schedule must be nonnegative")
+                if not (value >= 0 and math.isfinite(value)):
+                    raise ValueError("eps schedule must be '1/t^2' or a "
+                                     "nonnegative finite tolerance, got "
+                                     f"{self.eps_schedule!r}")
 
 
 @dataclass
@@ -217,9 +219,9 @@ def stored_rounds(iters: int, report_skip: int = 0) -> np.ndarray:
     return np.asarray(kept, dtype=np.int64)
 
 
-def slope_loglog(ts, values, t_lo, t_hi, max_points: int = 500) -> float:
+def slope_loglog(ts, values, t_lo, t_hi) -> float:
     """OLS slope of log10(value) against log10(t) over [t_lo, t_hi], on a
-    geometrically subsampled grid of at most ``max_points`` rows."""
+    geometrically subsampled grid of at most 500 rows."""
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     mask = (ts >= t_lo) & (ts <= t_hi)
@@ -228,22 +230,14 @@ def slope_loglog(ts, values, t_lo, t_hi, max_points: int = 500) -> float:
         raise ValueError("regression window contains fewer than 2 rows")
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
         raise ValueError("regression window contains nonpositive values")
-    if ts.size > max_points:
+    if ts.size > 500:
         picks = np.unique(np.rint(
-            np.geomspace(1, ts.size, max_points)).astype(int) - 1)
+            np.geomspace(1, ts.size, 500)).astype(int) - 1)
         ts, values = ts[picks], values[picks]
     x = np.log10(ts)
     y = np.log10(values)
     x_centered = x - x.mean()
     return float(np.dot(x_centered, y) / np.dot(x_centered, x_centered))
-
-
-def rate_estimate(trace: RunTrace, window, column: str = "gap") -> float:
-    """Power-law exponent of a trace column over an iteration window."""
-    if column != "gap":
-        raise ValueError("rate_estimate currently regresses the gap column")
-    t_lo, t_hi = window
-    return slope_loglog(trace.t, trace.gap, t_lo, t_hi)
 
 
 def read_trace_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -492,7 +486,7 @@ def _action_regrets(plays, losses) -> list[np.ndarray]:
 def _simplex_family(config: SolverConfig, game, eta):
     rm = config.algorithm == "rm+"
     step = rm_plus_step if rm else prm_plus_step
-    states = [AggregateState.initial(d, 0.0) for d in game.dims]
+    states = [AggregateState.initial(d) for d in game.dims]
 
     def lifted(state: AggregateState) -> np.ndarray:
         # the point whose normalization is played

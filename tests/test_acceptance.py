@@ -16,6 +16,7 @@ from regretkit import efg
 from regretkit.core import (
     AggregateState,
     lifted_regret_equivalence,
+    normalize,
     prm_plus_step,
     replay_exact,
     rm_plus_step,
@@ -33,7 +34,7 @@ from regretkit.games import (
     random_matrix_game,
     random_nfg,
 )
-from regretkit.harness import SolverConfig, rate_estimate, run
+from regretkit.harness import SolverConfig, run, slope_loglog
 from regretkit.stabilized import (
     project_chopped,
     smooth_initial_state,
@@ -92,7 +93,7 @@ def test_criterion_2_slow_rate_reproduction():
         config = SolverConfig(algorithm=algo, eta="auto", averaging="linear",
                               alternation=alternation, iters=10**6)
         trace = run(config, game)
-        slopes[algo] = rate_estimate(trace, (10**5, 10**6))
+        slopes[algo] = slope_loglog(trace.t, trace.gap, 10**5, 10**6)
     for algo, slope in slopes.items():
         assert -0.60 <= slope <= -0.40, f"{algo} slope {slope:.4f}"
     _passed("criterion 2: slow-rate reproduction, slopes "
@@ -109,7 +110,7 @@ def test_criterion_3_stabilized_fast_rate():
         config = SolverConfig(algorithm=algo, eta=0.1, averaging="linear",
                               alternation=alternation, iters=10**5)
         trace = run(config, game)
-        slope = rate_estimate(trace, (10**4, 10**5))
+        slope = slope_loglog(trace.t, trace.gap, 10**4, 10**5)
         results[algo] = (trace.gap[-1], slope)
         assert trace.gap[-1] <= 1e-6, f"{algo} final gap {trace.gap[-1]:.2e}"
         assert slope <= -1.5, f"{algo} slope {slope:.3f}"
@@ -299,7 +300,8 @@ def test_criterion_8_lipschitz_suites():
                   for j in tree.infosets]
             z2 = [np.abs(rng.normal(size=j.num_actions)) + 1.0
                   for j in tree.infosets]
-            n1, n2 = efg.lifted_normalize(z1), efg.lifted_normalize(z2)
+            n1 = [normalize(block) for block in z1]
+            n2 = [normalize(block) for block in z2]
             lhs = efg.behavioral_distance(n1, n2)
             assert lhs <= g_bound * efg.behavioral_distance(z1, z2) + 1e-9
             lhs = efg.behavioral_distance(

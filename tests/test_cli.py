@@ -125,6 +125,25 @@ class TestRun:
         assert code == 2
         assert f"{path}:{lineno}: {message}" in err
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--algo", "stable-prm+", "--r0", "nan"], "r0 must be positive"),
+        (["--algo", "stable-prm+", "--r0", "inf"], "r0 must be positive"),
+        (["--algo", "conceptual-rm+", "--eps-schedule", "nan"],
+         "eps schedule must be '1/t^2' or a nonnegative finite tolerance"),
+    ], ids=["r0-nan", "r0-inf", "eps-nan"])
+    def test_non_finite_flag_exits_two(self, capsys, flags, message):
+        code, out, err = run_cli(
+            ["run", "--game", "hard3x3", "--iters", "3"] + flags, capsys)
+        assert code == 2
+        assert message in err and out == ""
+
+    @pytest.mark.parametrize("spec", ["random-matrix:3x", "random-nfg:3,x"])
+    def test_unreadable_game_spec_exits_two(self, capsys, spec):
+        code, _, err = run_cli(
+            ["run", "--algo", "rm+", "--game", spec, "--iters", "2"], capsys)
+        assert code == 2
+        assert f"spec {spec!r}" in err
+
 
 class TestGenAndSweep:
     def test_gen_random_matrix_round_trip(self, tmp_path, capsys):
@@ -167,6 +186,22 @@ class TestGenAndSweep:
         rows = (tmp_path / "summary.csv").read_text().splitlines()[3:]
         gaps = [float(r.split(",")[2]) for r in rows]
         assert gaps[0] != gaps[1]  # seeds draw distinct instances
+
+    def test_unreadable_gen_dims_exit_two(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["gen", "--type", "random-nfg", "--dims", "3,x",
+             "--out", str(tmp_path / "g.game")], capsys)
+        assert code == 2
+        assert "--dims '3,x'" in err
+
+    @pytest.mark.parametrize("seeds", ["1:", "0,x"])
+    def test_unreadable_seeds_exit_two(self, tmp_path, capsys, seeds):
+        code, _, err = run_cli(
+            ["sweep", "--algo", "rm+", "--game", "hard3x3", "--iters", "2",
+             "--etas", "0.1", "--seeds", seeds, "--outdir", str(tmp_path)],
+            capsys)
+        assert code == 2
+        assert "--seeds" in err and repr(seeds) in err
 
     def test_rate_subcommand(self, tmp_path, capsys):
         trace_path = tmp_path / "t.csv"

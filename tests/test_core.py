@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from regretkit.core import (
     AggregateState,
     NonFiniteError,
-    RegretLedger,
     lifted_regret_equivalence,
     normalize,
     prm_plus_step,
@@ -16,7 +15,8 @@ from regretkit.core import (
     replay_exact,
     rm_plus_step,
 )
-from regretkit.games import instability_losses
+from regretkit.games import instability_losses, random_nfg
+from regretkit.harness import SolverConfig, run
 
 
 class TestNormalize:
@@ -132,22 +132,16 @@ class TestPrmPlusStep:
 
 
 class TestRegretLedger:
+    """A run's ``ledgers`` hold each player's cumulative per-action regret
+    sum_t <x^t, l^t> - sum_t l^t."""
+
     def test_recompute_from_trace(self):
-        rng = np.random.default_rng(3)
-        ledger = RegretLedger.empty(4)
-        xs, losses = [], []
-        state = AggregateState.initial(4)
-        for _ in range(200):
-            loss = rng.normal(size=4)
-            state, x = rm_plus_step(state, loss)
-            ledger.observe(x, loss)
-            xs.append(x)
-            losses.append(loss)
-        xs = np.array(xs)
-        losses = np.array(losses)
-        recomputed = np.sum(xs * losses) - losses.sum(axis=0)
-        np.testing.assert_allclose(ledger.cum, recomputed, atol=1e-9)
-        assert ledger.t == 200
+        trace = run(SolverConfig(algorithm="rm+", iters=200, store_full=True),
+                    random_nfg((4, 3), 3))
+        for ledger, xs, losses in zip(trace.ledgers, trace.strategies,
+                                      trace.losses):
+            recomputed = np.sum(xs * losses) - losses.sum(axis=0)
+            np.testing.assert_allclose(ledger, recomputed, atol=1e-9)
 
 
 class TestLiftedRegretEquivalence:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from regretkit import efg
 from regretkit.core import (AggregateState, BlockVector, _normalize_nonneg,
-                            prm_plus_step)
+                            normalize, prm_plus_step)
 from regretkit.fixedpoint import initial_lifted_point, exrm_round
 from regretkit.games import NormalFormGame
 from regretkit.core import regret_loss
@@ -191,25 +191,27 @@ class TestCounterfactualRegretOperator:
                                    atol=1e-12)
 
 
+def lifted_normalize(z) -> list[np.ndarray]:
+    """Blockwise normalization of a lifted point: ``normalize`` per block."""
+    return [normalize(block) for block in z]
+
+
 class TestLiftedNormalize:
     def test_unit_blocks_become_uniform(self):
         tree = efg.build_kuhn(2, 3)
         z = [np.ones(j.num_actions) for j in tree.infosets]
-        for block in efg.lifted_normalize(z):
+        for block in lifted_normalize(z):
             np.testing.assert_allclose(block, np.full(block.size,
                                                       1.0 / block.size))
 
-    def test_blockwise_matches_core(self):
-        from regretkit.core import normalize
-        rng = np.random.default_rng(3)
-        z = [rng.uniform(0, 2, 3), rng.uniform(0, 2, 2)]
-        out = efg.lifted_normalize(z)
-        for a, b in zip(out, [normalize(v) for v in z]):
-            np.testing.assert_array_equal(a, b)
-
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            efg.lifted_normalize([np.array([0.5, -0.1])])
+        # the clairvoyant round normalizes only lifted points in the
+        # chopped orthant
+        tree = efg.build_kuhn(2, 3)
+        z = efg.clairvoyant_cfr_state(tree).z.copy()
+        z[1] = -0.1
+        with pytest.raises(ValueError, match="chopped orthant"):
+            efg.clairvoyant_cfr_round(efg.LiftedCfrState(z), tree, 0.1)
 
     def test_floor_respecting_lipschitz(self):
         tree = efg.build_kuhn(2, 3)
@@ -220,8 +222,8 @@ class TestLiftedNormalize:
                   for j in tree.infosets]
             z2 = [np.abs(rng.normal(size=j.num_actions)) + 1.0
                   for j in tree.infosets]
-            lhs = efg.behavioral_distance(efg.lifted_normalize(z1),
-                                          efg.lifted_normalize(z2))
+            lhs = efg.behavioral_distance(lifted_normalize(z1),
+                                          lifted_normalize(z2))
             rhs = constant * efg.behavioral_distance(z1, z2)
             assert lhs <= rhs + 1e-9
 
@@ -281,10 +283,8 @@ class TestLipschitzCertificates:
                   for j in tree.infosets]
             z2 = [np.abs(rng.normal(size=j.num_actions)) + 1.0
                   for j in tree.infosets]
-            h1 = efg.counterfactual_regret_operator(
-                tree, efg.lifted_normalize(z1))
-            h2 = efg.counterfactual_regret_operator(
-                tree, efg.lifted_normalize(z2))
+            h1 = efg.counterfactual_regret_operator(tree, lifted_normalize(z1))
+            h2 = efg.counterfactual_regret_operator(tree, lifted_normalize(z2))
             lhs = efg.behavioral_distance(h1, h2)
             assert lhs <= bound * efg.behavioral_distance(z1, z2) + 1e-9
 

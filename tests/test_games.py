@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretkit.core import AggregateState, RegretLedger, rm_plus_step
+from regretkit.core import AggregateState, rm_plus_step
 from regretkit.games import (
     MatrixGame,
     NormalFormGame,
-    cce_gap,
     duality_gap,
     hard_instance,
     instability_losses,
@@ -17,6 +16,7 @@ from regretkit.games import (
     save_game,
     spectral_norm,
 )
+from regretkit.harness import SolverConfig, run
 
 from .oracles import nfg_gradient_by_enumeration
 
@@ -243,37 +243,39 @@ class TestDualityGap:
         assert duality_gap(game, x, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_folk_bound_on_trajectory(self):
-        # gap of the uniform averages <= (sum of regrets) / T
-        game = hard_instance()
-        states = [AggregateState.initial(3), AggregateState.initial(3)]
-        ledgers = [RegretLedger.empty(3), RegretLedger.empty(3)]
-        sums = [np.zeros(3), np.zeros(3)]
-        T = 500
-        for _ in range(T):
-            xs = [s.r / s.r.sum() if s.r.sum() > 0 else np.full(3, 1 / 3)
-                  for s in states]
-            losses = game.gradients(xs)
-            for i in range(2):
-                ledgers[i].observe(xs[i], losses[i])
-                states[i], _ = rm_plus_step(states[i], losses[i])
-                sums[i] += xs[i]
-            gap = duality_gap(game, sums[0] / ledgers[0].t,
-                              sums[1] / ledgers[1].t)
-            regret_sum = (max(ledgers[0].max_action_regret(), 0.0)
-                          + max(ledgers[1].max_action_regret(), 0.0))
-            assert gap <= regret_sum / ledgers[0].t + 1e-9
+        # every round t: gap of the uniform averages <= sum_i [regret_i]+ / t
+        trace = run(SolverConfig(algorithm="rm+", iters=500,
+                                 averaging="uniform"), hard_instance())
+        bound = np.maximum(trace.regret_max, 0.0).sum(axis=1) / trace.t
+        assert np.all(trace.gap <= bound + 1e-9)
 
 
 class TestCceGap:
+    """Normal-form runs report the CCE gap max_i [max-action regret_i]+ / t
+    of the empirical play."""
+
     def test_zero_regrets(self):
-        assert cce_gap([np.zeros(3), np.zeros(2)], 10) == 0.0
+        zeros = np.zeros((3, 2))
+        trace = run(SolverConfig(algorithm="rm+", iters=10),
+                    NormalFormGame((zeros, zeros)))
+        assert np.all(trace.gap == 0.0)
 
     def test_definition(self):
-        assert cce_gap([np.array([3.0, -1.0])], 3) == pytest.approx(1.0)
+        trace = run(SolverConfig(algorithm="prm+", iters=50, store_full=True),
+                    random_nfg((3, 2, 2), 5))
+        regrets = [float(np.max(np.sum(xs * losses) - losses.sum(axis=0)))
+                   for xs, losses in zip(trace.strategies, trace.losses)]
+        assert trace.gap[-1] == pytest.approx(max(0.0, *regrets) / 50,
+                                              abs=1e-12)
+        np.testing.assert_array_equal(
+            trace.gap, np.maximum(trace.regret_max.max(axis=1), 0.0) / trace.t)
 
     def test_accepts_ledgers(self):
-        ledger = RegretLedger(np.array([0.5, 2.0]), 4)
-        assert cce_gap([ledger], 4) == pytest.approx(0.5)
+        # the reported gap is the one the run's final ledgers give
+        trace = run(SolverConfig(algorithm="rm+", iters=40),
+                    random_nfg((2, 3, 2), 6))
+        worst = max(float(ledger.max()) for ledger in trace.ledgers)
+        assert trace.gap[-1] == max(worst, 0.0) / 40
 
 
 class TestGameFiles:

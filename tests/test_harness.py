@@ -11,7 +11,6 @@ from regretkit.games import MatrixGame, hard_instance, random_matrix_game, rando
 from regretkit.harness import (
     NumericalDivergence,
     SolverConfig,
-    rate_estimate,
     read_trace_csv,
     run,
     slope_loglog,
@@ -84,7 +83,7 @@ class TestRateEstimate:
 
     def test_subsampling_keeps_slope(self):
         ts = np.arange(1, 200001)
-        slope = slope_loglog(ts, 5.0 / ts**1.5, 100, 200000, max_points=300)
+        slope = slope_loglog(ts, 5.0 / ts**1.5, 100, 200000)
         assert slope == pytest.approx(-1.5, abs=1e-6)
 
 
@@ -261,7 +260,7 @@ class TestHeaderAndCsv:
     def test_rate_estimate_on_trace(self):
         trace = run(SolverConfig(algorithm="exrm+", eta=0.1, iters=3000),
                     hard_instance())
-        slope = rate_estimate(trace, (300, 3000))
+        slope = slope_loglog(trace.t, trace.gap, 300, 3000)
         assert slope < -1.0  # fast regime on the hard instance
 
 
