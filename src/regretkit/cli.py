@@ -154,6 +154,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     etas = [e.strip() for e in args.etas.split(",") if e.strip()]
+    if not etas:
+        raise ValueError(f"--etas {args.etas!r} lists no step size")
     seeds = _parse_seeds(args.seeds)
     outdir = _resolve_out(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -181,23 +183,25 @@ def _cmd_sweep(args) -> int:
 def _parse_seeds(text: str) -> list[int]:
     if ":" in text:
         lo, hi = _ints(text.split(":", 1), f"--seeds range {text!r}")
-        return list(range(lo, hi))
-    return _ints([s for s in text.split(",") if s.strip()], f"--seeds list {text!r}")
+        seeds = list(range(lo, hi))
+    else:
+        seeds = _ints([s for s in text.split(",") if s.strip()],
+                      f"--seeds list {text!r}")
+    if not seeds:
+        raise ValueError(f"--seeds {text!r} selects no seed")
+    return seeds
 
 
 def _cmd_counterexample(args) -> int:
-    variant = {"rm+": "rm+", "prm+": "prm+"}.get(args.variant)
-    if variant is None:
-        raise ValueError(f"unknown variant {args.variant!r}")
-    seq = instability_losses(args.iters, variant, scaled=args.scaled)
-    lines = [f"# variant={variant}", f"# scaled={int(args.scaled)}",
+    seq = instability_losses(args.iters, args.variant, scaled=args.scaled)
+    lines = [f"# variant={args.variant}", f"# scaled={int(args.scaled)}",
              "t,loss_0,loss_1,x_0,x_1"]
     if args.rational:
-        played = replay_exact(seq.fractions(), variant)
+        played = replay_exact(seq.fractions(), args.variant)
         for t, (loss, x) in enumerate(zip(seq.fractions(), played), start=1):
             lines.append(f"{t},{loss[0]},{loss[1]},{x[0]},{x[1]}")
     else:
-        step = rm_plus_step if variant == "rm+" else prm_plus_step
+        step = rm_plus_step if args.variant == "rm+" else prm_plus_step
         state = AggregateState.initial(2)
         for t in range(1, args.iters + 1):
             state, x = step(state, seq.losses[t - 1])
@@ -223,10 +227,8 @@ def _cmd_gen(args) -> int:
         save_game(random_nfg(dims, args.seed), out)
     elif args.type == "kuhn":
         efg.save_tree(efg.build_kuhn(2, args.ranks), out)
-    elif args.type == "liars-dice":
+    else:  # liars-dice; argparse restricts the choices
         efg.save_tree(efg.build_liars_dice(args.players, args.faces), out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown type {args.type!r}")
     return 0
 
 

@@ -3,12 +3,8 @@
 from .builders import build_bimatrix_tree, build_kuhn, build_liars_dice
 from .rounds import (
     BehavioralAverager,
-    LiftedCfrState,
-    PredictiveCfrState,
     clairvoyant_cfr_round,
-    clairvoyant_cfr_state,
     predictive_cfr_round,
-    predictive_cfr_state,
 )
 from .tree import (
     ChanceNode,
@@ -43,8 +39,6 @@ __all__ = [
     "GameTree",
     "Infoset",
     "LeafNode",
-    "LiftedCfrState",
-    "PredictiveCfrState",
     "TreeBuilder",
     "behavioral_distance",
     "best_response_value",
@@ -53,7 +47,6 @@ __all__ = [
     "build_liars_dice",
     "check_behavioral",
     "clairvoyant_cfr_round",
-    "clairvoyant_cfr_state",
     "contraction_step_size",
     "counterfactual_lipschitz",
     "counterfactual_regret_operator",
@@ -65,7 +58,6 @@ __all__ = [
     "load_tree",
     "own_reach_per_infoset",
     "predictive_cfr_round",
-    "predictive_cfr_state",
     "save_tree",
     "uniform_behavioral",
 ]

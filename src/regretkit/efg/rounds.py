@@ -14,8 +14,13 @@ with P the per-block chopped projection (floors fixed at 1), i.e. the
 exact tree analogue of extragradient RM+ with the operator -H o ghat.
 
 States, played profiles and regrets are flat vectors in the compiled
-tree's behavioural layout (``CompiledTree.layout``); played profiles are
-handed back as ``BlockVector``s, which read as one block per infoset.
+tree's behavioural layout (``CompiledTree.layout``): predictive CFR's
+state is one ``core.AggregateState`` over that layout (start:
+``AggregateState.initial(tree.behavioral_dim)``), the clairvoyant state
+the lifted vector z itself (start: the uniform blocks of
+``fixedpoint.initial_lifted_point`` over the infoset widths).  Played
+profiles are handed back as ``BlockVector``s, which read as one block
+per infoset.
 Every per-infoset step (``prm_plus_step``, ``project_chopped``, the
 normalization, the chopped-membership check) runs once per width bucket
 on a ``(rows, width)`` stack, with the floats of the per-infoset code
@@ -28,8 +33,6 @@ linearly weighted).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,29 +52,10 @@ from .values import (
 )
 
 __all__ = [
-    "PredictiveCfrState",
-    "LiftedCfrState",
-    "predictive_cfr_state",
     "predictive_cfr_round",
-    "clairvoyant_cfr_state",
     "clairvoyant_cfr_round",
     "BehavioralAverager",
 ]
-
-
-@dataclass(frozen=True)
-class PredictiveCfrState:
-    """Every infoset's predictive RM+ aggregates ``r`` and predictions,
-    one flat vector each."""
-
-    r: np.ndarray
-    prediction: np.ndarray
-    t: int = 0
-
-
-def predictive_cfr_state(tree: GameTree) -> PredictiveCfrState:
-    return PredictiveCfrState(np.zeros(tree.behavioral_dim),
-                              np.zeros(tree.behavioral_dim), 0)
 
 
 def _check_size(tree: GameTree, *vectors) -> None:
@@ -90,9 +74,9 @@ def _play(r: np.ndarray, prediction: np.ndarray) -> np.ndarray:
     return _normalize_nonneg(np.maximum(r + prediction, 0.0))
 
 
-def predictive_cfr_round(state: PredictiveCfrState, tree: GameTree,
+def predictive_cfr_round(state: AggregateState, tree: GameTree,
                          alternate: bool = False
-                         ) -> tuple[PredictiveCfrState, BlockVector]:
+                         ) -> tuple[AggregateState, BlockVector]:
     """Advance every infoset by one predictive RM+ step on its
     counterfactual regrets; returns the profile that was played."""
     _check_size(tree, state.r, state.prediction)
@@ -112,34 +96,19 @@ def predictive_cfr_round(state: PredictiveCfrState, tree: GameTree,
             if alternate:
                 # freshly updated blocks are visible to later players
                 profile[index] = _play(step.r, step.prediction)
-    return (PredictiveCfrState(r, prediction, state.t + 1),
-            BlockVector(played, flat.layout))
+    return AggregateState(r, prediction), BlockVector(played, flat.layout)
 
 
-@dataclass(frozen=True)
-class LiftedCfrState:
-    """Every infoset's chopped-orthant block (floors fixed at 1), as one
-    flat vector."""
-
-    z: np.ndarray
-    t: int = 0
-
-
-def clairvoyant_cfr_state(tree: GameTree) -> LiftedCfrState:
-    widths = tree.compiled.layout.widths
-    return LiftedCfrState(np.repeat(1.0 / widths, widths), 0)
-
-
-def clairvoyant_cfr_round(state: LiftedCfrState, tree: GameTree, eta: float,
+def clairvoyant_cfr_round(z: np.ndarray, tree: GameTree, eta: float,
                           alternate: bool = False
-                          ) -> tuple[LiftedCfrState, BlockVector]:
+                          ) -> tuple[np.ndarray, BlockVector]:
     """Single-fixed-point-iteration clairvoyant round (extragradient on the
-    lifted counterfactual operator); plays ghat(w)."""
+    lifted counterfactual operator) from the lifted vector z, every block
+    in its chopped orthant; returns the next z and plays ghat(w)."""
     if eta <= 0.0:
         raise ValueError("step size eta must be positive")
-    _check_size(tree, state.z)
+    _check_size(tree, z)
     flat = tree.compiled
-    z = state.z
     inside = flat.layout.per_block(
         [_in_chopped(z[index]) for _, index in flat.layout.buckets], bool)
     if not inside.all():
@@ -159,7 +128,7 @@ def clairvoyant_cfr_round(state: LiftedCfrState, tree: GameTree, eta: float,
             tree, BlockVector(profile, flat.layout), validate=False).vector
         for _, index in group.buckets:
             z_next[index] = project_chopped(z[index] + eta * h1[index])
-    return LiftedCfrState(z_next, state.t + 1), BlockVector(profile, flat.layout)
+    return z_next, BlockVector(profile, flat.layout)
 
 
 class BehavioralAverager:

@@ -291,6 +291,11 @@ def instability_losses(T: int, variant: str, scaled: bool = False) -> LossSequen
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    # the largest T whose entries fit in a float (the next is 2**1024)
+    largest = {"rm+": 2048, "prm+": 2046}.get(variant, T)
+    if T > largest:
+        raise ValueError(f"T={T} overflows the float range: the {variant} "
+                         f"sequence allows at most T={largest}")
     first = np.array([_instability_scalar(t, variant) for t in range(1, T + 1)])
     if scaled:
         first = first / np.abs(first).max()

@@ -91,25 +91,6 @@ __all__ = [
     "read_trace_csv",
 ]
 
-ALGORITHMS = (
-    "rm+",
-    "prm+",
-    "stable-prm+",
-    "smooth-prm+",
-    "conceptual-rm+",
-    "exrm+",
-    "predictive-cfr",
-    "clairvoyant-cfr",
-)
-
-_SIMPLEX_ALGOS = {"rm+", "prm+"}
-_LIFTED_ALGOS = {"stable-prm+", "smooth-prm+"}
-_FIXEDPOINT_ALGOS = {"conceptual-rm+", "exrm+"}
-_TREE_ALGOS = {"predictive-cfr", "clairvoyant-cfr"}
-# the fixed-point family has no defined alternating variant
-_ALTERNATING_OK = _SIMPLEX_ALGOS | _LIFTED_ALGOS | _TREE_ALGOS
-
-
 class NumericalDivergence(RuntimeError):
     """An iterate went non-finite; ``iteration`` is the offending round."""
 
@@ -141,7 +122,8 @@ class SolverConfig:
             raise ValueError("iters must be >= 1")
         if not (0 <= self.report_skip < self.iters):
             raise ValueError("report_skip must lie in [0, iters)")
-        if self.alternation and self.algorithm not in _ALTERNATING_OK:
+        # the fixed-point family has no defined alternating variant
+        if self.alternation and _FAMILY[self.algorithm] is _fixedpoint_family:
             raise ValueError(f"{self.algorithm} has no alternating variant")
         if self.eta != "auto":
             if not (isinstance(self.eta, (int, float)) and self.eta > 0
@@ -177,8 +159,8 @@ class RunTrace:
     fp_k: np.ndarray  # (rows,), NaN where not applicable
     fp_residual: np.ndarray
     ledgers: list[np.ndarray]  # final cumulative per-action regret, per player
-    averages: list[np.ndarray] | None = None  # matrix / normal-form games
-    behavioral_average: list[np.ndarray] | None = None  # tree games
+    # average strategy per player; per infoset (behavioural) for tree games
+    averages: list[np.ndarray] | None = None
     strategies: list[np.ndarray] | None = None  # (T, d_i) per player, store_full
     losses: list[np.ndarray] | None = None
     lifted: list[np.ndarray] | None = None  # lifted points with x^t = g(R^t)
@@ -241,12 +223,14 @@ def slope_loglog(ts, values, t_lo, t_hi) -> float:
 
 
 def read_trace_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Read back a trace CSV: (header dict, rounds, gap column)."""
+    """Read back a trace CSV: (header dict, rounds, gap column).  A row
+    without integer round and player and a numeric gap raises
+    ``ValueError`` starting ``path:line:``."""
     header: dict[str, str] = {}
     ts: list[int] = []
     gaps: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -257,10 +241,14 @@ def read_trace_csv(path) -> tuple[dict, np.ndarray, np.ndarray]:
             if line.startswith("t,player"):
                 continue
             parts = line.split(",")
-            if parts[1] != "0":
-                continue
-            ts.append(int(parts[0]))
-            gaps.append(float(parts[3]))
+            try:
+                t, player, gap = int(parts[0]), int(parts[1]), float(parts[3])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}:{number}: malformed trace row "
+                                 f"{line!r}") from None
+            if player == 0:
+                ts.append(t)
+                gaps.append(gap)
     return header, np.asarray(ts, dtype=np.int64), np.asarray(gaps)
 
 
@@ -466,10 +454,7 @@ class _Recorder:
         blocks = BlockVector(self.cum, self.layout)
         trace.ledgers = [as_flat([blocks[j] for j in own.tolist()])
                          for own in self.owned]
-        if isinstance(self.averager, efg.BehavioralAverager):
-            trace.behavioral_average = self.averager.average()
-        else:
-            trace.averages = self.averager.average()
+        trace.averages = self.averager.average()
         trace.restart_events = tuple(self.restart_events)
         return trace
 
@@ -546,7 +531,7 @@ def _fixedpoint_family(config: SolverConfig, game, eta):
         # exrm+ is the conceptual round cut to exactly one inner iteration;
         # the solve's w (played as g(w)) is the round's lifted point
         eps, k_max = (-1.0, 1) if exrm else (_eps_at(config, t), config.k_max)
-        w, z, report = fixedpoint._solve(z, game, eta, eps, k_max)
+        z, w, report = fixedpoint.conceptual_round(z, game, eta, eps, k_max)
         plays = [_normalize_nonneg(block) for block in w]
         losses = game.gradients(plays)
         fp = None if exrm else (float(report.iterations), report.residual)
@@ -566,8 +551,9 @@ def _eps_at(config: SolverConfig, t: int) -> float:
 
 def _tree_family(config: SolverConfig, tree, eta):
     predictive = config.algorithm == "predictive-cfr"
-    state = (efg.predictive_cfr_state(tree) if predictive
-             else efg.clairvoyant_cfr_state(tree))
+    layout = tree.compiled.layout
+    state = (AggregateState.initial(layout.size) if predictive
+             else as_flat(initial_lifted_point(layout.widths)))
 
     def advance(t):
         nonlocal state
@@ -584,22 +570,22 @@ def _tree_family(config: SolverConfig, tree, eta):
     return advance
 
 
+_FAMILY = {"rm+": _simplex_family, "prm+": _simplex_family,
+           "stable-prm+": _lifted_family, "smooth-prm+": _lifted_family,
+           "conceptual-rm+": _fixedpoint_family, "exrm+": _fixedpoint_family,
+           "predictive-cfr": _tree_family, "clairvoyant-cfr": _tree_family}
+ALGORITHMS = tuple(_FAMILY)
+
+
 def run(config: SolverConfig, game) -> RunTrace:
     """Execute one solver configuration on one game."""
     config.validate()
     algo = config.algorithm
-    if (algo in _TREE_ALGOS) != isinstance(game, efg.GameTree):
+    family = _FAMILY[algo]
+    if (family is _tree_family) != isinstance(game, efg.GameTree):
         raise ValueError(f"{algo} is incompatible with {type(game).__name__}")
     eta, constants = resolve_eta(config, game)
     header = _header(config, game, eta, constants)
-    if algo in _SIMPLEX_ALGOS:
-        family = _simplex_family
-    elif algo in _LIFTED_ALGOS:
-        family = _lifted_family
-    elif algo in _FIXEDPOINT_ALGOS:
-        family = _fixedpoint_family
-    else:
-        family = _tree_family
     advance = family(config, game, eta)
     recorder = _Recorder(config, game)
     for t in range(1, config.iters + 1):

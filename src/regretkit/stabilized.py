@@ -6,7 +6,7 @@ property.  Two fixes, both operating on the lifted joint state:
 
  * restarting: run the two-step predictive update on the nonnegative
    orthant and reset any player whose aggregate payoffs fall to or below
-   the floor R0 back to R0 * 1 (``stable_prmp_round``);
+   its floor R0_i back to R0_i * 1 (``stable_prmp_round``);
  * chopping: project every step onto the chopped orthant
    D> = { r >= 0 : ||r||_1 >= 1 }, so iterates can never approach the
    origin at all (``smooth_prmp_round``).
@@ -148,12 +148,11 @@ class JointLiftedState:
 
 
 def _floors(r0, num_players: int) -> list[float]:
-    """R0 may be one scalar or one positive value per player."""
-    values = ([float(r0)] * num_players if np.isscalar(r0)
-              else [float(v) for v in r0])
-    if len(values) != num_players or any(v <= 0.0 for v in values):
-        raise ValueError("R0 must be positive (one value, or one per player)")
-    return values
+    """R0: one positive, finite floor per player."""
+    if np.isscalar(r0) or len(r0) != num_players or not all(
+            0.0 < v < np.inf for v in r0):
+        raise ValueError("R0 must be one positive, finite value per player")
+    return [float(v) for v in r0]
 
 
 def _initial_state(w) -> JointLiftedState:
@@ -166,8 +165,8 @@ def _initial_state(w) -> JointLiftedState:
     )
 
 
-def stable_initial_state(dims, r0=1.0) -> JointLiftedState:
-    """w^0 = R0 * 1 per player, zero predictions."""
+def stable_initial_state(dims, r0) -> JointLiftedState:
+    """w^0 = R0_i * 1 for each player i, zero predictions."""
     floors = _floors(r0, len(tuple(dims)))
     return _initial_state(tuple(np.full(d, floor) for d, floor in zip(dims, floors)))
 
@@ -239,15 +238,14 @@ def _lifted_round(state: JointLiftedState, game, eta: float, floors,
 
 
 def stable_prmp_round(state: JointLiftedState, game, eta: float,
-                      r0=1.0) -> tuple[JointLiftedState, list[np.ndarray]]:
+                      r0) -> tuple[JointLiftedState, list[np.ndarray]]:
     """One synchronous round of the restarting algorithm.
 
     Two orthant-projected proximal steps, then the per-player restart
-    check: a player whose aggregate vector is componentwise <= R0
-    (ties included) is reset to R0 * 1 and its prediction cleared.
-    ``r0`` is one scalar, or one value per player for the scale-invariant
-    form the experiment protocol uses (floor R0/d_i with unit-mass
-    initialization).
+    check: player i, once its aggregate vector is componentwise <= R0_i
+    (ties included), is reset to R0_i * 1 and its prediction cleared.
+    ``r0`` holds one floor per player; the experiment protocol's
+    scale-invariant form uses R0/d_i with unit-mass initialization.
     """
     return _lifted_round(state, game, eta, _floors(r0, state.num_players), False)
 
@@ -260,7 +258,7 @@ def smooth_prmp_round(state: JointLiftedState, game,
     return _lifted_round(state, game, eta, None, False)
 
 
-def stable_prmp_round_alternating(state, game, eta: float, r0=1.0):
+def stable_prmp_round_alternating(state, game, eta: float, r0):
     """``stable_prmp_round`` with the players updating in index order."""
     return _lifted_round(state, game, eta, _floors(r0, state.num_players), True)
 

@@ -23,7 +23,6 @@ from regretkit.core import (
 )
 from regretkit.fixedpoint import (
     conceptual_round,
-    exrm_round,
     initial_lifted_point,
     lipschitz_bound,
     operator_F,
@@ -148,7 +147,8 @@ def test_criterion_5_conceptual_regret_certificate():
         z = [b.copy() for b in z0]
         cum = [np.zeros(d) for d in game.dims]
         for _ in range(1000):
-            z, plays, report = conceptual_round(z, game, eta, 1e-14, 300)
+            z, w, report = conceptual_round(z, game, eta, 1e-14, 300)
+            plays = [normalize(b) for b in w]
             losses = game.gradients(plays)
             for i in range(len(dims)):
                 cum[i] += np.dot(plays[i], losses[i]) - losses[i]
@@ -172,7 +172,9 @@ def test_criterion_6_exrm_social_regret_certificate():
         z = [b.copy() for b in z0]
         cum = [np.zeros(d) for d in game.dims]
         for _ in range(1000):
-            z, plays = exrm_round(z, game, eta)
+            # ExRM+: the conceptual round cut to one inner iteration
+            z, w, _ = conceptual_round(z, game, eta, -1.0, 1)
+            plays = [normalize(b) for b in w]
             losses = game.gradients(plays)
             social = 0.0
             bound = 0.0
@@ -206,7 +208,8 @@ def test_criterion_7_epsilon_schedule():
         counts, first_residuals = [], []
         for t in range(1, 1001):
             eps = 1.0 / t**2
-            z, plays, report = conceptual_round(z, game, eta, eps, 300)
+            z, w, report = conceptual_round(z, game, eta, eps, 300)
+            plays = [normalize(b) for b in w]
             assert report.converged and report.residual <= eps
             counts.append(report.iterations)
             first_residuals.append(report.history[0])
@@ -356,7 +359,7 @@ def test_criterion_11_efg_sanity():
     """Kuhn: predictive CFR converges, the CFR decomposition bound holds,
     clairvoyant CFR yields valid shrinking CCE-gap series."""
     tree = efg.build_kuhn(2, 3)
-    state = efg.predictive_cfr_state(tree)
+    state = AggregateState.initial(tree.behavioral_dim)
     averager = efg.BehavioralAverager(tree, "linear")
     cum_h = [np.zeros(j.num_actions) for j in tree.infosets]
     cum_weights = [np.zeros(len(tree.nodes)) for _ in range(2)]
@@ -383,7 +386,7 @@ def test_criterion_11_efg_sanity():
 
     gaps_at = {}
     for eta in (1.0, 10.0, 20.0):
-        st = efg.clairvoyant_cfr_state(tree)
+        st = np.concatenate(initial_lifted_point(tree.compiled.layout.widths))
         cum = [np.zeros(j.num_actions) for j in tree.infosets]
         series = []
         for t in range(1, 2001):
@@ -416,10 +419,11 @@ def test_criterion_12_finite_horizon_stabilized_certificates():
         d_total = sum(dims)
         horizon = 10**4
         eta = (d_total**2 * horizon) ** -0.25
-        state = stable_initial_state(game.dims, 1.0)
+        floors = [1.0] * len(dims)
+        state = stable_initial_state(game.dims, floors)
         cum = [np.zeros(d) for d in game.dims]
         for _ in range(horizon):
-            state, plays = stable_prmp_round(state, game, eta, 1.0)
+            state, plays = stable_prmp_round(state, game, eta, floors)
             losses = game.gradients(plays)
             for i in range(len(dims)):
                 cum[i] += np.dot(plays[i], losses[i]) - losses[i]

@@ -35,6 +35,20 @@ class TestCounterexample:
         assert rows[1][3:] == ["0", "1"]
 
 
+    @pytest.mark.parametrize("variant,largest", [("rm+", 2048), ("prm+", 2046)])
+    def test_iters_past_float_range_exit_two(self, capsys, variant, largest):
+        code, out, _ = run_cli(
+            ["counterexample", "--variant", variant, "--iters", str(largest)],
+            capsys)
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith(f"{largest},")
+        code, out, err = run_cli(
+            ["counterexample", "--variant", variant,
+             "--iters", str(largest + 1)], capsys)
+        assert code == 2 and out == ""
+        assert f"at most T={largest}" in err
+
+
 class TestRun:
     def test_auto_eta_recorded(self, capsys):
         code, out, _ = run_cli(
@@ -202,6 +216,33 @@ class TestGenAndSweep:
             capsys)
         assert code == 2
         assert "--seeds" in err and repr(seeds) in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--etas", "0.1", "--seeds", "3:1"], "--seeds '3:1' selects no seed"),
+        (["--etas", ",", "--seeds", "0"], "--etas ',' lists no step size"),
+    ], ids=["empty-seed-range", "empty-etas"])
+    def test_empty_sweep_exits_two(self, tmp_path, capsys, flags, message):
+        outdir = tmp_path / "out"
+        code, _, err = run_cli(
+            ["sweep", "--algo", "rm+", "--game", "hard3x3", "--iters", "2",
+             "--outdir", str(outdir)] + flags, capsys)
+        assert code == 2
+        assert message in err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("row,message", [
+        ("garbage", "malformed trace row 'garbage'"),
+        ("1,0,1,abc", "malformed trace row '1,0,1,abc'"),
+    ], ids=["one-field", "bad-gap"])
+    def test_malformed_trace_exits_two(self, tmp_path, capsys, row, message):
+        path = tmp_path / "t.csv"
+        path.write_text("# algorithm=rm+\n"
+                        "t,player,regret_max,gap,iter_var,restart,fp_k,fp_residual\n"
+                        "1,0,1,0.5,0,0,,\n" + row + "\n")
+        code, _, err = run_cli(
+            ["rate", "--trace", str(path), "--from", "1", "--to", "2"], capsys)
+        assert code == 2
+        assert f"{path}:4: {message}" in err
 
     def test_rate_subcommand(self, tmp_path, capsys):
         trace_path = tmp_path / "t.csv"

@@ -9,13 +9,18 @@ from hypothesis import strategies as st
 from regretkit import efg
 from regretkit.core import (AggregateState, BlockVector, _normalize_nonneg,
                             normalize, prm_plus_step)
-from regretkit.fixedpoint import initial_lifted_point, exrm_round
+from regretkit.fixedpoint import conceptual_round, initial_lifted_point
 from regretkit.games import NormalFormGame
 from regretkit.core import regret_loss
 from regretkit.harness import SolverConfig, run
 
 from . import oracles
 from .oracles import count_paths, counterfactual_values_by_paths
+
+
+def clairvoyant_start(tree):
+    """The uniform lifted blocks 1/width, as one flat vector."""
+    return np.concatenate(initial_lifted_point(tree.compiled.layout.widths))
 
 
 def constant_tree(value: float = 0.7, players: int = 2) -> efg.GameTree:
@@ -208,10 +213,10 @@ class TestLiftedNormalize:
         # the clairvoyant round normalizes only lifted points in the
         # chopped orthant
         tree = efg.build_kuhn(2, 3)
-        z = efg.clairvoyant_cfr_state(tree).z.copy()
+        z = clairvoyant_start(tree)
         z[1] = -0.1
         with pytest.raises(ValueError, match="chopped orthant"):
-            efg.clairvoyant_cfr_round(efg.LiftedCfrState(z), tree, 0.1)
+            efg.clairvoyant_cfr_round(z, tree, 0.1)
 
     def test_floor_respecting_lipschitz(self):
         tree = efg.build_kuhn(2, 3)
@@ -297,7 +302,7 @@ class TestLipschitzCertificates:
 class TestPredictiveCfr:
     def test_constant_tree_stays_uniform(self):
         tree = constant_tree()
-        state = efg.predictive_cfr_state(tree)
+        state = AggregateState.initial(tree.behavioral_dim)
         for _ in range(25):
             state, played = efg.predictive_cfr_round(state, tree)
             for block in played:
@@ -307,7 +312,7 @@ class TestPredictiveCfr:
     def test_depth_one_tracks_prm_plus(self):
         tree = efg.build_bimatrix_tree(U1, U2)
         game = NormalFormGame((U1, U2))
-        state = efg.predictive_cfr_state(tree)
+        state = AggregateState.initial(tree.behavioral_dim)
         simplex = [AggregateState.initial(3), AggregateState.initial(3)]
         i1, i2 = tree.infosets_of(0)[0], tree.infosets_of(1)[0]
         for _ in range(200):
@@ -322,7 +327,7 @@ class TestPredictiveCfr:
 
     def test_kuhn_exploitability_decreases(self):
         tree = efg.build_kuhn(2, 3)
-        state = efg.predictive_cfr_state(tree)
+        state = AggregateState.initial(tree.behavioral_dim)
         averager = efg.BehavioralAverager(tree, "linear")
         checkpoints = []
         for t in range(1, 1001):
@@ -340,34 +345,35 @@ class TestPredictiveCfr:
 class TestClairvoyantCfr:
     def test_constant_tree_is_fixed(self):
         tree = constant_tree()
-        state = efg.clairvoyant_cfr_state(tree)
-        previous = state.z.copy()
+        state = clairvoyant_start(tree)
+        previous = state.copy()
         state, _ = efg.clairvoyant_cfr_round(state, tree, 5.0)
-        np.testing.assert_array_equal(state.z, previous)
+        np.testing.assert_array_equal(state, previous)
 
     def test_depth_one_tracks_exrm(self):
         tree = efg.build_bimatrix_tree(U1, U2)
         game = NormalFormGame((U1, U2))
-        state = efg.clairvoyant_cfr_state(tree)
+        state = clairvoyant_start(tree)
         z = initial_lifted_point(game.dims)
         i1, i2 = tree.infosets_of(0)[0], tree.infosets_of(1)[0]
         for _ in range(200):
             state, played = efg.clairvoyant_cfr_round(state, tree, 0.3)
-            z, xs = exrm_round(z, game, 0.3)
+            z, w, _ = conceptual_round(z, game, 0.3, -1.0, 1)
+            xs = [normalize(b) for b in w]
             np.testing.assert_allclose(played[i1], xs[0], atol=1e-12)
             np.testing.assert_allclose(played[i2], xs[1], atol=1e-12)
 
     def test_blocks_stay_in_chopped_orthant(self):
         tree = efg.build_kuhn(2, 3)
-        state = efg.clairvoyant_cfr_state(tree)
+        state = clairvoyant_start(tree)
         for _ in range(100):
             state, played = efg.clairvoyant_cfr_round(state, tree, 10.0)
-            for z in BlockVector(state.z, tree.compiled.layout):
+            for z in BlockVector(state, tree.compiled.layout):
                 assert np.all(z >= 0) and z.sum() >= 1.0 - 1e-9
 
     def test_alternating_variant_runs(self):
         tree = efg.build_kuhn(2, 3)
-        state = efg.clairvoyant_cfr_state(tree)
+        state = clairvoyant_start(tree)
         for _ in range(50):
             state, played = efg.clairvoyant_cfr_round(state, tree, 1.0,
                                                       alternate=True)
@@ -383,7 +389,7 @@ class TestCfrDecomposition:
     def test_sequence_regret_bounded_by_infoset_regrets(self, builder, rounds):
         tree = builder()
         n = tree.num_players
-        state = efg.predictive_cfr_state(tree)
+        state = AggregateState.initial(tree.behavioral_dim)
         cum_h = [np.zeros(j.num_actions) for j in tree.infosets]
         cum_weights = [np.zeros(len(tree.nodes)) for _ in range(n)]
         cum_value = np.zeros(n)
@@ -592,7 +598,7 @@ class TestDeepTrees:
                 trace = run(SolverConfig(algorithm=algo, iters=3,
                                          alternation=alternate), loaded)
                 assert np.all(np.isfinite(trace.gap))
-                gaps = efg.exploitability(loaded, trace.behavioral_average)
+                gaps = efg.exploitability(loaded, trace.averages)
                 assert np.all(np.isfinite(gaps)) and np.all(gaps >= -1e-12)
 
 
@@ -657,7 +663,7 @@ class TestBucketedMatchesPerInfoset:
         tree = BUCKETED_TREES[name]
         rng = np.random.default_rng(seed)
         states = _random_predictive_state(tree, rng)
-        state = efg.PredictiveCfrState(
+        state = AggregateState(
             np.concatenate([s.r for s in states]),
             np.concatenate([s.prediction for s in states]))
         averager = efg.BehavioralAverager(tree, "linear")
@@ -688,13 +694,13 @@ class TestBucketedMatchesPerInfoset:
     def test_clairvoyant_rounds(self, name, alternate, seed, eta):
         tree = BUCKETED_TREES[name]
         z = _random_lifted_state(tree, np.random.default_rng(seed))
-        state = efg.LiftedCfrState(np.concatenate(z))
+        state = np.concatenate(z)
         for _ in range(4):
             state, played = efg.clairvoyant_cfr_round(state, tree, eta,
                                                       alternate)
             z, expected = oracles.clairvoyant_cfr_round(z, tree, eta, alternate)
             assert np.array_equal(played.vector, np.concatenate(expected))
-            assert np.array_equal(state.z, np.concatenate(z))
+            assert np.array_equal(state, np.concatenate(z))
 
     @pytest.mark.parametrize("name", sorted(BUCKETED_TREES))
     @pytest.mark.parametrize("algo", ["predictive-cfr", "clairvoyant-cfr"])
@@ -732,5 +738,5 @@ class TestBucketedMatchesPerInfoset:
         assert np.array_equal(trace.iter_var, steps)
         for a, b in zip(trace.ledgers, ledgers):
             assert np.array_equal(a, b)
-        for a, b in zip(trace.behavioral_average, averager.average()):
+        for a, b in zip(trace.averages, averager.average()):
             assert np.array_equal(a, b)

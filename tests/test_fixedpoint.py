@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from regretkit.core import regret_loss
+from regretkit.core import normalize, regret_loss
 from regretkit.fixedpoint import (
     FixedPointReport,
     conceptual_round,
-    exrm_round,
     initial_lifted_point,
     lipschitz_bound,
     operator_F,
-    solve_fixed_point,
 )
+from regretkit.stabilized import project_chopped
 from regretkit.games import (
     MatrixGame,
     NormalFormGame,
@@ -35,6 +34,18 @@ def _joint_norm(blocks):
 
 def _joint_diff(a, b):
     return np.sqrt(sum(float(np.sum((u - v) ** 2)) for u, v in zip(a, b)))
+
+
+def _conceptual(z, game, eta, eps, k_max):
+    """A conceptual round's next state and played strategies g(w)."""
+    z_next, w, report = conceptual_round(z, game, eta, eps, k_max)
+    return z_next, [normalize(b) for b in w], report
+
+
+def _exrm(z, game, eta):
+    """ExRM+: the conceptual round cut to one inner iteration."""
+    z_next, plays, _ = _conceptual(z, game, eta, -1.0, 1)
+    return z_next, plays
 
 
 class TestOperatorF:
@@ -112,7 +123,7 @@ class TestLipschitzBound:
 class TestSolveFixedPoint:
     def test_zero_game_immediate(self):
         z = initial_lifted_point((3, 3))
-        w, report = solve_fixed_point(z, ZERO, 0.5, 1e-12, 50)
+        _, w, report = conceptual_round(z, ZERO, 0.5, 1e-12, 50)
         assert report.iterations == 1
         assert report.residual == 0.0
         assert report.converged
@@ -123,8 +134,7 @@ class TestSolveFixedPoint:
         game = random_matrix_game(3, 4, 7)
         eta = 1.0 / (2.0 * lipschitz_bound(game))
         z = initial_lifted_point(game.dims)
-        w, report = solve_fixed_point(z, game, eta, 1e-10, 100)
-        from regretkit.stabilized import project_chopped
+        _, w, report = conceptual_round(z, game, eta, 1e-10, 100)
         advanced = [project_chopped(zp - eta * f)
                     for zp, f in zip(z, operator_F(w, game))]
         assert _joint_diff(w, advanced) == pytest.approx(report.residual,
@@ -135,7 +145,7 @@ class TestSolveFixedPoint:
             game = random_matrix_game(4, 4, seed)
             eta = 1.0 / (2.0 * lipschitz_bound(game))
             z = initial_lifted_point(game.dims)
-            _, report = solve_fixed_point(z, game, eta, 0.0, 60)
+            _, _, report = conceptual_round(z, game, eta, 0.0, 60)
             hist = np.array(report.history)
             usable = hist[:-1] > 1e-11
             ratios = hist[1:][usable] / hist[:-1][usable]
@@ -149,18 +159,18 @@ class TestSolveFixedPoint:
         z = initial_lifted_point(game.dims)
         for t in range(1, 60):
             eps = 1.0 / t**2
-            w, report = solve_fixed_point(z, game, eta, eps, 200)
+            _, w, report = conceptual_round(z, game, eta, eps, 200)
             assert report.converged
             budget = int(np.ceil(np.log(1.0 / eps)
                                  / np.log(1.0 / (eta * lf)))) + 1
             assert report.iterations <= max(budget, 1)
-            z, _, _ = conceptual_round(z, game, eta, eps, 200)
+            z = conceptual_round(z, game, eta, eps, 200)[0]
 
     def test_nonconvergence_reported_not_raised(self):
         game = hard_instance()
         z = initial_lifted_point(game.dims)
         # eta far above 1/L_F: the loop must cap at k_max and report
-        w, report = solve_fixed_point(z, game, 10.0, 1e-12, 7)
+        _, w, report = conceptual_round(z, game, 10.0, 1e-12, 7)
         assert isinstance(report, FixedPointReport)
         assert report.iterations == 7
         assert not report.converged
@@ -170,7 +180,7 @@ class TestConceptualRound:
     def test_zero_game(self):
         z = initial_lifted_point((2, 4))
         game = MatrixGame(np.zeros((2, 4)))
-        z_next, plays, report = conceptual_round(z, game, 0.3, 1e-12, 20)
+        z_next, plays, report = _conceptual(z, game, 0.3, 1e-12, 20)
         np.testing.assert_array_equal(plays[0], [0.5, 0.5])
         np.testing.assert_array_equal(plays[1], np.full(4, 0.25))
         for a, b in zip(z_next, z):
@@ -185,7 +195,7 @@ class TestConceptualRound:
         z = [b.copy() for b in z0]
         cum = [np.zeros(d) for d in game.dims]
         for _ in range(400):
-            z, plays, report = conceptual_round(z, game, eta, 1e-14, 300)
+            z, plays, report = _conceptual(z, game, eta, 1e-14, 300)
             losses = game.gradients(plays)
             for i in range(2):
                 cum[i] += np.dot(plays[i], losses[i]) - losses[i]
@@ -207,7 +217,7 @@ class TestConceptualRound:
         eps_total = 0.0
         for t in range(1, 301):
             eps = 1.0 / t**2
-            z, plays, report = conceptual_round(z, game, eta, eps, 300)
+            z, plays, report = _conceptual(z, game, eta, eps, 300)
             assert report.residual <= eps
             eps_total += eps
             losses = game.gradients(plays)
@@ -248,18 +258,23 @@ class TestConceptualRound:
 class TestExrmRound:
     def test_zero_game(self):
         z = initial_lifted_point((3, 3))
-        z_next, plays = exrm_round(z, ZERO, 0.2)
+        z_next, plays = _exrm(z, ZERO, 0.2)
         for a, b in zip(z_next, z):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(plays[0], np.full(3, 1 / 3))
 
     def test_equals_single_iteration_conceptual_bitwise(self):
+        # the extragradient step written out: w = P_z(eta F(z)),
+        # z' = P_z(eta F(w)), play g(w)
         game = hard_instance()
         z = initial_lifted_point(game.dims)
         for _ in range(30):
-            z_a, plays_a = exrm_round(z, game, 0.15)
-            z_b, plays_b, report = conceptual_round(z, game, 0.15,
-                                                    eps_target=-1.0, k_max=1)
+            w = [project_chopped(b - 0.15 * f)
+                 for b, f in zip(z, operator_F(z, game))]
+            z_a = [project_chopped(b - 0.15 * f)
+                   for b, f in zip(z, operator_F(w, game))]
+            plays_a = [normalize(b) for b in w]
+            z_b, plays_b, report = _conceptual(z, game, 0.15, -1.0, 1)
             assert report.iterations == 1
             for a, b in zip(z_a, z_b):
                 np.testing.assert_array_equal(a, b)
@@ -275,7 +290,7 @@ class TestExrmRound:
         z = [b.copy() for b in z0]
         cum = [np.zeros(d) for d in game.dims]
         for t in range(1, 501):
-            z, plays = exrm_round(z, game, eta)
+            z, plays = _exrm(z, game, eta)
             losses = game.gradients(plays)
             social = 0.0
             bound = 0.0
@@ -305,7 +320,7 @@ class TestExrmRound:
         ) + max(np.sum((z0[1] - np.eye(d2)[j]) ** 2) for j in range(d2))
         from regretkit.games import duality_gap
         for t in range(1, 801):
-            z, plays = exrm_round(z, game, eta)
+            z, plays = _exrm(z, game, eta)
             sums[0] += plays[0]
             sums[1] += plays[1]
             linear[0] += t * plays[0]

@@ -194,6 +194,18 @@ class TestInstabilityLosses:
         with pytest.raises(ValueError):
             instability_losses(5, "nope")
 
+    @pytest.mark.parametrize("variant,largest", [("rm+", 2048), ("prm+", 2046)])
+    def test_largest_horizon_in_float_range(self, variant, largest):
+        seq = instability_losses(largest, variant)
+        assert np.all(np.isfinite(seq.losses))
+        assert np.abs(seq.losses).max() == 2.0**1023
+        assert np.abs(instability_losses(largest, variant,
+                                         scaled=True).losses).max() == 1.0
+        with pytest.raises(ValueError, match=f"at most T={largest}"):
+            instability_losses(largest + 1, variant)
+        with pytest.raises(ValueError, match=f"at most T={largest}"):
+            instability_losses(largest + 1, variant, scaled=True)
+
 
 class TestRandomGames:
     def test_same_seed_identical(self):

@@ -293,10 +293,10 @@ class TestTreeRuns:
         config = SolverConfig(algorithm="predictive-cfr", iters=200,
                               alternation=True)
         trace = run(config, tree)
-        assert trace.behavioral_average is not None
+        assert trace.averages is not None
         assert trace.gap[-1] < trace.gap[0]
         assert np.all(np.isfinite(trace.gap))
-        expl = efg.exploitability(tree, trace.behavioral_average)
+        expl = efg.exploitability(tree, trace.averages)
         assert float(expl.sum()) < 0.05
 
     def test_clairvoyant_trace_and_header(self):

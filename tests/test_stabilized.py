@@ -142,13 +142,14 @@ class TestNonExpansiveness:
 
 
 ZERO_GAME = MatrixGame(np.zeros((2, 2)))
+ONES = [1.0, 1.0]  # restart floor R0 = 1 for each of two players
 
 
 class TestStableRound:
     def test_zero_game_stays_at_init(self):
-        state = stable_initial_state((2, 2), 1.0)
+        state = stable_initial_state((2, 2), ONES)
         for _ in range(10):
-            state, plays = stable_prmp_round(state, ZERO_GAME, 0.1, 1.0)
+            state, plays = stable_prmp_round(state, ZERO_GAME, 0.1, ONES)
             for x in plays:
                 np.testing.assert_array_equal(x, [0.5, 0.5])
             for w in state.w:
@@ -157,8 +158,8 @@ class TestStableRound:
 
     def test_single_round_matches_straight_line_oracle(self):
         game = MatrixGame(np.eye(2))
-        state = stable_initial_state((2, 2), 1.0)
-        new_state, plays = stable_prmp_round(state, game, 0.1, 1.0)
+        state = stable_initial_state((2, 2), ONES)
+        new_state, plays = stable_prmp_round(state, game, 0.1, ONES)
         ref_w, ref_m, ref_plays, _ = straight_line_stable_round(
             [np.ones(2), np.ones(2)], [np.zeros(2), np.zeros(2)], game, 0.1, 1.0)
         for x, rx in zip(plays, ref_plays):
@@ -172,38 +173,51 @@ class TestStableRound:
     def test_restart_branch_resets_to_floor(self):
         r0 = 0.8
         game = ZERO_GAME
-        state = stable_initial_state((2, 2), r0)
+        state = stable_initial_state((2, 2), [r0, r0])
         # force one player's aggregate strictly inside the restart region
         forced = tuple(
             np.array([0.5 * r0, 0.9 * r0]) if i == 0 else w
             for i, w in enumerate(state.w))
         state = state.__class__(forced, state.z, state.prediction,
                                 state.restart_events, state.t)
-        new_state, _ = stable_prmp_round(state, game, 0.1, r0)
+        new_state, _ = stable_prmp_round(state, game, 0.1, [r0, r0])
         np.testing.assert_array_equal(new_state.w[0], [r0, r0])
         np.testing.assert_array_equal(new_state.prediction[0], [0.0, 0.0])
         assert (1, 0) in new_state.restart_events
 
     def test_multi_round_matches_oracle(self):
         game = hard_instance()
-        state = stable_initial_state((3, 3), 1.0)
+        state = stable_initial_state((3, 3), ONES)
         ref_w = [np.ones(3), np.ones(3)]
         ref_m = [np.zeros(3), np.zeros(3)]
         for _ in range(25):
-            state, plays = stable_prmp_round(state, game, 0.1, 1.0)
+            state, plays = stable_prmp_round(state, game, 0.1, ONES)
             ref_w, ref_m, ref_plays, _ = straight_line_stable_round(
                 ref_w, ref_m, game, 0.1, 1.0)
             for x, rx in zip(plays, ref_plays):
                 np.testing.assert_allclose(x, rx, atol=1e-12)
 
     def test_validates_arguments(self):
-        state = stable_initial_state((2, 2), 1.0)
+        state = stable_initial_state((2, 2), ONES)
         with pytest.raises(ValueError):
-            stable_prmp_round(state, ZERO_GAME, -0.1, 1.0)
+            stable_prmp_round(state, ZERO_GAME, -0.1, ONES)
         with pytest.raises(ValueError):
-            stable_prmp_round(state, ZERO_GAME, 0.1, 0.0)
+            stable_prmp_round(state, ZERO_GAME, 0.1, [0.0, 0.0])
         with pytest.raises(ValueError):
-            stable_prmp_round(state, MatrixGame(np.zeros((3, 3))), 0.1, 1.0)
+            stable_prmp_round(state, MatrixGame(np.zeros((3, 3))), 0.1, ONES)
+
+    @pytest.mark.parametrize("r0", [1.0, [1.0], [1.0, 1.0, 1.0],
+                                    [1.0, np.nan], [np.inf, 1.0], [1.0, -1.0]],
+                             ids=["scalar", "short", "long", "nan", "inf",
+                                  "negative"])
+    def test_floors_are_one_positive_finite_value_per_player(self, r0):
+        with pytest.raises(ValueError, match="one positive, finite value"):
+            stable_initial_state((2, 2), r0)
+        state = stable_initial_state((2, 2), ONES)
+        with pytest.raises(ValueError, match="one positive, finite value"):
+            stable_prmp_round(state, ZERO_GAME, 0.1, r0)
+        with pytest.raises(ValueError, match="one positive, finite value"):
+            stable_prmp_round_alternating(state, ZERO_GAME, 0.1, r0)
 
 
 class TestSmoothRound:
@@ -263,11 +277,11 @@ class TestSmoothRound:
 
 class TestAlternatingRounds:
     def test_zero_game_matches_synchronous(self):
-        sync = stable_initial_state((2, 2), 1.0)
-        alt = stable_initial_state((2, 2), 1.0)
+        sync = stable_initial_state((2, 2), ONES)
+        alt = stable_initial_state((2, 2), ONES)
         for _ in range(5):
-            sync, xs = stable_prmp_round(sync, ZERO_GAME, 0.1, 1.0)
-            alt, xa = stable_prmp_round_alternating(alt, ZERO_GAME, 0.1, 1.0)
+            sync, xs = stable_prmp_round(sync, ZERO_GAME, 0.1, ONES)
+            alt, xa = stable_prmp_round_alternating(alt, ZERO_GAME, 0.1, ONES)
             for a, b in zip(xs, xa):
                 np.testing.assert_array_equal(a, b)
 
