@@ -161,17 +161,19 @@ def prm_plus_step(state: AggregateState, loss) -> tuple[AggregateState, np.ndarr
 class BlockLayout:
     """Consecutive blocks of one flat vector, grouped by width.
 
-    Block b is entries ``offsets[b]:offsets[b+1]`` (``bounds[b]``).
-    ``buckets`` holds, for every width among ``members`` (all blocks by
-    default), the pair (block numbers ``(rows,)``, positions
-    ``(rows, width)``): ``v[positions]`` gathers those blocks as one
-    C-contiguous stack, ``v[positions] = m`` scatters it back.
+    Block b is entries ``offsets[b]:offsets[b+1]`` (``bounds[b]``) of a
+    vector of length ``size``.  ``buckets`` holds, for every width among
+    ``members`` (all blocks by default), the pair (block numbers
+    ``(rows,)``, positions ``(rows, width)``): ``v[positions]`` gathers
+    those blocks as one C-contiguous stack, ``v[positions] = m`` scatters
+    it back.
     """
 
     def __init__(self, widths, members=None):
         self.widths = np.asarray(widths, dtype=np.intp)
         self.offsets = np.zeros(self.widths.size + 1, dtype=np.intp)
         np.cumsum(self.widths, out=self.offsets[1:])
+        self.size = int(self.offsets[-1])
         self.bounds = tuple(zip(self.offsets[:-1].tolist(),
                                 self.offsets[1:].tolist()))
         members = (np.arange(self.widths.size) if members is None
@@ -180,10 +182,6 @@ class BlockLayout:
             (ids, self.offsets[ids, None] + np.arange(width))
             for width in np.unique(self.widths[members]).tolist()
             for ids in [members[self.widths[members] == width]])
-
-    @property
-    def size(self) -> int:
-        return int(self.offsets[-1])
 
     def restricted(self, members) -> "BlockLayout":
         """The same blocks, with buckets over ``members`` only."""
@@ -196,6 +194,13 @@ class BlockLayout:
         for (ids, _), part in zip(self.buckets, parts):
             out[ids] = part
         return out
+
+    def squared_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per block, the squared Euclidean distance between the blocks of
+        two flat vectors, each summed as ``np.sum`` sums the 1-D block."""
+        squares = (a - b) ** 2
+        return self.per_block([squares[index].sum(axis=1)
+                               for _, index in self.buckets])
 
 
 class BlockVector(Sequence):

@@ -18,6 +18,17 @@ is the same scheme truncated to a single inner iteration,
 denotes the Euclidean proximal step, i.e. the blockwise chopped
 projection of z - v.
 
+The solve runs on one flat joint vector in ``game.layout`` (one block
+per player), each per-block step once per width bucket, with the floats
+of the per-block code.  Checks sit at the boundary: ``conceptual_round``
+checks z_{t-1} on entry; each inner iteration calls the public
+``operator_F`` (one membership test per width bucket) and tests the
+proximal input z_{t-1} - eta F(w) once for finiteness before the
+unchecked chopped kernel projects it (``project_chopped`` is that check
+plus the kernel).  The solve hands back g(w) and F(w) from its last
+operator call: the played increments <x, l> - l are -F(w), so a caller
+needs no further gradient call.
+
 Step-size prescriptions used by the harness: eta = 1/(2 L_F) for the
 conceptual solver and eta = 1/(sqrt(2) L_F) for the extragradient one,
 with L_F from ``lipschitz_bound``:
@@ -32,9 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _normalize_nonneg, joint_distance, regret_loss
+from .core import BlockVector, _normalize_nonneg, as_flat
 from .games import MatrixGame, spectral_norm
-from .stabilized import _in_chopped, project_chopped
+from .stabilized import _check_finite, _chopped_kernel, _in_chopped
 
 __all__ = [
     "FixedPointReport",
@@ -60,24 +71,45 @@ class FixedPointReport:
     history: tuple[float, ...] = field(default=(), repr=False)
 
 
-def _check_in_chopped(z_blocks, dims) -> list[np.ndarray]:
-    blocks = [np.asarray(b, dtype=float) for b in z_blocks]
-    if len(blocks) != len(dims):
-        raise ValueError("one block per player required")
-    for block, d in zip(blocks, dims):
-        if block.shape != (d,):
+def _flat_point(z_blocks, layout) -> np.ndarray:
+    """The flat vector of a joint point (one block per player, or a
+    ``BlockVector`` in ``layout``), checked to lie in the chopped joint
+    space: one membership test per width bucket."""
+    if isinstance(z_blocks, BlockVector) and z_blocks.layout is layout:
+        z = np.asarray(z_blocks.vector, dtype=float)
+        if z.shape != (layout.size,):
             raise ValueError("block dimension mismatch")
-        if not _in_chopped(block):
-            raise ValueError("point outside the chopped joint space")
-    return blocks
+    else:
+        blocks = [np.asarray(b, dtype=float) for b in z_blocks]
+        if len(blocks) != len(layout.bounds):
+            raise ValueError("one block per player required")
+        if any(b.shape != (d,) for b, d in zip(blocks, layout.widths.tolist())):
+            raise ValueError("block dimension mismatch")
+        z = as_flat(blocks)
+    if not all(_in_chopped(z[index]).all() for _, index in layout.buckets):
+        raise ValueError("point outside the chopped joint space")
+    return z
 
 
-def operator_F(z_blocks, game) -> list[np.ndarray]:
-    """Evaluate F at a feasible joint lifted point (one block per player)."""
-    blocks = _check_in_chopped(z_blocks, game.dims)
-    strategies = [_normalize_nonneg(b) for b in blocks]
-    losses = game.gradients(strategies)
-    return [regret_loss(x, l) for x, l in zip(strategies, losses)]
+def _plays(w: np.ndarray, layout) -> np.ndarray:
+    """g(w): every block normalized, one call per width bucket."""
+    x = np.empty(layout.size)
+    for _, index in layout.buckets:
+        x[index] = _normalize_nonneg(w[index])
+    return x
+
+
+def operator_F(z_blocks, game) -> BlockVector:
+    """Evaluate F at a feasible joint lifted point (one block per player);
+    the value reads as one block per player."""
+    layout = game.layout
+    x = _plays(_flat_point(z_blocks, layout), layout)
+    losses = as_flat(game.gradients([x[lo:hi] for lo, hi in layout.bounds]))
+    f = np.empty(layout.size)
+    for _, index in layout.buckets:
+        xs, ls = x[index], losses[index]
+        f[index] = ls - np.vecdot(xs, ls)[:, None]
+    return BlockVector(f, layout)
 
 
 def lipschitz_bound(game) -> float:
@@ -94,19 +126,40 @@ def initial_lifted_point(dims) -> list[np.ndarray]:
     return [np.full(d, 1.0 / d) for d in dims]
 
 
-def _prox(z_prev, step_blocks) -> list[np.ndarray]:
-    return [project_chopped(z - s) for z, s in zip(z_prev, step_blocks)]
+def _solve(z_prev: np.ndarray, game, eta: float, eps_target: float,
+           k_max: int):
+    """``conceptual_round`` on the flat vector z_prev in ``game.layout``,
+    which the caller has checked.  Returns (z_next, w, g(w), F(w),
+    report), all four vectors flat."""
+    layout = game.layout
+    w = z_prev
+    history: list[float] = []
+    # with the budget of k_max iterations exhausted, the last iterate is
+    # accepted; measuring its residual doubles as the state advance
+    for k in range(1, k_max + 2):
+        f = operator_F(BlockVector(w, layout), game).vector
+        y = _check_finite(z_prev - eta * f)
+        advanced = np.empty(layout.size)
+        for _, index in layout.buckets:
+            advanced[index] = _chopped_kernel(y[index])
+        residual = sum(layout.squared_distances(w, advanced).tolist()) ** 0.5
+        history.append(residual)
+        if residual <= eps_target or k > k_max:
+            return advanced, w, _plays(w, layout), f, FixedPointReport(
+                min(k, k_max), residual, residual <= eps_target, tuple(history))
+        w = advanced
 
 
 def conceptual_round(z_prev, game, eta: float, eps_target: float, k_max: int
-                     ) -> tuple[list[np.ndarray], list[np.ndarray], FixedPointReport]:
+                     ) -> tuple[BlockVector, BlockVector, FixedPointReport]:
     """One conceptual round: approximately solve z = P_{z_prev}(eta F(z))
     from w^0 = z_prev, then advance the state through one more proximal
     step at F(w).
 
-    Returns (z_next, w, report): w is the first iterate whose measured
-    residual reached ``eps_target`` (or the last iterate if the budget of
-    ``k_max`` iterations ran out) and is played as g(w); z_next =
+    Returns (z_next, w, report), each point read as one block per player:
+    w is the first iterate whose measured residual reached
+    ``eps_target`` (or the last iterate if the budget of ``k_max``
+    iterations ran out) and is played as g(w); z_next =
     P_{z_prev}(eta F(w)), computed as a by-product of the residual
     measurement.  Convergence is geometric at rate eta * L_F when that
     product is below 1; with eta * L_F >= 1 the loop still runs but
@@ -117,20 +170,7 @@ def conceptual_round(z_prev, game, eta: float, eps_target: float, k_max: int
         raise ValueError("step size eta must be positive")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    z_prev = _check_in_chopped(z_prev, game.dims)
-    w = z_prev
-    history: list[float] = []
-    # with the budget of k_max iterations exhausted, the last iterate is
-    # accepted; measuring its residual doubles as the state advance
-    for k in range(1, k_max + 2):
-        advanced = _prox(z_prev, [eta * f for f in operator_F(w, game)])
-        residual = joint_distance(w, advanced)
-        history.append(residual)
-        if residual <= eps_target or k > k_max:
-            return advanced, w, FixedPointReport(
-                min(k, k_max), residual, residual <= eps_target, tuple(history))
-        w = advanced
-
-
-# the name the benchmark's tracer wraps the solve under
-_solve = conceptual_round
+    layout = game.layout
+    z_next, w, _, _, report = _solve(_flat_point(z_prev, layout), game, eta,
+                                     eps_target, k_max)
+    return BlockVector(z_next, layout), BlockVector(w, layout), report

@@ -46,6 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._rng import PortableRandom
+from .core import BlockLayout
 
 __all__ = [
     "MatrixGame",
@@ -82,6 +83,11 @@ class MatrixGame:
     @property
     def dims(self) -> tuple[int, int]:
         return self.payoff.shape
+
+    @functools.cached_property
+    def layout(self) -> BlockLayout:
+        """The players' strategies as the blocks of one flat vector."""
+        return BlockLayout(self.dims)
 
     def gradients(self, strategies) -> list[np.ndarray]:
         x, y = strategies
@@ -139,6 +145,11 @@ class NormalFormGame:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.payoffs[0].shape
+
+    @functools.cached_property
+    def layout(self) -> BlockLayout:
+        """The players' strategies as the blocks of one flat vector."""
+        return BlockLayout(self.dims)
 
     def utility(self, player: int, strategies) -> float:
         value = self.payoffs[player]

@@ -261,7 +261,9 @@ def resolve_eta(config: SolverConfig, game) -> tuple[float, dict]:
     Prescriptions: (d^2 T)^{-1/4} for stable-prm+ (d the total dimension),
     (2 sqrt(2) (n-1) max_i d_i^{3/2})^{-1} for smooth-prm+,
     (sqrt(2) L_F)^{-1} for exrm+, (2 L_F)^{-1} for conceptual-rm+, and 0.1
-    for everything else.
+    for everything else.  An auto step size that is not positive and
+    finite (a zero or non-finite L_F, or one player for smooth-prm+)
+    raises ``ValueError``.
     """
     constants: dict[str, float] = {}
     is_tree = isinstance(game, efg.GameTree)
@@ -283,12 +285,17 @@ def resolve_eta(config: SolverConfig, game) -> tuple[float, dict]:
     if algo == "smooth-prm+":
         n = game.num_players
         d_max = max(game.dims)
-        return 1.0 / (2.0 * 2.0**0.5 * (n - 1) * d_max**1.5), constants
-    if algo == "exrm+":
-        return 1.0 / (2.0**0.5 * constants["L_F"]), constants
-    if algo == "conceptual-rm+":
-        return 1.0 / (2.0 * constants["L_F"]), constants
-    return 0.1, constants
+        scale, source = 2.0 * 2.0**0.5 * (n - 1) * d_max**1.5, f"{n} player(s)"
+    elif algo in ("exrm+", "conceptual-rm+"):
+        factor = 2.0**0.5 if algo == "exrm+" else 2.0
+        scale, source = factor * constants["L_F"], f"L_F={constants['L_F']!r}"
+    else:
+        return 0.1, constants
+    eta = 1.0 / scale if scale != 0.0 else math.inf
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"{algo}: the auto step size 1/{scale!r} is not "
+                         f"positive and finite ({source}); set eta explicitly")
+    return eta, constants
 
 
 def _fingerprint(game) -> str:
@@ -360,7 +367,8 @@ class _StrategyAverager:
         self._sums += weight * x.vector
 
     def average(self) -> list[np.ndarray]:
-        return list(BlockVector(self._sums / self._weight, self._layout))
+        mean = self._sums / self._weight
+        return [mean[lo:hi] for lo, hi in self._layout.bounds]
 
 
 class _Recorder:
@@ -379,7 +387,7 @@ class _Recorder:
             self.regret_of = lambda maxima: sum(np.maximum(maxima, 0.0).tolist())
             store_full = False  # tree rounds hand over no losses
         else:
-            layout = BlockLayout(game.dims)
+            layout = game.layout
             owned = [[i] for i in range(len(game.dims))]
             averager = _StrategyAverager(layout, config.averaging)
             self.regret_of = lambda maxima: float(maxima[0])
@@ -434,10 +442,7 @@ class _Recorder:
             trace.regret_max[row] = regrets
             trace.gap[row] = self.gap_of(t, regrets)
             if self._prev is not None:
-                squares = (x - self._prev) ** 2
-                steps = self.layout.per_block(
-                    [squares[index].sum(axis=1)
-                     for _, index in self.layout.buckets])
+                steps = self.layout.squared_distances(x, self._prev)
                 trace.iter_var[row] = [sum(steps[own].tolist())
                                        for own in self.owned]
             for _, player in restarts:
@@ -483,8 +488,9 @@ def _simplex_family(config: SolverConfig, game, eta):
         losses = game.gradients(plays)
         profile = list(plays)
         for i in range(len(states)):
-            loss_i = (game.gradient_for(i, profile) if config.alternation
-                      else losses[i])
+            # player 0 still sees the round's plays, whose losses are known
+            loss_i = (game.gradient_for(i, profile)
+                      if config.alternation and i > 0 else losses[i])
             states[i], _ = step(states[i], loss_i)
             if config.alternation:
                 profile[i] = _normalize_nonneg(lifted(states[i]))
@@ -523,20 +529,22 @@ def _lifted_family(config: SolverConfig, game, eta):
 
 
 def _fixedpoint_family(config: SolverConfig, game, eta):
-    z = initial_lifted_point(game.dims)
+    layout = game.layout
+    z = as_flat(initial_lifted_point(game.dims))
     exrm = config.algorithm == "exrm+"
 
     def advance(t):
         nonlocal z
         # exrm+ is the conceptual round cut to exactly one inner iteration;
-        # the solve's w (played as g(w)) is the round's lifted point
+        # the solve's w (played as g(w)) is the round's lifted point, and
+        # its increments <x, l> - l are -F(w), bit for bit
         eps, k_max = (-1.0, 1) if exrm else (_eps_at(config, t), config.k_max)
-        z, w, report = fixedpoint.conceptual_round(z, game, eta, eps, k_max)
-        plays = [_normalize_nonneg(block) for block in w]
-        losses = game.gradients(plays)
+        z, w, x, f, report = fixedpoint._solve(z, game, eta, eps, k_max)
+        plays = BlockVector(x, layout)
+        losses = game.gradients(plays) if config.store_full else None
         fp = None if exrm else (float(report.iterations), report.residual)
-        return plays, _action_regrets(plays, losses), dict(
-            losses=losses, lifted=w, fp=fp)
+        return plays, BlockVector(-f, layout), dict(
+            losses=losses, lifted=BlockVector(w, layout), fp=fp)
 
     return advance
 

@@ -57,7 +57,7 @@ __all__ = [
 
 def _check_finite(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteError("non-finite input to projection")
     return y
 
@@ -77,7 +77,10 @@ def project_simplex(y) -> np.ndarray:
     each row bit for bit as on its own, and raises wherever one of its
     rows would.
     """
-    y = _check_finite(y)
+    return _simplex_kernel(_check_finite(y))
+
+
+def _simplex_kernel(y: np.ndarray) -> np.ndarray:
     if y.ndim == 1:
         u = np.sort(y)[::-1]
         cumulative = np.cumsum(u)
@@ -105,16 +108,21 @@ def project_chopped(y) -> np.ndarray:
     constraint is slack and [y]+ is the answer; otherwise the constraint
     is tight and the answer is the simplex projection.  A ``(rows, d)``
     stack splits row by row and projects its tight rows in one call.
+    The input check, then ``_chopped_kernel``: callers whose input is
+    already known to be finite call the kernel directly.
     """
-    y = _check_finite(y)
+    return _chopped_kernel(_check_finite(y))
+
+
+def _chopped_kernel(y: np.ndarray) -> np.ndarray:
     positive = np.maximum(y, 0.0)
     if y.ndim == 1:
         if positive.sum() >= 1.0:
             return positive
-        return project_simplex(y)
+        return _simplex_kernel(y)
     tight = positive.sum(axis=1) < 1.0
     if tight.any():
-        positive[tight] = project_simplex(y[tight])
+        positive[tight] = _simplex_kernel(y[tight])
     return positive
 
 
@@ -122,8 +130,8 @@ def _in_chopped(r):
     """Membership in D> (floor 1), with 1e-9 slack on the mass; one bool
     per row of a ``(rows, d)`` stack."""
     if r.ndim == 1:
-        return not (np.any(r < 0.0) or r.sum() < 1.0 - 1e-9)
-    return ~(np.any(r < 0.0, axis=1) | (r.sum(axis=1) < 1.0 - 1e-9))
+        return not ((r < 0.0).any() or r.sum() < 1.0 - 1e-9)
+    return ~((r < 0.0).any(axis=1) | (r.sum(axis=1) < 1.0 - 1e-9))
 
 
 @dataclass(frozen=True)

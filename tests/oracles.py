@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from regretkit.core import _normalize_nonneg, prm_plus_step
+from regretkit.core import _normalize_nonneg, joint_distance, prm_plus_step
 from regretkit.efg import ChanceNode, GameTree, LeafNode, check_behavioral
 from regretkit.stabilized import _in_chopped, project_chopped
 
@@ -428,3 +428,36 @@ def tree_recorder_rows(tree, played_rounds, increment_rounds):
     ledgers = [np.concatenate([cum[j] for j in own]) if own else np.zeros(0)
                for own in owned]
     return np.array(regret_rows), np.array(gaps), np.array(step_rows), ledgers
+
+
+# The per-block fixed-point solve the library ran before the solve moved
+# onto one flat joint vector: one normalization, f and chopped projection
+# per player block, the residual from ``joint_distance``, and the harness's
+# plays and increments recomputed from g(w).  The flat solve must return
+# these floats bit for bit.
+
+
+def operator_F_per_block(z, game) -> list[np.ndarray]:
+    strategies = [_normalize_nonneg(block) for block in z]
+    losses = game.gradients(strategies)
+    return [loss - np.dot(x, loss) for x, loss in zip(strategies, losses)]
+
+
+def conceptual_round_per_block(z_prev, game, eta, eps_target, k_max):
+    """Returns (z_next, w, iterations, residual, history, plays,
+    increments <x, l> - l at the plays g(w))."""
+    w = z_prev
+    history = []
+    for k in range(1, k_max + 2):
+        steps = [eta * f for f in operator_F_per_block(w, game)]
+        advanced = [project_chopped(z - s) for z, s in zip(z_prev, steps)]
+        residual = joint_distance(w, advanced)
+        history.append(residual)
+        if residual <= eps_target or k > k_max:
+            plays = [_normalize_nonneg(block) for block in w]
+            losses = game.gradients(plays)
+            increments = [np.dot(x, loss) - loss
+                          for x, loss in zip(plays, losses)]
+            return (advanced, w, min(k, k_max), residual, tuple(history),
+                    plays, increments)
+        w = advanced

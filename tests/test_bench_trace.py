@@ -49,6 +49,30 @@ def test_traced_counts_per_round():
                    for config, _, _, per_round in cells] == [42, 12, 10]
 
 
+def test_fixed_point_gradient_calls_and_solves_per_round():
+    # the solve hands back F(w) with its plays, so a round evaluates the
+    # gradients once per operator call and nowhere else: 2 per exrm+ round
+    tracer_mod = _load_tracer()
+    cells = (harness.SolverConfig(algorithm="exrm+", eta=0.1, iters=5),
+             harness.SolverConfig(algorithm="conceptual-rm+", iters=5))
+    metrics = []
+    for config in cells:
+        tracer = tracer_mod.Tracer()
+        undo = tracer_mod.install(tracer)
+        try:
+            harness.run(config, games.hard_instance())
+        finally:
+            tracer_mod.uninstall(undo)
+        metrics.append(
+            tracer_mod.PassSpans(tracer, tracer.arrays()).metrics({}))
+    exrm, conceptual = metrics
+    assert exrm["games.gradient_calls"] == 2 * 5
+    assert exrm["fixedpoint.solves"] == 5
+    assert conceptual["fixedpoint.solves"] == 5
+    assert (conceptual["games.gradient_calls"]
+            == conceptual["fixedpoint.operator_calls"] > 2 * 5)
+
+
 # tree passes per round: groups + 2 for predictive CFR and 2 * groups + 2
 # for clairvoyant CFR, with one update group (sim) or one per player (alt)
 PASSES_PER_ROUND = (

@@ -151,6 +151,25 @@ class TestRun:
         assert code == 2
         assert message in err and out == ""
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("algo,text,source", [
+        ("exrm+", "matrix\n2 2\n1e308 -1e308\n-1e308 1e308\n", "L_F=nan"),
+        ("conceptual-rm+", "matrix\n2 2\n1e308 -1e308\n-1e308 1e308\n",
+         "L_F=nan"),
+        ("exrm+", "matrix\n2 2\n0 0\n0 0\n", "L_F=0.0"),
+        ("smooth-prm+", "nfg 1\n2\n1 2\n", "1 player(s)"),
+    ], ids=["exrm-overflowing-constants", "conceptual-overflowing-constants",
+            "exrm-zero-game", "smooth-one-player"])
+    def test_auto_eta_not_positive_and_finite_exits_two(self, tmp_path, capsys,
+                                                        algo, text, source):
+        path = tmp_path / "game.txt"
+        path.write_text(text)
+        code, out, err = run_cli(
+            ["run", "--algo", algo, "--eta", "auto", "--game", str(path),
+             "--iters", "3"], capsys)
+        assert code == 2 and out == ""
+        assert f"{algo}: the auto step size" in err and source in err
+
     @pytest.mark.parametrize("spec", ["random-matrix:3x", "random-nfg:3,x"])
     def test_unreadable_game_spec_exits_two(self, capsys, spec):
         code, _, err = run_cli(

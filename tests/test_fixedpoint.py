@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regretkit.core import normalize, regret_loss
+from regretkit.core import as_flat, normalize, regret_loss
 from regretkit.fixedpoint import (
     FixedPointReport,
+    _solve,
     conceptual_round,
     initial_lifted_point,
     lipschitz_bound,
@@ -18,7 +21,7 @@ from regretkit.games import (
     random_nfg,
 )
 
-from .oracles import max_eigenvalue_3x3
+from .oracles import conceptual_round_per_block, max_eigenvalue_3x3
 
 ZERO = MatrixGame(np.zeros((3, 3)))
 
@@ -330,3 +333,59 @@ class TestExrmRound:
             assert duality_gap(game, sums[0] / t, sums[1] / t) <= envelope
             assert duality_gap(game, linear[0] / weight,
                                linear[1] / weight) <= envelope
+
+
+# games of one width bucket (hard3x3, 5x5x5), of two (30x40, 3x3x4) and of
+# three (2x3x4)
+ORACLE_GAMES = {
+    "hard3x3": hard_instance(),
+    "matrix30x40": random_matrix_game(30, 40, 0),
+    "nfg5x5x5": random_nfg((5, 5, 5), 0),
+    "nfg2x3x4": random_nfg((2, 3, 4), 1),
+    "nfg3x3x4": random_nfg((3, 3, 4), 2),
+}
+
+
+def _chopped_block(rng, d, tight):
+    """A block of D>: on the unit simplex (the mass constraint tight),
+    with some exact zeros, or of mass above 1 (slack)."""
+    block = np.abs(rng.normal(size=d)) * (rng.random(d) < 0.7)
+    if not block.any():
+        block[rng.integers(d)] = 1.0
+    if tight:
+        return block / block.sum()
+    return block * (1.0 + 4.0 * rng.random()) / block.sum()
+
+
+class TestFlatSolveMatchesPerBlockOracle:
+    """The flat solve returns the floats of the per-block solve it
+    replaced, bit for bit, for every round output the harness uses."""
+
+    @given(name=st.sampled_from(sorted(ORACLE_GAMES)),
+           seed=st.integers(0, 2**32 - 1),
+           tight=st.lists(st.booleans(), min_size=3, max_size=3),
+           # eta * L_F: below 1 the inner loop contracts, above it need not
+           contraction=st.sampled_from([0.05, 0.5, 0.99, 2.0, 20.0]),
+           eps=st.sampled_from([-1.0, 1e-14, 1e-6, 1e-2]),
+           k_max=st.integers(1, 25),
+           rounds=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical(self, name, seed, tight, contraction, eps, k_max,
+                           rounds):
+        game = ORACLE_GAMES[name]
+        rng = np.random.default_rng(seed)
+        eta = contraction / lipschitz_bound(game)
+        z = [_chopped_block(rng, d, t) for d, t in zip(game.dims, tight)]
+        for _ in range(rounds):
+            (z_want, w_want, iterations, residual, history, plays,
+             increments) = conceptual_round_per_block(z, game, eta, eps, k_max)
+            z_next, w, report = conceptual_round(z, game, eta, eps, k_max)
+            assert (report.iterations, report.residual, report.history) == (
+                iterations, residual, history)
+            assert report.converged == (residual <= eps)
+            for got, want in [*zip(z_next, z_want), *zip(w, w_want)]:
+                assert np.array_equal(got, want)
+            _, _, x, f, _ = _solve(as_flat(z), game, eta, eps, k_max)
+            assert np.array_equal(x, as_flat(plays))
+            assert np.array_equal(-f, as_flat(increments))
+            z = z_want

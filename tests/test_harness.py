@@ -204,6 +204,41 @@ class TestRunBasics:
         assert exc_info.value.iteration >= 1
 
 
+# The round at which each huge step size diverges, 20 rounds at most
+# (None: the run finishes), recorded before the fixed-point solve moved
+# onto one flat joint vector.
+DIVERGENCE_ROUNDS = {
+    ("hard3x3", 1e308): {"exrm+": 1, "conceptual-rm+": 1, "smooth-prm+": 1},
+    ("matrix30x40", 1e308): {"exrm+": 4, "conceptual-rm+": 4,
+                             "smooth-prm+": 7},
+    ("nfg3x3x3", 1e308): {"exrm+": 5, "conceptual-rm+": 1, "smooth-prm+": 4},
+    **{(name, 1e300): {"exrm+": None, "conceptual-rm+": None,
+                       "smooth-prm+": None}
+       for name in ("hard3x3", "matrix30x40", "nfg3x3x3")},
+}
+
+
+class TestDivergenceRounds:
+    GAMES = {"hard3x3": hard_instance,
+             "matrix30x40": lambda: random_matrix_game(30, 40, 0),
+             "nfg3x3x3": lambda: random_nfg((3, 3, 3), 0)}
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("algo", ["exrm+", "conceptual-rm+",
+                                      "smooth-prm+"])
+    @pytest.mark.parametrize("name,eta", sorted(DIVERGENCE_ROUNDS))
+    def test_round_and_message(self, name, eta, algo):
+        config = SolverConfig(algorithm=algo, eta=eta, iters=20)
+        expected = DIVERGENCE_ROUNDS[name, eta][algo]
+        if expected is None:
+            assert np.isfinite(run(config, self.GAMES[name]()).gap).all()
+            return
+        with pytest.raises(NumericalDivergence) as exc_info:
+            run(config, self.GAMES[name]())
+        assert exc_info.value.iteration == expected
+        assert str(exc_info.value) == f"non-finite iterate at round {expected}"
+
+
 class TestAutoEta:
     def test_theorem_prescriptions(self):
         game = hard_instance()
