@@ -29,12 +29,13 @@ freshly updated strategies.  The recorded play of round t is what each
 player put forward before updating; regret ledgers and gap metrics are
 accounted against the losses of that recorded joint profile.
 
-Structure: ``run`` owns the one round loop.  Each algorithm family
-(RM+/PRM+, the stabilized lifted rounds, the fixed-point solvers, the
-tree rounds) supplies only how its state advances: ``advance(t)`` plays
-round t and hands back the play as blocks, each owned by one player (one
-block per player for matrix and normal-form games, one per infoset for
-trees), one regret increment per block, and optional per-round extras.
+Structure: ``run`` owns the one round loop.  Each of the three
+algorithm families (lifted: RM+, PRM+ and the stabilized PRM+ rounds;
+fixed-point: conceptual and extragradient RM+; tree: the CFR rounds)
+supplies only how its state advances: ``advance(t)`` plays round t and
+hands back the play as blocks, each owned by one player (one block per
+player for matrix and normal-form games, one per infoset for trees),
+one regret increment per block, and optional per-round extras.
 One ``_Recorder``, the only code that accumulates regret, keeps every
 family's books from those blocks, held as flat vectors cut by a
 ``core.BlockLayout`` (the players' strategies, or the tree's compiled
@@ -64,20 +65,15 @@ from .core import (
     BlockLayout,
     BlockVector,
     NonFiniteError,
-    _normalize_nonneg,
     as_flat,
-    prm_plus_step,
-    rm_plus_step,
 )
 from .fixedpoint import initial_lifted_point, lipschitz_bound
 from .games import MatrixGame, NormalFormGame, duality_gap
 from .stabilized import (
+    _initial_state,
+    _lifted_round,
     smooth_initial_state,
-    smooth_prmp_round,
-    smooth_prmp_round_alternating,
     stable_initial_state,
-    stable_prmp_round,
-    stable_prmp_round_alternating,
 )
 
 __all__ = [
@@ -468,60 +464,30 @@ class _Recorder:
 # round t and returns (blocks, regret increments, ``observe`` keywords) ----------
 
 
-def _action_regrets(plays, losses) -> list[np.ndarray]:
-    """The round's per-action regret increments <x, l> - l."""
-    return [np.dot(x, loss) - loss for x, loss in zip(plays, losses)]
-
-
-def _simplex_family(config: SolverConfig, game, eta):
-    rm = config.algorithm == "rm+"
-    step = rm_plus_step if rm else prm_plus_step
-    states = [AggregateState.initial(d) for d in game.dims]
-
-    def lifted(state: AggregateState) -> np.ndarray:
-        # the point whose normalization is played
-        return state.r if rm else np.maximum(state.r + state.prediction, 0.0)
-
-    def advance(t):
-        points = [lifted(s) for s in states]
-        plays = [_normalize_nonneg(p) for p in points]
-        losses = game.gradients(plays)
-        profile = list(plays)
-        for i in range(len(states)):
-            # player 0 still sees the round's plays, whose losses are known
-            loss_i = (game.gradient_for(i, profile)
-                      if config.alternation and i > 0 else losses[i])
-            states[i], _ = step(states[i], loss_i)
-            if config.alternation:
-                profile[i] = _normalize_nonneg(lifted(states[i]))
-        return plays, _action_regrets(plays, losses), dict(
-            losses=losses, lifted=points)
-
-    return advance
-
-
 def _lifted_family(config: SolverConfig, game, eta):
-    if config.algorithm == "stable-prm+":
+    algo = config.algorithm
+    floors = None
+    if algo == "stable-prm+":
         # scale-invariant form of the restarting algorithm: unit-mass
         # initialization (R0/d_i) * 1 per player with matching restart
         # floors, which is how the reproduced experiments initialize
         floors = [config.r0 / d for d in game.dims]
         state = stable_initial_state(game.dims, floors)
-        round_fn = (stable_prmp_round_alternating if config.alternation
-                    else stable_prmp_round)
-        args = (floors,)
-    else:
+    elif algo == "smooth-prm+":
         state = smooth_initial_state(game.dims)
-        round_fn = (smooth_prmp_round_alternating if config.alternation
-                    else smooth_prmp_round)
-        args = ()
+    else:
+        # RM+ and PRM+ are scale-free: a unit step from R = 0
+        eta = 1.0
+        state = _initial_state(tuple(np.zeros(d) for d in game.dims))
 
     def advance(t):
         nonlocal state
         seen = len(state.restart_events)
-        state, plays = round_fn(state, game, eta, *args)
-        losses = game.gradients(plays)
-        return plays, _action_regrets(plays, losses), dict(
+        state, plays, losses = _lifted_round(state, game, eta, algo,
+                                             config.alternation, floors)
+        # the round's per-action regret increments <x, l> - l
+        increments = [np.dot(x, loss) - loss for x, loss in zip(plays, losses)]
+        return plays, increments, dict(
             losses=losses, lifted=state.z,
             restarts=state.restart_events[seen:])
 
@@ -578,7 +544,7 @@ def _tree_family(config: SolverConfig, tree, eta):
     return advance
 
 
-_FAMILY = {"rm+": _simplex_family, "prm+": _simplex_family,
+_FAMILY = {"rm+": _lifted_family, "prm+": _lifted_family,
            "stable-prm+": _lifted_family, "smooth-prm+": _lifted_family,
            "conceptual-rm+": _fixedpoint_family, "exrm+": _fixedpoint_family,
            "predictive-cfr": _tree_family, "clairvoyant-cfr": _tree_family}

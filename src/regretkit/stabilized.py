@@ -21,16 +21,18 @@ where P is the orthant projection (stable) or the chopped projection
 that restarted.  The chopped projection follows the two-case rule: the
 positive part if it already has mass >= 1, otherwise the ordinary simplex
 projection (both cases solve the constrained least-squares exactly).
+Plain PRM+ is the same update with P the positive part, eta = 1, w^0 = 0
+and no floor (it is scale-free); RM+ is PRM+ with zero predictions.
 
-All four public rounds run one body, ``_lifted_round``: the family picks
-P and, for restarting, the floors; the players update in index order.
-The profile that player i's loss is evaluated at starts as the round's
-plays x.  Synchronous rounds leave it there.  Alternating rounds replace
-entry i, once player i has updated, by its next-round play (the first
-step above, taken from the updated w_i and m_i), so each later player
-sees the freshest opponent strategies; this is the alternation
-convention of the experiment harness.  Rounds are pure:
-(state, game) -> (state, played strategies).
+One body, ``_lifted_round``, runs all four; the algorithm picks P and
+the floors.  The losses are evaluated once, at the plays x, and the
+players update in index order; alternating rounds replace entry i of
+that profile, once player i has updated, by its next-round play (the
+first step above, from the updated w_i and m_i): the alternation
+convention of the experiment harness.  The body checks nothing its
+caller built: the public rounds check their inputs, the harness its
+floors once, at set-up.  Rounds are pure: (state, game) -> (state,
+played strategies).
 """
 
 from __future__ import annotations
@@ -127,11 +129,11 @@ def _chopped_kernel(y: np.ndarray) -> np.ndarray:
 
 
 def _in_chopped(r):
-    """Membership in D> (floor 1), with 1e-9 slack on the mass; one bool
-    per row of a ``(rows, d)`` stack."""
+    """Membership in D> (floor 1, 1e-9 slack on the mass), one bool per
+    row of a ``(rows, d)`` stack; NaN fails it, an infinite mass passes."""
     if r.ndim == 1:
-        return not ((r < 0.0).any() or r.sum() < 1.0 - 1e-9)
-    return ~((r < 0.0).any(axis=1) | (r.sum(axis=1) < 1.0 - 1e-9))
+        return (r >= 0.0).all() and r.sum() >= 1.0 - 1e-9
+    return (r >= 0.0).all(axis=1) & (r.sum(axis=1) >= 1.0 - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -184,7 +186,12 @@ def smooth_initial_state(dims) -> JointLiftedState:
     return _initial_state(tuple(np.full(d, 1.0 / d) for d in dims))
 
 
-def _check_round_args(state: JointLiftedState, game, eta: float) -> None:
+def _checked_round(state: JointLiftedState, game, eta: float, r0,
+                   alternate: bool) -> tuple[JointLiftedState, list[np.ndarray]]:
+    """A public round: every input check, then the body.  ``r0`` (one
+    floor per player) selects the restarting algorithm, ``None`` the
+    chopped one, whose state must lie in the chopped set."""
+    floors = None if r0 is None else _floors(r0, state.num_players)
     if eta <= 0.0:
         raise ValueError("step size eta must be positive")
     dims = game.dims
@@ -192,49 +199,56 @@ def _check_round_args(state: JointLiftedState, game, eta: float) -> None:
         w.shape != (d,) for w, d in zip(state.w, dims)
     ):
         raise ValueError("state dimensions do not match the game")
-
-
-def _should_restart(w_next: np.ndarray, f: np.ndarray, floor: float) -> bool:
-    # componentwise <= triggers, ties included; sitting exactly at the
-    # floor with nothing to reset is a no-op and is not logged
-    if not np.all(w_next <= floor):
-        return False
-    return bool(np.any(w_next != floor) or np.any(f != 0.0))
-
-
-def _lifted_round(state: JointLiftedState, game, eta: float, floors,
-                  alternate: bool) -> tuple[JointLiftedState, list[np.ndarray]]:
-    """The one round body (see the module docstring).
-
-    ``floors`` (one per player) selects the restarting algorithm: orthant
-    projections and the restart check.  ``None`` selects the chopped
-    projections, with no restarts.
-    """
-    _check_round_args(state, game, eta)
-    if floors is None and not all(_in_chopped(w) for w in state.w):
+    if r0 is None and not all(_in_chopped(w) for w in state.w):
         raise ValueError("state outside the chopped orthant")
+    algorithm = "smooth-prm+" if r0 is None else "stable-prm+"
+    return _lifted_round(state, game, eta, algorithm, alternate, floors)[:2]
+
+
+def _positive_part(y: np.ndarray) -> np.ndarray:
+    return np.maximum(y, 0.0)
+
+
+def _lifted_round(state: JointLiftedState, game, eta: float, algorithm: str,
+                  alternate: bool, floors):
+    """The one round body (see the module docstring), on arguments the
+    caller has checked; ``floors`` is stable-prm+'s, one per player.
+    Returns (state, plays, the losses at the plays)."""
     # resolved per call, so that a wrapper installed on this module's
     # globals sees every projection
-    project = project_chopped if floors is None else project_orthant
+    project = {"smooth-prm+": project_chopped,
+               "stable-prm+": project_orthant}.get(algorithm, _positive_part)
+    # rm+'s predictions stay zero, so its steps from w - eta * 0 are w
+    predictive = algorithm != "rm+"
     t = state.t + 1
-    z = tuple(project(w - eta * m) for w, m in zip(state.w, state.prediction))
+    z = (tuple(project(w - eta * m) for w, m in zip(state.w, state.prediction))
+         if predictive else state.w)
     strategies = [_normalize_nonneg(zi) for zi in z]
+    losses = game.gradients(strategies)
     profile = list(strategies)
     new_w = []
     new_pred = []
     events = list(state.restart_events)
-    for i, (w, x) in enumerate(zip(state.w, strategies)):
-        f = regret_loss(x, game.gradient_for(i, profile))
+    for i, (w, m, x) in enumerate(zip(state.w, state.prediction, strategies)):
+        # player 0, and every player of a synchronous round, sees the plays
+        loss = game.gradient_for(i, profile) if alternate and i else losses[i]
+        f = regret_loss(x, loss)
         wi = project(w - eta * f)
-        if floors is not None and _should_restart(wi, f, floors[i]):
+        # a restart: componentwise <= the floor, ties included; sitting
+        # exactly at the floor with nothing to reset is not logged
+        if floors is not None and (wi <= floors[i]).all() and (
+                (wi != floors[i]).any() or (f != 0.0).any()):
             wi = np.full(wi.shape, floors[i])
             f = np.zeros(wi.shape)
             events.append((t, i))
+        if predictive:
+            m = f
         new_w.append(wi)
-        new_pred.append(f)
+        new_pred.append(m)
         if alternate:
             # the later players see i's next-round play
-            profile[i] = _normalize_nonneg(project(wi - eta * f))
+            profile[i] = _normalize_nonneg(
+                project(wi - eta * m) if predictive else wi)
     next_state = JointLiftedState(
         w=tuple(new_w),
         z=z,
@@ -242,7 +256,7 @@ def _lifted_round(state: JointLiftedState, game, eta: float, floors,
         restart_events=tuple(events),
         t=t,
     )
-    return next_state, strategies
+    return next_state, strategies, losses
 
 
 def stable_prmp_round(state: JointLiftedState, game, eta: float,
@@ -255,7 +269,7 @@ def stable_prmp_round(state: JointLiftedState, game, eta: float,
     ``r0`` holds one floor per player; the experiment protocol's
     scale-invariant form uses R0/d_i with unit-mass initialization.
     """
-    return _lifted_round(state, game, eta, _floors(r0, state.num_players), False)
+    return _checked_round(state, game, eta, r0, False)
 
 
 def smooth_prmp_round(state: JointLiftedState, game,
@@ -263,14 +277,14 @@ def smooth_prmp_round(state: JointLiftedState, game,
     """One synchronous round of the chopped-orthant algorithm: both
     proximal steps project onto the chopped set and nothing restarts, so
     every iterate keeps ||.||_1 >= 1 per player."""
-    return _lifted_round(state, game, eta, None, False)
+    return _checked_round(state, game, eta, None, False)
 
 
 def stable_prmp_round_alternating(state, game, eta: float, r0):
     """``stable_prmp_round`` with the players updating in index order."""
-    return _lifted_round(state, game, eta, _floors(r0, state.num_players), True)
+    return _checked_round(state, game, eta, r0, True)
 
 
 def smooth_prmp_round_alternating(state, game, eta: float):
     """``smooth_prmp_round`` with the players updating in index order."""
-    return _lifted_round(state, game, eta, None, True)
+    return _checked_round(state, game, eta, None, True)

@@ -73,6 +73,38 @@ def test_fixed_point_gradient_calls_and_solves_per_round():
             == conceptual["fixedpoint.operator_calls"] > 2 * 5)
 
 
+# games.gradient_calls per round on the 3x3 game: the lifted round
+# evaluates the losses once at the played profile and calls
+# gradient_for only for alternating players after the first
+LIFTED_GRADIENT_CALLS = (
+    ("stable-prm+", False, 1),
+    ("smooth-prm+", False, 1),
+    ("prm+", False, 1),
+    ("stable-prm+", True, 2),
+    ("smooth-prm+", True, 2),
+    ("rm+", True, 2),
+)
+
+
+def test_lifted_gradient_calls_per_round():
+    tracer_mod = _load_tracer()
+    iters = 5
+    got = []
+    for algo, alternate, _ in LIFTED_GRADIENT_CALLS:
+        tracer = tracer_mod.Tracer()
+        undo = tracer_mod.install(tracer)
+        try:
+            harness.run(harness.SolverConfig(
+                algorithm=algo, eta=0.1, alternation=alternate, iters=iters),
+                games.hard_instance())
+        finally:
+            tracer_mod.uninstall(undo)
+        got.append(tracer_mod.PassSpans(tracer, tracer.arrays()).metrics({})[
+            "games.gradient_calls"])
+    assert got == [per_round * iters
+                   for *_, per_round in LIFTED_GRADIENT_CALLS]
+
+
 # tree passes per round: groups + 2 for predictive CFR and 2 * groups + 2
 # for clairvoyant CFR, with one update group (sim) or one per player (alt)
 PASSES_PER_ROUND = (

@@ -218,6 +218,13 @@ class TestLiftedNormalize:
         with pytest.raises(ValueError, match="chopped orthant"):
             efg.clairvoyant_cfr_round(z, tree, 0.1)
 
+    def test_rejects_a_nan_block(self):
+        tree = efg.build_kuhn(2, 3)
+        z = clairvoyant_start(tree)
+        z[1] = np.nan
+        with pytest.raises(ValueError, match="chopped orthant"):
+            efg.clairvoyant_cfr_round(z, tree, 0.1)
+
     def test_floor_respecting_lipschitz(self):
         tree = efg.build_kuhn(2, 3)
         constant = max(np.sqrt(j.num_actions) for j in tree.infosets)

@@ -83,6 +83,16 @@ class TestOperatorF:
         with pytest.raises(ValueError):
             operator_F([np.array([-0.5, 1.0, 1.0]), np.full(3, 1.0)], game)
 
+    def test_rejects_a_nan_block(self):
+        z = [np.array([np.nan, 1.0, 1.0]), np.full(3, 1.0)]
+        with pytest.raises(ValueError, match="outside the chopped joint space"):
+            operator_F(z, hard_instance())
+
+    def test_conceptual_round_rejects_a_nan_block(self):
+        z = [np.array([np.nan, 1.0, 1.0]), np.full(3, 1.0)]
+        with pytest.raises(ValueError, match="outside the chopped joint space"):
+            conceptual_round(z, hard_instance(), 0.1, 1e-12, 10)
+
 
 class TestLipschitzBound:
     def test_one_by_one(self):

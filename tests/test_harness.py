@@ -208,28 +208,51 @@ class TestRunBasics:
 # (None: the run finishes), recorded before the fixed-point solve moved
 # onto one flat joint vector.
 DIVERGENCE_ROUNDS = {
-    ("hard3x3", 1e308): {"exrm+": 1, "conceptual-rm+": 1, "smooth-prm+": 1},
+    ("hard3x3", 1e308): {"exrm+": 1, "conceptual-rm+": 1, "smooth-prm+": 1,
+                         "rm+": None, "prm+": None, "stable-prm+": 1},
     ("matrix30x40", 1e308): {"exrm+": 4, "conceptual-rm+": 4,
-                             "smooth-prm+": 7},
-    ("nfg3x3x3", 1e308): {"exrm+": 5, "conceptual-rm+": 1, "smooth-prm+": 4},
+                             "smooth-prm+": 7, "rm+": None, "prm+": None,
+                             "stable-prm+": 7},
+    ("nfg3x3x3", 1e308): {"exrm+": 5, "conceptual-rm+": 1, "smooth-prm+": 4,
+                          "rm+": None, "prm+": None, "stable-prm+": 4},
     **{(name, 1e300): {"exrm+": None, "conceptual-rm+": None,
-                       "smooth-prm+": None}
+                       "smooth-prm+": None, "rm+": None, "prm+": None,
+                       "stable-prm+": None}
        for name in ("hard3x3", "matrix30x40", "nfg3x3x3")},
+    # the game's payoff sums overflow; RM+ and PRM+ ignore eta
+    **{("overflow3x3", eta): {"exrm+": 1, "conceptual-rm+": 1,
+                             "smooth-prm+": 2, "rm+": None, "prm+": 3,
+                             "stable-prm+": 2}
+       for eta in (0.1, 1.0)},
+}
+
+# the same cases with the players alternating (lifted-orthant algorithms)
+ALTERNATING_DIVERGENCE_ROUNDS = {
+    **{(name, 1e300): dict.fromkeys(("rm+", "prm+", "stable-prm+",
+                                     "smooth-prm+"))
+       for name in ("hard3x3", "matrix30x40", "nfg3x3x3")},
+    ("hard3x3", 1e308): {"rm+": None, "prm+": None, "stable-prm+": 2,
+                         "smooth-prm+": 2},
+    ("matrix30x40", 1e308): {"rm+": None, "prm+": None, "stable-prm+": 8,
+                             "smooth-prm+": 8},
+    ("nfg3x3x3", 1e308): {"rm+": None, "prm+": None, "stable-prm+": 3,
+                          "smooth-prm+": 3},
+    ("overflow3x3", 0.1): {"rm+": None, "prm+": 4, "stable-prm+": None,
+                           "smooth-prm+": None},
+    ("overflow3x3", 1.0): {"rm+": None, "prm+": 4, "stable-prm+": 4,
+                           "smooth-prm+": 4},
 }
 
 
 class TestDivergenceRounds:
     GAMES = {"hard3x3": hard_instance,
              "matrix30x40": lambda: random_matrix_game(30, 40, 0),
-             "nfg3x3x3": lambda: random_nfg((3, 3, 3), 0)}
+             "nfg3x3x3": lambda: random_nfg((3, 3, 3), 0),
+             "overflow3x3": lambda: MatrixGame(np.array(
+                 [[1e308, 0.0, -1e308], [0.0, 1e308, -1e308],
+                  [0.0, 0.0, 1e308]]))}
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    @pytest.mark.parametrize("algo", ["exrm+", "conceptual-rm+",
-                                      "smooth-prm+"])
-    @pytest.mark.parametrize("name,eta", sorted(DIVERGENCE_ROUNDS))
-    def test_round_and_message(self, name, eta, algo):
-        config = SolverConfig(algorithm=algo, eta=eta, iters=20)
-        expected = DIVERGENCE_ROUNDS[name, eta][algo]
+    def _check(self, config, name, expected):
         if expected is None:
             assert np.isfinite(run(config, self.GAMES[name]()).gap).all()
             return
@@ -237,6 +260,25 @@ class TestDivergenceRounds:
             run(config, self.GAMES[name]())
         assert exc_info.value.iteration == expected
         assert str(exc_info.value) == f"non-finite iterate at round {expected}"
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("algo", ["exrm+", "conceptual-rm+",
+                                      "smooth-prm+", "rm+", "prm+",
+                                      "stable-prm+"])
+    @pytest.mark.parametrize("name,eta", sorted(DIVERGENCE_ROUNDS))
+    def test_round_and_message(self, name, eta, algo):
+        config = SolverConfig(algorithm=algo, eta=eta, iters=20)
+        self._check(config, name, DIVERGENCE_ROUNDS[name, eta][algo])
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("algo", ["rm+", "prm+", "stable-prm+",
+                                      "smooth-prm+"])
+    @pytest.mark.parametrize("name,eta", sorted(ALTERNATING_DIVERGENCE_ROUNDS))
+    def test_alternating_round_and_message(self, name, eta, algo):
+        config = SolverConfig(algorithm=algo, eta=eta, iters=20,
+                              alternation=True)
+        self._check(config, name,
+                    ALTERNATING_DIVERGENCE_ROUNDS[name, eta][algo])
 
 
 class TestAutoEta:

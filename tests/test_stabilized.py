@@ -274,6 +274,14 @@ class TestSmoothRound:
         with pytest.raises(ValueError):
             smooth_prmp_round(bad, ZERO_GAME, 0.1)
 
+    def test_rejects_a_nan_block(self):
+        state = smooth_initial_state((2, 2))
+        bad = state.__class__(
+            (np.array([np.nan, 1.0]), state.w[1]), state.z, state.prediction,
+            state.restart_events, state.t)
+        with pytest.raises(ValueError, match="outside the chopped orthant"):
+            smooth_prmp_round(bad, ZERO_GAME, 0.1)
+
 
 class TestAlternatingRounds:
     def test_zero_game_matches_synchronous(self):
