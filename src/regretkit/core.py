@@ -31,9 +31,10 @@ Block-structured strategies (one block per player, or one per
 information set of a game tree) are held as one flat vector, cut by a
 ``BlockLayout``.  A per-block operation then runs once per *width
 bucket*: the blocks that share a width, gathered as a dense
-``(rows, width)`` stack, so its cost scales with the number of distinct
-widths rather than of blocks.  ``BlockVector`` reads such a vector as a
-sequence of blocks, for callers that index or iterate blocks.
+``(rows, width)`` stack (a 1-D view for a bucket of one block), so its
+cost scales with the number of distinct widths rather than of blocks.
+``BlockVector`` reads such a vector as a sequence of blocks, for callers
+that index or iterate blocks.
 
 An exact-rational replay (``replay_exact``) exists solely for the
 adversarial two-action loss sequences, whose iterates are all dyadic and
@@ -164,9 +165,10 @@ class BlockLayout:
     Block b is entries ``offsets[b]:offsets[b+1]`` (``bounds[b]``) of a
     vector of length ``size``.  ``buckets`` holds, for every width among
     ``members`` (all blocks by default), the pair (block numbers
-    ``(rows,)``, positions ``(rows, width)``): ``v[positions]`` gathers
-    those blocks as one C-contiguous stack, ``v[positions] = m`` scatters
-    it back.
+    ``(rows,)``, positions): ``v[positions]`` gathers those blocks,
+    ``v[positions] = m`` scatters them back.  Positions are an index
+    array ``(rows, width)``, gathering a C-contiguous stack, or for a
+    single block the slice ``lo:hi``, gathering a 1-D view.
     """
 
     def __init__(self, widths, members=None):
@@ -179,7 +181,8 @@ class BlockLayout:
         members = (np.arange(self.widths.size) if members is None
                    else np.asarray(members, dtype=np.intp))
         self.buckets = tuple(
-            (ids, self.offsets[ids, None] + np.arange(width))
+            (ids, slice(*self.bounds[ids[0]]) if ids.size == 1
+             else self.offsets[ids, None] + np.arange(width))
             for width in np.unique(self.widths[members]).tolist()
             for ids in [members[self.widths[members] == width]])
 
@@ -199,7 +202,7 @@ class BlockLayout:
         """Per block, the squared Euclidean distance between the blocks of
         two flat vectors, each summed as ``np.sum`` sums the 1-D block."""
         squares = (a - b) ** 2
-        return self.per_block([squares[index].sum(axis=1)
+        return self.per_block([squares[index].sum(axis=-1)
                                for _, index in self.buckets])
 
 

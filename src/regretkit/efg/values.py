@@ -194,7 +194,7 @@ def counterfactual_regret_operator(tree: GameTree, x,
     h = np.empty_like(g)
     for _, index in tree.compiled.layout.buckets:
         gj = g[index]
-        h[index] = gj - np.vecdot(gj, profile[index])[:, None]
+        h[index] = gj - np.vecdot(gj, profile[index])[..., None]
     return _like(x, h, tree.compiled)
 
 

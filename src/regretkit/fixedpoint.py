@@ -108,7 +108,7 @@ def operator_F(z_blocks, game) -> BlockVector:
     f = np.empty(layout.size)
     for _, index in layout.buckets:
         xs, ls = x[index], losses[index]
-        f[index] = ls - np.vecdot(xs, ls)[:, None]
+        f[index] = ls - np.vecdot(xs, ls)[..., None]
     return BlockVector(f, layout)
 
 

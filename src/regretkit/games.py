@@ -12,6 +12,13 @@ For a matrix game the row player maximizes <x, A y>, so their loss is
 ``gradients`` returns G(x) = (-grad u_1, ..., -grad u_n) for the players'
 utility functions.
 
+A normal-form gradient contracts player i's payoff tensor with the other
+players' strategies, last player first, through a plan built once per
+player: per step the permutation and 2-D shape that ``np.tensordot(grad,
+x_j, axes=([j], [0]))`` builds, and the first step's matrix (a view, or
+one C-order copy).  Each step is one ``np.dot`` on exactly the operands
+``tensordot`` hands it, so the floats are ``tensordot``'s.
+
 Game file grammar (``save_game`` / ``load_game``)
 -------------------------------------------------
 Plain text; blank lines and ``#`` comment lines are ignored; tokens are
@@ -119,7 +126,8 @@ class NormalFormGame:
     """n-player normal-form game stored as full payoff tensors.
 
     ``payoffs[i]`` has shape ``dims`` and holds player i's payoff at every
-    pure profile.  Utilities are the multilinear extensions.
+    pure profile.  Utilities are the multilinear extensions.  Gradients
+    run through contraction plans (see above), built on first use.
     """
 
     payoffs: tuple[np.ndarray, ...]
@@ -175,13 +183,29 @@ class NormalFormGame:
         xs = [np.asarray(x, dtype=float) for x in strategies]
         return self._loss_gradient(player, xs)
 
+    @functools.cached_property
+    def _plans(self) -> tuple:
+        """Per player, (first matrix, steps): per contracted axis j, the
+        (j, permutation, 2-D shape, result shape) of ``tensordot``."""
+        plans = []
+        for i, u in enumerate(self.payoffs):
+            shape, steps = list(u.shape), []
+            for j in reversed(range(len(shape))):
+                if j != i:
+                    rest = shape[:j] + shape[j + 1:]
+                    perm = [*range(j), *range(j + 1, len(shape)), j]
+                    steps.append((j, perm, (math.prod(rest), shape[j]), rest))
+                    shape = rest
+            first = u.transpose(steps[0][1]).reshape(steps[0][2]) if steps else u
+            plans.append((first, steps))
+        return tuple(plans)
+
     def _loss_gradient(self, i: int, xs) -> np.ndarray:
-        grad = self.payoffs[i]
-        # contract every axis except player i's own
-        for j in range(self.num_players - 1, -1, -1):
-            if j == i:
-                continue
-            grad = np.tensordot(grad, xs[j], axes=([j], [0]))
+        grad, steps = self._plans[i]
+        for k, (j, perm, matrix, rest) in enumerate(steps):
+            if k:
+                grad = grad.transpose(perm).reshape(matrix)
+            grad = np.dot(grad, xs[j].reshape(matrix[1], 1)).reshape(rest)
         return -grad
 
     @functools.cached_property

@@ -483,10 +483,8 @@ def _lifted_family(config: SolverConfig, game, eta):
     def advance(t):
         nonlocal state
         seen = len(state.restart_events)
-        state, plays, losses = _lifted_round(state, game, eta, algo,
-                                             config.alternation, floors)
-        # the round's per-action regret increments <x, l> - l
-        increments = [np.dot(x, loss) - loss for x, loss in zip(plays, losses)]
+        state, plays, losses, increments = _lifted_round(
+            state, game, eta, algo, config.alternation, floors)
         return plays, increments, dict(
             losses=losses, lifted=state.z,
             restarts=state.restart_events[seen:])

@@ -213,7 +213,7 @@ def _lifted_round(state: JointLiftedState, game, eta: float, algorithm: str,
                   alternate: bool, floors):
     """The one round body (see the module docstring), on arguments the
     caller has checked; ``floors`` is stable-prm+'s, one per player.
-    Returns (state, plays, the losses at the plays)."""
+    Returns (state, plays, losses l at the plays, increments <x, l> - l)."""
     # resolved per call, so that a wrapper installed on this module's
     # globals sees every projection
     project = {"smooth-prm+": project_chopped,
@@ -228,11 +228,15 @@ def _lifted_round(state: JointLiftedState, game, eta: float, algorithm: str,
     profile = list(strategies)
     new_w = []
     new_pred = []
+    increments = []
     events = list(state.restart_events)
     for i, (w, m, x) in enumerate(zip(state.w, state.prediction, strategies)):
         # player 0, and every player of a synchronous round, sees the plays
-        loss = game.gradient_for(i, profile) if alternate and i else losses[i]
+        later = alternate and i > 0
+        loss = game.gradient_for(i, profile) if later else losses[i]
         f = regret_loss(x, loss)
+        # the increment at the plays' losses is -f unless i saw later plays
+        increments.append(np.dot(x, losses[i]) - losses[i] if later else -f)
         wi = project(w - eta * f)
         # a restart: componentwise <= the floor, ties included; sitting
         # exactly at the floor with nothing to reset is not logged
@@ -256,7 +260,7 @@ def _lifted_round(state: JointLiftedState, game, eta: float, algorithm: str,
         restart_events=tuple(events),
         t=t,
     )
-    return next_state, strategies, losses
+    return next_state, strategies, losses, increments
 
 
 def stable_prmp_round(state: JointLiftedState, game, eta: float,

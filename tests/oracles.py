@@ -63,6 +63,18 @@ def nfg_gradient_by_enumeration(payoff: np.ndarray, player: int,
     return grad
 
 
+def nfg_loss_gradient_tensordot(payoffs, player: int,
+                                strategies: list[np.ndarray]) -> np.ndarray:
+    """Player i's loss -grad u_i by ``np.tensordot``, contracting every
+    other player's axis, last player first: the contraction that the
+    games' cached plans must reproduce bit for bit."""
+    grad = payoffs[player]
+    for j in range(len(payoffs) - 1, -1, -1):
+        if j != player:
+            grad = np.tensordot(grad, strategies[j], axes=([j], [0]))
+    return -grad
+
+
 def max_eigenvalue_3x3(m: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric 3x3 matrix via the roots of its
     characteristic polynomial."""

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regretkit import efg
 from regretkit.core import (
     AggregateState,
+    BlockLayout,
     NonFiniteError,
     lifted_regret_equivalence,
     normalize,
@@ -237,3 +239,64 @@ class TestExactInstability:
                 instability_losses(40, variant, scaled=True).fractions(),
                 variant)
             assert raw == scaled
+
+
+def _layouts():
+    trees = {"kuhn3": efg.build_kuhn(2, 3), "liars3": efg.build_liars_dice(3, 2)}
+    layouts = {"x".join(map(str, d)): BlockLayout(d) for d in
+               [(3, 3), (30, 40), (3, 4, 3), (2, 3, 4)]}
+    layouts["restricted"] = BlockLayout((2, 3, 2, 5, 3, 2)).restricted(
+        [0, 3, 4, 5])
+    for name, tree in trees.items():
+        layouts[name] = tree.compiled.layout
+        for i, player in enumerate(tree.compiled.player_layouts):
+            layouts[f"{name}-player{i}"] = player
+    return layouts
+
+
+LAYOUTS = _layouts()
+
+
+class TestBlockLayoutBuckets:
+    """A one-block width bucket gathers through a slice, any other through
+    an index array; both gather and scatter the blocks of ``bounds``."""
+
+    @staticmethod
+    def _members(layout):
+        return sorted(b for ids, _ in layout.buckets for b in ids.tolist())
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_buckets_gather_the_blocks_of_bounds(self, name):
+        layout = LAYOUTS[name]
+        members = self._members(layout)
+        assert len(set(members)) == len(members)
+        v = np.random.default_rng(0).normal(size=layout.size)
+        for ids, positions in layout.buckets:
+            assert isinstance(positions, slice) == (ids.size == 1)
+            blocks = [v[slice(*layout.bounds[b])] for b in ids.tolist()]
+            assert np.array_equal(v[positions], np.stack(blocks).reshape(
+                v[positions].shape))
+            assert v[positions].shape[-1] == layout.widths[ids[0]]
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_scatter_writes_in_place(self, name):
+        layout = LAYOUTS[name]
+        v = np.arange(layout.size, dtype=float)
+        for ids, positions in layout.buckets:
+            v[positions] = -1.0 - v[positions]
+        want = np.arange(layout.size, dtype=float)
+        for b in self._members(layout):
+            lo, hi = layout.bounds[b]
+            want[lo:hi] = -1.0 - want[lo:hi]
+        assert np.array_equal(v, want)
+
+    @pytest.mark.parametrize("name", sorted(LAYOUTS))
+    def test_squared_distances_match_per_block_sums(self, name):
+        layout = LAYOUTS[name]
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(2, layout.size)) * rng.uniform(0.0, 1e3)
+        got = layout.squared_distances(a, b)
+        for block in self._members(layout):
+            lo, hi = layout.bounds[block]
+            want = np.sum((a[lo:hi] - b[lo:hi]) ** 2)
+            assert got[block].tobytes() == want.tobytes()

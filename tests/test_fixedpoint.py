@@ -345,14 +345,17 @@ class TestExrmRound:
                                linear[1] / weight) <= envelope
 
 
-# games of one width bucket (hard3x3, 5x5x5), of two (30x40, 3x3x4) and of
-# three (2x3x4)
+# one-block width buckets gather as slices, the others as index arrays:
+# hard3x3 and 5x5x5 have one index bucket, 30x40 and 2x3x4 only slices,
+# and 3x3x4, 3x4x3 and 1x3x1 (a width-1 bucket of two blocks) one of each
 ORACLE_GAMES = {
     "hard3x3": hard_instance(),
     "matrix30x40": random_matrix_game(30, 40, 0),
     "nfg5x5x5": random_nfg((5, 5, 5), 0),
     "nfg2x3x4": random_nfg((2, 3, 4), 1),
     "nfg3x3x4": random_nfg((3, 3, 4), 2),
+    "nfg3x4x3": random_nfg((3, 4, 3), 3),
+    "nfg1x3x1": random_nfg((1, 3, 1), 4),
 }
 
 

@@ -18,7 +18,7 @@ from regretkit.games import (
 )
 from regretkit.harness import SolverConfig, run
 
-from .oracles import nfg_gradient_by_enumeration
+from .oracles import nfg_gradient_by_enumeration, nfg_loss_gradient_tensordot
 
 
 class TestMatrixGradients:
@@ -93,6 +93,35 @@ class TestNfgGradients:
             for i in range(3):
                 expected = -nfg_gradient_by_enumeration(game.payoffs[i], i, xs)
                 np.testing.assert_allclose(grads[i], expected, atol=1e-12)
+
+    @given(dims=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plans_match_tensordot_bit_for_bit(self, dims, seed, data):
+        # tobytes, so that a signed zero counts: payoffs and vertex
+        # strategies carry exact zeros.  The blocks are views of one flat
+        # vector, as the solvers hand them over
+        rng = np.random.default_rng(seed)
+        game = NormalFormGame(tuple(
+            rng.uniform(-1.0, 1.0, dims) * (rng.random(dims) < 0.7)
+            for _ in dims))
+        blocks = []
+        for d in dims:
+            if data.draw(st.booleans(), label="vertex"):
+                block = np.zeros(d)
+                block[rng.integers(d)] = 1.0
+            else:
+                block = rng.dirichlet(np.ones(d))
+            blocks.append(block)
+        flat = np.concatenate(blocks)
+        bounds = np.cumsum([0, *dims])
+        xs = [flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        want = [nfg_loss_gradient_tensordot(game.payoffs, i, xs)
+                for i in range(len(dims))]
+        assert [g.tobytes() for g in game.gradients(xs)] == [
+            w.tobytes() for w in want]
+        for i, w in enumerate(want):
+            assert game.gradient_for(i, xs).tobytes() == w.tobytes()
 
     def test_finite_difference_consistency(self):
         # central differences of the multilinear utility, interior points

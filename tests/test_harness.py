@@ -505,3 +505,87 @@ class TestNormalFormTraceDigests:
         run(config, self.GAMES[name]()).write_csv(buf)
         digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
         assert digest == NORMAL_FORM_TRACE_DIGESTS[key]
+
+
+# The same for normal-form games of mixed widths, recorded on the
+# ``np.tensordot`` gradients and index-array buckets that the contraction
+# plans and slice buckets replaced: (2,3,4) has one block per width
+# bucket, (3,4,3) a two-block bucket and a one-block one, and (2,2,2,2)
+# four players.
+MIXED_WIDTH_NFG_TRACE_DIGESTS = {
+    ("nfg2x3x4", "rm+", False):
+        "38a11cf4bdb676fe76b90e0edd6d4d6297e67f8b95686c9fddbe770e7df29896",
+    ("nfg2x3x4", "rm+", True):
+        "bf1c8c4c1ff2b9c1719bf58081df9b9a15980719e4e3bc90c9b3cefd714c9f36",
+    ("nfg2x3x4", "prm+", False):
+        "0fa9384714ce3b1f3d0dbda128933c1a6a6bc1a904b325e8e928e7beac2066d2",
+    ("nfg2x3x4", "prm+", True):
+        "7c75805db8e3e97669ba04bd9330c34861d94d259656b71c41bff74018bbfba1",
+    ("nfg2x3x4", "stable-prm+", False):
+        "f8da08c60fa0cef7491e209ef5ea326794e709fa082e72064648265fe3984ad6",
+    ("nfg2x3x4", "stable-prm+", True):
+        "8d3ad66b9809ac703079ecabf94fb58597838201e9e45c284fd97543f98fc554",
+    ("nfg2x3x4", "smooth-prm+", False):
+        "7cb11feb513383c5aa9da2a3177745063135cace2be6be1039225852ceb34400",
+    ("nfg2x3x4", "smooth-prm+", True):
+        "a03f19b22d872bcf7126303258b6af5a02e38633819bfcb222c15738797fea67",
+    ("nfg2x3x4", "exrm+", False):
+        "49267eefffb009a8c5a6e48fe4aee73d941b694278a4e6e5a87724eb77837c22",
+    ("nfg2x3x4", "conceptual-rm+", False):
+        "c242e9e07ccfed9ca802a65d9dae269bbe2a3a011802f80fe412baaf4ddd00e5",
+    ("nfg3x4x3", "rm+", False):
+        "c997e39e6e7c02aa82bc77ce92486743f5d989921c18fd90b0c33c7b69893720",
+    ("nfg3x4x3", "rm+", True):
+        "8c42be8968b4b59b595636becbfc788319bdd67b97a2a724f0c2746d851b1542",
+    ("nfg3x4x3", "prm+", False):
+        "345aa65ad0b447d1ef8ce4accf34f2e82f3cbb768429dd913c6aa7332842f2db",
+    ("nfg3x4x3", "prm+", True):
+        "6d28085cda89b9d3398f8cef4556424e2c378c544152c54ac2513fae14479382",
+    ("nfg3x4x3", "stable-prm+", False):
+        "c506d9ca9e104f4bc2969bf7a39c2392cfe4c3c034d96d82cf84ac087a483e7a",
+    ("nfg3x4x3", "stable-prm+", True):
+        "c0e54f6eb489577634688c01b6b04cb1c10185a4cccf678fb489e6ff20afd140",
+    ("nfg3x4x3", "smooth-prm+", False):
+        "64757ac73c92346c5b2e1872486a92b76cd109acc7f52f4addeaeb8fa21cf90a",
+    ("nfg3x4x3", "smooth-prm+", True):
+        "a9a0cf077570092645a836d789c1152981b0a271dac6228e927f2d6c2612b881",
+    ("nfg3x4x3", "exrm+", False):
+        "886d66ff6a6c5b32ed9ba87c9a5bc4df32a374e7d28ab75681ad77f81eeaee1c",
+    ("nfg3x4x3", "conceptual-rm+", False):
+        "43c5eb3878c8dca3069aace869ab2fe289ebad8893d821049b88654bfe9fcadd",
+    ("nfg2x2x2x2", "rm+", False):
+        "91990ca9269a6e73cdceb1cdd208e0244bc0831aabb53470a99e2bf2c4a24f71",
+    ("nfg2x2x2x2", "rm+", True):
+        "412de4e070b77ff94bf6c2a1c16be052e5ba430a4bb5464a983f422d7cb525d5",
+    ("nfg2x2x2x2", "prm+", False):
+        "686290138d0c0b874d8048df93a4ddafe4e6e60fba64db213fb08ca47cea69f7",
+    ("nfg2x2x2x2", "prm+", True):
+        "05ed37e1ea0377748db9ee2c30e8175543b4b7d908ecee94cd9798d5ef342eff",
+    ("nfg2x2x2x2", "stable-prm+", False):
+        "575c7221f470e70e5e8e2dc1370515e7012abf4a461ea9b58b38ba239c3f1fdb",
+    ("nfg2x2x2x2", "stable-prm+", True):
+        "7f60af0d6d686875b8e32bd4bb78f7ec3713d0db9027d15cb4f9d4949e20d0a8",
+    ("nfg2x2x2x2", "smooth-prm+", False):
+        "20d8eb7d5095ebbcd587844a4d7ffd06fa34b91a257b432dc1da5bebcfcd6753",
+    ("nfg2x2x2x2", "smooth-prm+", True):
+        "8e2e9bb16a5dddf64c1e1f6a108a2c7bae0544c5e7619f4392b45a0eeb66ccd8",
+    ("nfg2x2x2x2", "exrm+", False):
+        "2bfce5fd611c72d5235e3ccc3460531e07ebb7be243db4800352101557e53f6f",
+    ("nfg2x2x2x2", "conceptual-rm+", False):
+        "825f8d6cb5ee3c5fbbd4366d4806f32b74580a7d52f77fbd55af8e82c353355f",
+}
+
+
+class TestMixedWidthNfgTraceDigests:
+    GAMES = {"nfg2x3x4": (2, 3, 4), "nfg3x4x3": (3, 4, 3),
+             "nfg2x2x2x2": (2, 2, 2, 2)}
+
+    @pytest.mark.parametrize("key", sorted(MIXED_WIDTH_NFG_TRACE_DIGESTS))
+    def test_trace_csv_is_byte_identical(self, key):
+        name, algo, alternate = key
+        config = SolverConfig(algorithm=algo, eta="auto", iters=150,
+                              alternation=alternate)
+        buf = io.StringIO()
+        run(config, random_nfg(self.GAMES[name], 0)).write_csv(buf)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == MIXED_WIDTH_NFG_TRACE_DIGESTS[key]
