@@ -96,13 +96,17 @@ class MatrixGame:
         """The players' strategies as the blocks of one flat vector."""
         return BlockLayout(self.dims)
 
+    @functools.cached_property
+    def _negated_payoff(self) -> np.ndarray:
+        return -self.payoff  # the row player's losses, negated once
+
     def gradients(self, strategies) -> list[np.ndarray]:
         x, y = strategies
-        return [-self.payoff @ y, self.payoff.T @ x]
+        return [self._negated_payoff @ y, self.payoff.T @ x]
 
     def gradient_for(self, player: int, strategies) -> np.ndarray:
         if player == 0:
-            return -self.payoff @ strategies[1]
+            return self._negated_payoff @ strategies[1]
         return self.payoff.T @ strategies[0]
 
     @functools.cached_property
@@ -362,11 +366,16 @@ def random_nfg(dims, seed: int) -> NormalFormGame:
     return NormalFormGame(tensors)
 
 
-def duality_gap(game: MatrixGame, x, y) -> float:
-    """max_i (A y)_i - min_j (x^T A)_j; zero exactly at a Nash equilibrium."""
+def duality_gap(game: MatrixGame, x, y) -> float | np.ndarray:
+    """max_i (A y)_i - min_j (x^T A)_j; zero exactly at a Nash equilibrium.
+    On ``(n, d_i)`` stacks of profiles, one gap per row, bit for bit as row
+    by row: numpy runs one matrix-vector product per stacked row."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return float((game.payoff @ y).max() - (x @ game.payoff).min())
+    if x.ndim == 1:
+        return float((game.payoff @ y).max() - (x @ game.payoff).min())
+    return ((game.payoff @ y[:, :, None])[:, :, 0].max(axis=-1)
+            - (x[:, None, :] @ game.payoff)[:, 0].min(axis=-1))
 
 
 # --- plain-text game files ---------------------------------------------------

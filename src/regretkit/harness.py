@@ -39,16 +39,17 @@ one regret increment per block, and optional per-round extras.
 One ``_Recorder``, the only code that accumulates regret, keeps every
 family's books from those blocks, held as flat vectors cut by a
 ``core.BlockLayout`` (the players' strategies, or the tree's compiled
-infoset layout): cumulative regrets and averages are
-one vector operation per round, per-block maxima one ``reduceat`` and
-per-block squared steps one reduction per width bucket, so a tree round
-costs the same few numpy calls whatever its number of infosets.  Per
+infoset layout).  A round only copies its play and increments into a
+row of a chunk buffer and checks the play for finiteness; once per chunk
+of rounds, the ledgers and averages are running sums down the buffer
+and the stored rounds' per-block maxima, regrets, gaps and squared
+steps a few stacked numpy calls, bit for bit as round by round.  Per
 family it picks only the regret formula (max-action regret, or the sum
 of per-infoset positive maxima), the gap (duality gap, or the CCE gap
-max_i [regret_i]+ / t) and the averager.  A non-finite value, raised
-inside a round (``NonFiniteError``) or met by the recorder's one
-per-round check, ends the run with ``NumericalDivergence`` naming the
-round.
+max_i [regret_i]+ / t) and the averager (the tree's, reach-weighted,
+stays per round).  A non-finite value, raised inside a round
+(``NonFiniteError``) or met by the recorder's one per-round check, ends
+the run with ``NumericalDivergence`` naming the round.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ import numpy as np
 from . import efg, fixedpoint
 from .core import (
     AggregateState,
-    BlockLayout,
     BlockVector,
     NonFiniteError,
     as_flat,
@@ -344,61 +344,47 @@ def _header(config: SolverConfig, game, eta: float, constants: dict) -> dict:
 # --- one recorder for every family ---------------------------------------------
 
 
-class _StrategyAverager:
-    """Running average of played strategies, round t weighted by t
-    (linear) or 1 (uniform): ``efg.BehavioralAverager``'s normal-form
-    counterpart."""
-
-    def __init__(self, layout: BlockLayout, scheme: str):
-        self._layout = layout
-        self._linear = scheme == "linear"
-        self._sums = np.zeros(layout.size)
-        self._t = 0
-        self._weight = 0.0
-
-    def observe(self, x: BlockVector) -> None:
-        self._t += 1
-        weight = float(self._t) if self._linear else 1.0
-        self._weight += weight
-        self._sums += weight * x.vector
-
-    def average(self) -> list[np.ndarray]:
-        mean = self._sums / self._weight
-        return [mean[lo:hi] for lo, hi in self._layout.bounds]
+# rows per recorder chunk: at most 256, and at most 32768 floats (256 KB)
+# per chunk buffer
+_CHUNK_ROWS, _CHUNK_FLOATS = 256, 32768
 
 
 class _Recorder:
-    """Per-round bookkeeping for every family (see the module docstring):
-    accumulates the blocks' regret increments and average, and fills the
-    trace, a row per stored round with each player's regret, the gap and
-    the squared step of the player's blocks.  Plays, increments and
-    ledgers are flat vectors in the blocks' layout; per-block maxima and
-    squared steps are taken per width bucket (see ``core``)."""
+    """Bookkeeping for every family, per chunk of rounds (see the module
+    docstring): round k of a chunk fills row k of the chunk buffers, and
+    row 0 carries the previous chunk's last round, its play and the
+    ledger, weighted play sums and total weight after it."""
 
     def __init__(self, config: SolverConfig, game):
         if isinstance(game, efg.GameTree):
             layout = game.compiled.layout
             owned = [game.infosets_of(i) for i in range(game.num_players)]
-            averager = efg.BehavioralAverager(game, config.averaging)
-            self.regret_of = lambda maxima: sum(np.maximum(maxima, 0.0).tolist())
+            self.tree_averager = efg.BehavioralAverager(game, config.averaging)
             store_full = False  # tree rounds hand over no losses
         else:
             layout = game.layout
             owned = [[i] for i in range(len(game.dims))]
-            averager = _StrategyAverager(layout, config.averaging)
-            self.regret_of = lambda maxima: float(maxima[0])
+            self.tree_averager = None
             store_full = config.store_full
         self.layout = layout
         self.owned = [np.array(own, dtype=np.intp) for own in owned]
-        self.averager = averager
         if isinstance(game, MatrixGame):
-            # closes over the averager, not self: no reference cycle keeps
-            # a finished recorder and its trace alive until a collection
-            self.gap_of = lambda t, regrets: duality_gap(
-                game, *averager.average())
+            d1 = game.dims[0]
+            self.gap_of = lambda ts, regrets, means: duality_gap(
+                game, means[:, :d1], means[:, d1:])
         else:
-            self.gap_of = lambda t, regrets: max(0.0, *regrets) / t
-        self.cum = np.zeros(layout.size)
+            # max(0.0, *regrets) / t; fmax skips a NaN regret as Python's
+            # max does, and no regret is -0.0, so the zeros cannot differ
+            self.gap_of = lambda ts, regrets, means: np.fmax.reduce(
+                regrets, axis=1, initial=0.0) / ts
+        chunk = max(1, min(_CHUNK_ROWS, _CHUNK_FLOATS // layout.size)) + 1
+        self.plays, self.ledger, self.sums = np.zeros((3, chunk, layout.size))
+        self.weights = np.zeros(chunk)
+        # a family hands ``fp`` every round or never
+        self.fp = np.full((chunk, 2), np.nan)
+        self.linear = config.averaging == "linear"
+        self.k = 0  # rounds in the chunk
+        self.t = 0  # the last round observed
         stored = stored_rounds(config.iters, config.report_skip)
         rows, n = stored.size, len(self.owned)
 
@@ -414,16 +400,26 @@ class _Recorder:
             ledgers=[], strategies=full(), losses=full(), lifted=full())
         self.restart_events: list[tuple[int, int]] = []
         self._cursor = 0
-        self._prev: np.ndarray | None = None
 
     def observe(self, t, blocks, increments, losses=None, lifted=None,
                 restarts=(), fp=None) -> None:
-        x = as_flat(blocks)
+        k = self.k + 1
+        x, ledger = self.plays[k], self.ledger[k]
+        if isinstance(blocks, list):  # the lifted family's player blocks
+            for (lo, hi), block, increment in zip(self.layout.bounds, blocks,
+                                                  increments):
+                x[lo:hi] = block
+                ledger[lo:hi] = increment
+        else:
+            x[:] = blocks.vector
+            ledger[:] = increments.vector
         if not np.isfinite(x).all():
             raise NumericalDivergence(t)
-        self.cum += as_flat(increments)
-        self.averager.observe(BlockVector(x, self.layout))
+        if self.tree_averager is not None:
+            self.tree_averager.observe(BlockVector(x, self.layout))
         self.restart_events.extend(restarts)
+        if fp is not None:
+            self.fp[k] = fp
         trace = self.trace
         if trace.strategies is not None:
             for i, (block, loss) in enumerate(zip(blocks, losses)):
@@ -431,31 +427,64 @@ class _Recorder:
                 trace.losses[i][t - 1] = loss
                 if lifted is not None:
                     trace.lifted[i][t - 1] = lifted[i]
-        if self._cursor < trace.t.size and trace.t[self._cursor] == t:
-            row = self._cursor
-            maxima = np.maximum.reduceat(self.cum, self.layout.offsets[:-1])
-            regrets = [self.regret_of(maxima[own]) for own in self.owned]
-            trace.regret_max[row] = regrets
-            trace.gap[row] = self.gap_of(t, regrets)
-            if self._prev is not None:
-                steps = self.layout.squared_distances(x, self._prev)
-                trace.iter_var[row] = [sum(steps[own].tolist())
-                                       for own in self.owned]
-            for _, player in restarts:
-                trace.restart[row, player] = 1
-            if fp is not None:
-                trace.fp_k[row], trace.fp_residual[row] = fp
-            self._cursor += 1
-        # rounds hand back fresh arrays, so references suffice
-        self._prev = x
+        self.k, self.t = k, t
+        if k + 1 == self.weights.size:
+            self._flush()
+
+    def _flush(self) -> None:
+        k, t, trace, layout = self.k, self.t, self.trace, self.layout
+        new = slice(1, k + 1)
+        self.weights[new] = np.arange(t - k + 1, t + 1) if self.linear else 1.0
+        np.multiply(self.weights[new, None], self.plays[new], out=self.sums[new])
+        # running sums down the rows add in round order, as ``+=`` does
+        for buffer in (self.ledger, self.sums, self.weights):
+            np.add.accumulate(buffer[:k + 1], axis=0, out=buffer[:k + 1])
+        lo = self._cursor
+        hi = lo + int(np.searchsorted(trace.t[lo:], t, side="right"))
+        ts = trace.t[lo:hi]
+        rows = ts - (t - k)  # the stored rounds' buffer rows
+        maxima = np.maximum.reduceat(self.ledger[rows], layout.offsets[:-1],
+                                     axis=1)
+        regrets = (maxima if self.tree_averager is None
+                   else self._player_sums(np.maximum(maxima, 0.0)))
+        trace.regret_max[lo:hi] = regrets
+        trace.gap[lo:hi] = self.gap_of(
+            ts, regrets, self.sums[rows] / self.weights[rows, None])
+        squares = (self.plays[rows] - self.plays[rows - 1]) ** 2
+        steps = np.stack([squares[:, a:b].sum(axis=-1)
+                          for a, b in layout.bounds], axis=-1)
+        # round 1 has no previous play
+        trace.iter_var[lo:hi] = np.where((ts > 1)[:, None],
+                                         self._player_sums(steps), 0.0)
+        trace.fp_k[lo:hi], trace.fp_residual[lo:hi] = self.fp[rows].T
+        self._cursor = hi
+        for buffer in (self.plays, self.ledger, self.sums, self.weights):
+            buffer[0] = buffer[k]
+        self.k = 0
+
+    def _player_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per row and player, the sum of the player's block columns, added
+        in block order from 0 as Python's ``sum`` adds them."""
+        out = np.zeros((len(values), len(self.owned)))
+        for i, own in enumerate(self.owned):
+            for j in own.tolist():
+                out[:, i] += values[:, j]
+        return out
 
     def finish(self, header) -> RunTrace:
+        self._flush()
         trace = self.trace
         trace.header = header
-        blocks = BlockVector(self.cum, self.layout)
+        for t, player in self.restart_events:
+            row = int(np.searchsorted(trace.t, t))
+            if row < trace.t.size and trace.t[row] == t:
+                trace.restart[row, player] = 1
+        blocks = BlockVector(self.ledger[0], self.layout)
         trace.ledgers = [as_flat([blocks[j] for j in own.tolist()])
                          for own in self.owned]
-        trace.averages = self.averager.average()
+        trace.averages = (
+            self.tree_averager.average() if self.tree_averager is not None
+            else list(BlockVector(self.sums[0] / self.weights[0], self.layout)))
         trace.restart_events = tuple(self.restart_events)
         return trace
 

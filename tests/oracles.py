@@ -10,8 +10,17 @@ import itertools
 
 import numpy as np
 
-from regretkit.core import _normalize_nonneg, joint_distance, prm_plus_step
+from regretkit import efg, harness
+from regretkit.core import (
+    BlockLayout,
+    BlockVector,
+    _normalize_nonneg,
+    as_flat,
+    joint_distance,
+    prm_plus_step,
+)
 from regretkit.efg import ChanceNode, GameTree, LeafNode, check_behavioral
+from regretkit.games import MatrixGame, duality_gap
 from regretkit.stabilized import _in_chopped, project_chopped
 
 
@@ -473,3 +482,117 @@ def conceptual_round_per_block(z_prev, game, eta, eps_target, k_max):
             return (advanced, w, min(k, k_max), residual, tuple(history),
                     plays, increments)
         w = advanced
+
+
+# The harness's recorder as it was before it kept its books per chunk of
+# rounds: every round accumulates the ledger and the average, and every
+# stored round takes its per-block maxima, regrets, gap and squared steps
+# on its own.  The chunked recorder must fill the same trace bit for bit.
+# Stored rounds come from ``harness.stored_rounds``, looked up per call.
+
+
+class StrategyAverager:
+    """Running average of played strategies, round t weighted by t
+    (linear) or 1 (uniform)."""
+
+    def __init__(self, layout: BlockLayout, scheme: str):
+        self._layout = layout
+        self._linear = scheme == "linear"
+        self._sums = np.zeros(layout.size)
+        self._t = 0
+        self._weight = 0.0
+
+    def observe(self, x: BlockVector) -> None:
+        self._t += 1
+        weight = float(self._t) if self._linear else 1.0
+        self._weight += weight
+        self._sums += weight * x.vector
+
+    def average(self) -> list[np.ndarray]:
+        mean = self._sums / self._weight
+        return [mean[lo:hi] for lo, hi in self._layout.bounds]
+
+
+class PerRoundRecorder:
+    """Per-round bookkeeping for every family, one round at a time."""
+
+    def __init__(self, config, game):
+        if isinstance(game, efg.GameTree):
+            layout = game.compiled.layout
+            owned = [game.infosets_of(i) for i in range(game.num_players)]
+            averager = efg.BehavioralAverager(game, config.averaging)
+            self.regret_of = lambda maxima: sum(np.maximum(maxima, 0.0).tolist())
+            store_full = False  # tree rounds hand over no losses
+        else:
+            layout = game.layout
+            owned = [[i] for i in range(len(game.dims))]
+            averager = StrategyAverager(layout, config.averaging)
+            self.regret_of = lambda maxima: float(maxima[0])
+            store_full = config.store_full
+        self.layout = layout
+        self.owned = [np.array(own, dtype=np.intp) for own in owned]
+        self.averager = averager
+        if isinstance(game, MatrixGame):
+            self.gap_of = lambda t, regrets: duality_gap(
+                game, *averager.average())
+        else:
+            self.gap_of = lambda t, regrets: max(0.0, *regrets) / t
+        self.cum = np.zeros(layout.size)
+        stored = harness.stored_rounds(config.iters, config.report_skip)
+        rows, n = stored.size, len(self.owned)
+
+        def full():
+            return ([np.zeros((config.iters, d)) for d in layout.widths.tolist()]
+                    if store_full else None)
+
+        self.trace = harness.RunTrace(
+            header={}, t=stored, regret_max=np.zeros((rows, n)),
+            gap=np.zeros(rows), iter_var=np.zeros((rows, n)),
+            restart=np.zeros((rows, n), dtype=np.int8),
+            fp_k=np.full(rows, np.nan), fp_residual=np.full(rows, np.nan),
+            ledgers=[], strategies=full(), losses=full(), lifted=full())
+        self.restart_events: list[tuple[int, int]] = []
+        self._cursor = 0
+        self._prev = None
+
+    def observe(self, t, blocks, increments, losses=None, lifted=None,
+                restarts=(), fp=None) -> None:
+        x = as_flat(blocks)
+        if not np.isfinite(x).all():
+            raise harness.NumericalDivergence(t)
+        self.cum += as_flat(increments)
+        self.averager.observe(BlockVector(x, self.layout))
+        self.restart_events.extend(restarts)
+        trace = self.trace
+        if trace.strategies is not None:
+            for i, (block, loss) in enumerate(zip(blocks, losses)):
+                trace.strategies[i][t - 1] = block
+                trace.losses[i][t - 1] = loss
+                if lifted is not None:
+                    trace.lifted[i][t - 1] = lifted[i]
+        if self._cursor < trace.t.size and trace.t[self._cursor] == t:
+            row = self._cursor
+            maxima = np.maximum.reduceat(self.cum, self.layout.offsets[:-1])
+            regrets = [self.regret_of(maxima[own]) for own in self.owned]
+            trace.regret_max[row] = regrets
+            trace.gap[row] = self.gap_of(t, regrets)
+            if self._prev is not None:
+                steps = self.layout.squared_distances(x, self._prev)
+                trace.iter_var[row] = [sum(steps[own].tolist())
+                                       for own in self.owned]
+            for _, player in restarts:
+                trace.restart[row, player] = 1
+            if fp is not None:
+                trace.fp_k[row], trace.fp_residual[row] = fp
+            self._cursor += 1
+        self._prev = x
+
+    def finish(self, header):
+        trace = self.trace
+        trace.header = header
+        blocks = BlockVector(self.cum, self.layout)
+        trace.ledgers = [as_flat([blocks[j] for j in own.tolist()])
+                         for own in self.owned]
+        trace.averages = self.averager.average()
+        trace.restart_events = tuple(self.restart_events)
+        return trace

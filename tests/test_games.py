@@ -51,6 +51,23 @@ class TestMatrixGradients:
         with pytest.raises(ValueError):
             game.gradients([np.full(3, 1 / 3), np.array([0.5, 0.5])])
 
+    @pytest.mark.parametrize("make", [hard_instance,
+                                      lambda: random_matrix_game(30, 40, 0)])
+    def test_cached_negation_matches_a_fresh_one_bit_for_bit(self, make):
+        game = make()
+        a = game.payoff
+        d1, d2 = game.dims
+        rng = np.random.default_rng(1)
+        profiles = [(rng.dirichlet(np.ones(d1)), rng.dirichlet(np.ones(d2)))
+                    for _ in range(20)]
+        profiles.append((np.eye(d1)[0], np.eye(d2)[-1]))  # vertices
+        for x, y in profiles:
+            expected = [((-a) @ y).tobytes(), (a.T @ x).tobytes()]
+            assert [g.tobytes() for g in game.gradients([x, y])] == expected
+            for player in (0, 1):
+                got = game.gradient_for(player, [x, y])
+                assert got.tobytes() == expected[player]
+
     def test_rm_plus_on_losses_maximizes(self):
         # the row player's aggregate grows toward the maximizing action
         game = MatrixGame(np.array([[1.0, 1.0], [0.0, 0.0]]))
@@ -282,6 +299,17 @@ class TestDualityGap:
             assert (game.payoff @ y)[i] == pytest.approx(0.5)
             assert (x @ game.payoff)[i] == pytest.approx(0.5)
         assert duality_gap(game, x, y) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dims", [(3, 3), (30, 40), (7, 3), (64, 90)])
+    def test_stacked_profiles_match_row_by_row(self, dims):
+        game = random_matrix_game(*dims, 2)
+        rng = np.random.default_rng(3)
+        profiles = rng.dirichlet(np.ones(sum(dims)), size=50)
+        profiles[0] = 0.0
+        profiles[0, [0, -1]] = 1.0  # pure strategies
+        x, y = profiles[:, :dims[0]], profiles[:, dims[0]:]
+        expected = np.array([duality_gap(game, a, b) for a, b in zip(x, y)])
+        assert duality_gap(game, x, y).tobytes() == expected.tobytes()
 
     def test_folk_bound_on_trajectory(self):
         # every round t: gap of the uniform averages <= sum_i [regret_i]+ / t

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from regretkit import efg
+from regretkit import efg, harness
 from regretkit.core import lifted_regret_equivalence
 from regretkit.fixedpoint import lipschitz_bound
 from regretkit.games import MatrixGame, hard_instance, random_matrix_game, random_nfg
@@ -279,6 +279,41 @@ class TestDivergenceRounds:
                               alternation=True)
         self._check(config, name,
                     ALTERNATING_DIVERGENCE_ROUNDS[name, eta][algo])
+
+    # rm+ on rock-paper-scissors scaled toward overflow diverges after the
+    # recorder's first chunk of rounds (recorded before the recorder kept
+    # its books per chunk).  At 8e306 the aggregate overflows, so round
+    # 490's play is non-finite; at 2e307, alternating, round 372's play is
+    # finite, its loss overflows, and the round raises mid-chunk.
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("scale,alternate,expected", [
+        (8e306, False, 490), (2e307, True, 372)])
+    def test_after_a_chunk_flush(self, scale, alternate, expected):
+        game = MatrixGame(scale * np.array(
+            [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]))
+        config = SolverConfig(algorithm="rm+", iters=1000,
+                              alternation=alternate)
+        with pytest.raises(NumericalDivergence) as exc_info:
+            run(config, game)
+        assert exc_info.value.iteration == expected
+        assert str(exc_info.value) == f"non-finite iterate at round {expected}"
+
+    @pytest.mark.parametrize("bad_round", [300, 513])
+    def test_recorder_check_after_a_chunk_flush(self, bad_round):
+        """The recorder's own check of a play handed to it, past the
+        first chunk and at the first round of a chunk."""
+        game = hard_instance()
+        config = SolverConfig(algorithm="rm+", iters=1000)
+        recorder = harness._Recorder(config, game)
+        uniform = [np.full(3, 1 / 3), np.full(3, 1 / 3)]
+        for t in range(1, bad_round):
+            recorder.observe(t, uniform, [np.zeros(3), np.zeros(3)])
+        with pytest.raises(NumericalDivergence) as exc_info:
+            recorder.observe(bad_round, [np.full(3, 1 / 3),
+                                         np.array([0.5, np.nan, 0.5])],
+                             [np.zeros(3), np.zeros(3)])
+        assert exc_info.value.iteration == bad_round
+        assert str(exc_info.value) == f"non-finite iterate at round {bad_round}"
 
 
 class TestAutoEta:
