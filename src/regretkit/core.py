@@ -46,6 +46,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -185,6 +186,24 @@ class BlockLayout:
              else self.offsets[ids, None] + np.arange(width))
             for width in np.unique(self.widths[members]).tolist()
             for ids in [members[self.widths[members] == width]])
+
+    @cached_property
+    def _views(self) -> tuple:
+        """Per bucket, in ``buckets`` order, (positions, shape) to read it
+        as ``v[positions].reshape(shape)``: a view of a slice for one
+        block or a contiguous run of them, else a gather."""
+        return tuple(
+            (index, (index.stop - index.start,)) if isinstance(index, slice)
+            else (slice(*self.offsets[[ids[0], ids[-1] + 1]].tolist()),
+                  index.shape) if (np.diff(ids) == 1).all()
+            else (index.ravel(), index.shape)
+            for ids, index in self.buckets)
+
+    @cached_property
+    def _row_order(self) -> list[int]:
+        """For each member block, its place among the buckets' rows."""
+        rows = np.concatenate([ids for ids, _ in self.buckets])
+        return np.argsort(rows).tolist()
 
     def restricted(self, members) -> "BlockLayout":
         """The same blocks, with buckets over ``members`` only."""

@@ -20,14 +20,16 @@ projection of z - v.
 
 The solve runs on one flat joint vector in ``game.layout`` (one block
 per player), each per-block step once per width bucket, with the floats
-of the per-block code.  Checks sit at the boundary: ``conceptual_round``
-checks z_{t-1} on entry; each inner iteration calls the public
-``operator_F`` (one membership test per width bucket) and tests the
-proximal input z_{t-1} - eta F(w) once for finiteness before the
-unchecked chopped kernel projects it (``project_chopped`` is that check
-plus the kernel).  The solve hands back g(w) and F(w) from its last
-operator call: the played increments <x, l> - l are -F(w), so a caller
-needs no further gradient call.
+of the per-block code: a bucket of one block or of a contiguous run of
+blocks is read and written as a view, any other by a gather.  Checks sit
+at the boundary: each inner iteration calls the public ``operator_F``
+(the first at z_{t-1}), whose membership test shares its block masses
+with g(w) (per bucket, one ``min`` over the entries and one over the
+masses, row sums of a C-contiguous stack and so bit for bit the 1-D
+sums, which ``np.add.reduceat``'s are not), and tests the proximal input
+z_{t-1} - eta F(w) once for finiteness.  The solve hands back g(w) and
+F(w) from its last operator call: the played increments <x, l> - l are
+-F(w), so a caller needs no further gradient call.
 
 Step-size prescriptions used by the harness: eta = 1/(2 L_F) for the
 conceptual solver and eta = 1/(sqrt(2) L_F) for the extragradient one,
@@ -43,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BlockVector, _normalize_nonneg, as_flat
+from .core import BlockVector, as_flat
 from .games import MatrixGame, spectral_norm
-from .stabilized import _check_finite, _chopped_kernel, _in_chopped
+from .stabilized import _check_finite, _chopped_kernel
 
 __all__ = [
     "FixedPointReport",
@@ -72,9 +74,8 @@ class FixedPointReport:
 
 
 def _flat_point(z_blocks, layout) -> np.ndarray:
-    """The flat vector of a joint point (one block per player, or a
-    ``BlockVector`` in ``layout``), checked to lie in the chopped joint
-    space: one membership test per width bucket."""
+    """The flat vector of a joint point: one block per player, or a
+    ``BlockVector`` in ``layout``."""
     if isinstance(z_blocks, BlockVector) and z_blocks.layout is layout:
         z = np.asarray(z_blocks.vector, dtype=float)
         if z.shape != (layout.size,):
@@ -86,16 +87,20 @@ def _flat_point(z_blocks, layout) -> np.ndarray:
         if any(b.shape != (d,) for b, d in zip(blocks, layout.widths.tolist())):
             raise ValueError("block dimension mismatch")
         z = as_flat(blocks)
-    if not all(_in_chopped(z[index]).all() for _, index in layout.buckets):
-        raise ValueError("point outside the chopped joint space")
     return z
 
 
 def _plays(w: np.ndarray, layout) -> np.ndarray:
-    """g(w): every block normalized, one call per width bucket."""
+    """g(w), w checked to lie in the chopped joint space.  A NaN fails
+    the sign test, so no mass tested is NaN; an infinite mass passes."""
     x = np.empty(layout.size)
-    for _, index in layout.buckets:
-        x[index] = _normalize_nonneg(w[index])
+    for positions, shape in layout._views:
+        rows = w[positions].reshape(shape)
+        mass = np.add.reduce(rows, -1, keepdims=True)
+        if not (np.minimum.reduce(rows, None) >= 0.0
+                and min(mass.ravel().tolist()) >= 1.0 - 1e-9):
+            raise ValueError("point outside the chopped joint space")
+        x[positions] = (rows / mass).ravel()
     return x
 
 
@@ -104,11 +109,13 @@ def operator_F(z_blocks, game) -> BlockVector:
     the value reads as one block per player."""
     layout = game.layout
     x = _plays(_flat_point(z_blocks, layout), layout)
-    losses = as_flat(game.gradients([x[lo:hi] for lo, hi in layout.bounds]))
-    f = np.empty(layout.size)
-    for _, index in layout.buckets:
-        xs, ls = x[index], losses[index]
-        f[index] = ls - np.vecdot(xs, ls)[..., None]
+    # f = l - <x, l>, in place in a new array of the losses
+    f = np.concatenate(game.gradients([x[lo:hi] for lo, hi in layout.bounds]))
+    for positions, shape in layout._views:
+        xs, ls = x[positions].reshape(shape), f[positions].reshape(shape)
+        ls -= np.vecdot(xs, ls)[..., None]
+        if isinstance(positions, np.ndarray):  # gathered
+            f[positions] = ls.ravel()
     return BlockVector(f, layout)
 
 
@@ -129,8 +136,8 @@ def initial_lifted_point(dims) -> list[np.ndarray]:
 def _solve(z_prev: np.ndarray, game, eta: float, eps_target: float,
            k_max: int):
     """``conceptual_round`` on the flat vector z_prev in ``game.layout``,
-    which the caller has checked.  Returns (z_next, w, g(w), F(w),
-    report), all four vectors flat."""
+    which the first operator call checks.  Returns (z_next, w, g(w),
+    F(w), report), all four vectors flat."""
     layout = game.layout
     w = z_prev
     history: list[float] = []
@@ -139,10 +146,19 @@ def _solve(z_prev: np.ndarray, game, eta: float, eps_target: float,
     for k in range(1, k_max + 2):
         f = operator_F(BlockVector(w, layout), game).vector
         y = _check_finite(z_prev - eta * f)
-        advanced = np.empty(layout.size)
-        for _, index in layout.buckets:
-            advanced[index] = _chopped_kernel(y[index])
-        residual = sum(layout.squared_distances(w, advanced).tolist()) ** 0.5
+        # the chopped projection, [y]+ unless a row's mass is below 1,
+        # and the squared distance of each block from w
+        advanced = np.maximum(y, 0.0)
+        distances = []
+        for positions, shape in layout._views:
+            rows = advanced[positions].reshape(shape)
+            mass = np.add.reduce(rows, -1, keepdims=True)
+            if min(mass.ravel().tolist()) < 1.0:
+                rows = _chopped_kernel(y[positions].reshape(shape))
+                advanced[positions] = rows.ravel()
+            squares = (w[positions].reshape(shape) - rows) ** 2
+            distances += np.add.reduce(squares, -1).reshape(-1).tolist()
+        residual = sum([distances[b] for b in layout._row_order]) ** 0.5
         history.append(residual)
         if residual <= eps_target or k > k_max:
             return advanced, w, _plays(w, layout), f, FixedPointReport(

@@ -75,11 +75,15 @@ def project_simplex(y) -> np.ndarray:
     Sort-and-threshold in O(d log d): with u the entries sorted in
     descending order, find the largest k with u_k + (1 - sum_{i<=k} u_i)/k
     > 0 and shift-clip by that amount.  Ties in the sort are harmless (the
-    projection is unique).  A ``(rows, d)`` stack is projected row by row,
-    each row bit for bit as on its own, and raises wherever one of its
-    rows would.
+    projection is unique).  Raises ``NonFiniteError`` if no k passes, as
+    when entries near the float limit swamp the unit mass.  A ``(rows,
+    d)`` stack is projected row by row, each row bit for bit as on its
+    own, and raises wherever one of its rows would.
     """
     return _simplex_kernel(_check_finite(y))
+
+
+_NO_THRESHOLD = "simplex projection: the unit mass is lost to rounding"
 
 
 def _simplex_kernel(y: np.ndarray) -> np.ndarray:
@@ -88,16 +92,17 @@ def _simplex_kernel(y: np.ndarray) -> np.ndarray:
         cumulative = np.cumsum(u)
         ks = np.arange(1, y.size + 1)
         candidates = u + (1.0 - cumulative) / ks
-        k = int(np.nonzero(candidates > 0.0)[0][-1]) + 1
+        support = np.nonzero(candidates > 0.0)[0]
+        if not support.size:
+            raise NonFiniteError(_NO_THRESHOLD)
+        k = int(support[-1]) + 1
         tau = (1.0 - cumulative[k - 1]) / k
         return np.maximum(y + tau, 0.0)
     u = np.sort(y, axis=1)[:, ::-1]
     cumulative = np.cumsum(u, axis=1)
     positive = u + (1.0 - cumulative) / np.arange(1, y.shape[1] + 1) > 0.0
-    found = positive.any(axis=1)
-    if not found.all():
-        # the IndexError of the 1-D path, for the first row without a k
-        np.nonzero(positive[np.argmin(found)])[0][-1]
+    if not positive.any(axis=1).all():
+        raise NonFiniteError(_NO_THRESHOLD)
     k = y.shape[1] - np.argmax(positive[:, ::-1], axis=1)
     tau = (1.0 - cumulative[np.arange(y.shape[0]), k - 1]) / k
     return np.maximum(y + tau[:, None], 0.0)

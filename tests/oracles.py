@@ -122,6 +122,28 @@ def straight_line_stable_round(w, prediction, game, eta, r0):
     return new_w, new_m, plays, restarted
 
 
+def simplex_kernel_before(y: np.ndarray) -> np.ndarray:
+    """The simplex kernel as it was before it raised ``NonFiniteError``
+    where its threshold search finds no k: there it raised IndexError."""
+    if y.ndim == 1:
+        u = np.sort(y)[::-1]
+        cumulative = np.cumsum(u)
+        ks = np.arange(1, y.size + 1)
+        candidates = u + (1.0 - cumulative) / ks
+        k = int(np.nonzero(candidates > 0.0)[0][-1]) + 1
+        tau = (1.0 - cumulative[k - 1]) / k
+        return np.maximum(y + tau, 0.0)
+    u = np.sort(y, axis=1)[:, ::-1]
+    cumulative = np.cumsum(u, axis=1)
+    positive = u + (1.0 - cumulative) / np.arange(1, y.shape[1] + 1) > 0.0
+    found = positive.any(axis=1)
+    if not found.all():
+        np.nonzero(positive[np.argmin(found)])[0][-1]
+    k = y.shape[1] - np.argmax(positive[:, ::-1], axis=1)
+    tau = (1.0 - cumulative[np.arange(y.shape[0]), k - 1]) / k
+    return np.maximum(y + tau[:, None], 0.0)
+
+
 def project_chopped_reference(v: np.ndarray) -> np.ndarray:
     """Simplex-or-positive-part split, with the simplex projection done by
     bisection on the shift (independent of sorting)."""

@@ -9,7 +9,8 @@ run.  The tracer file is loaded read-only, by path.
 import importlib.util
 from pathlib import Path
 
-from regretkit import efg, games, harness
+from regretkit import efg, fixedpoint, games, harness
+from regretkit.core import as_flat
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -71,6 +72,36 @@ def test_fixed_point_gradient_calls_and_solves_per_round():
     assert conceptual["fixedpoint.solves"] == 5
     assert (conceptual["games.gradient_calls"]
             == conceptual["fixedpoint.operator_calls"] > 2 * 5)
+
+
+def test_conceptual_operator_calls_per_inner_iteration():
+    # one operator evaluation, and one gradient call, per inner iteration:
+    # k for a solve that converged at its k-th iteration, k_max + 1 for
+    # one that ran its budget out.  fp_k alone cannot tell a solve that
+    # converged at iteration k_max from one that converged at the extra
+    # measurement, so the run's solves are replayed for their counts.
+    tracer_mod = _load_tracer()
+    game = games.hard_instance()
+    config = harness.SolverConfig(algorithm="conceptual-rm+", iters=200,
+                                  eps_schedule="1e-14", k_max=10)
+    tracer = tracer_mod.Tracer()
+    undo = tracer_mod.install(tracer)
+    try:
+        trace = harness.run(config, game)
+    finally:
+        tracer_mod.uninstall(undo)
+    metrics = tracer_mod.PassSpans(tracer, tracer.arrays()).metrics({})
+    eta, _ = harness.resolve_eta(config, game)
+    z = as_flat(fixedpoint.initial_lifted_point(game.dims))
+    evaluations = []
+    for k in trace.fp_k.tolist():
+        z, _, _, _, report = fixedpoint._solve(z, game, eta, 1e-14,
+                                               config.k_max)
+        assert report.iterations == k
+        evaluations.append(len(report.history))
+    assert min(evaluations) < config.k_max + 1 == max(evaluations)
+    assert (metrics["fixedpoint.operator_calls"]
+            == metrics["games.gradient_calls"] == sum(evaluations))
 
 
 # games.gradient_calls per round on the 3x3 game: the lifted round

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regretkit.cli import main
-from regretkit.games import load_game
+from regretkit.games import hard_instance, load_game
 from regretkit import efg
 
 
@@ -81,6 +81,20 @@ class TestRun:
              "--iters", "10"], capsys)
         assert code == 3
         assert "round" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("scale", [1e305, 1e306, 3e307])
+    def test_simplex_without_a_threshold_exits_three(self, tmp_path, capsys,
+                                                     scale):
+        rows = scale * hard_instance().payoff / 4
+        path = tmp_path / "scaled.game"
+        path.write_text("matrix\n3 3\n" + "".join(
+            " ".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        code, out, err = run_cli(
+            ["run", "--algo", "conceptual-rm+", "--eta", "0.1", "--game",
+             str(path), "--iters", "5"], capsys)
+        assert code == 3 and out == ""
+        assert "round 1" in err and "Traceback" not in err
 
     def test_output_file_and_outdir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REGRETKIT_OUTDIR", str(tmp_path))

@@ -12,7 +12,7 @@ from regretkit.fixedpoint import (
     lipschitz_bound,
     operator_F,
 )
-from regretkit.stabilized import project_chopped
+from regretkit.stabilized import _in_chopped, project_chopped
 from regretkit.games import (
     MatrixGame,
     NormalFormGame,
@@ -92,6 +92,76 @@ class TestOperatorF:
         z = [np.array([np.nan, 1.0, 1.0]), np.full(3, 1.0)]
         with pytest.raises(ValueError, match="outside the chopped joint space"):
             conceptual_round(z, hard_instance(), 0.1, 1e-12, 10)
+
+
+def _membership_block(d, kind, at):
+    """A width-d block of mass 1 - 2e-9 ("short", below the 1e-9 slack)
+    or 1 - 5e-10 ("slack", inside it), or uniform of mass 1.5 with entry
+    ``at`` replaced by the named value."""
+    if kind in ("short", "slack"):
+        return np.full(d, (1.0 - {"short": 2e-9, "slack": 5e-10}[kind]) / d)
+    block = np.full(d, 1.5 / d)
+    block[at] = {"nan": np.nan, "-inf": -np.inf, "negative": -1e-300,
+                 "-0.0": -0.0, "inf": np.inf}[kind]
+    return block
+
+
+MEMBERSHIP_KINDS = ("nan", "-inf", "negative", "short", "slack", "-0.0",
+                    "inf")
+
+
+class TestFusedMembershipCheck:
+    """``operator_F``'s membership test, fused with g(w), gives the
+    verdict and the message of the per-block ``_in_chopped`` on each bad
+    block, wherever it sits: in a (rows, width) view (hard3x3), in a
+    gathered bucket or a slice (3x4x3), or in a slice bucket (30x40)."""
+
+    GAMES = {"hard3x3": hard_instance(), "nfg3x4x3": random_nfg((3, 4, 3), 3),
+             "matrix30x40": random_matrix_game(30, 40, 0)}
+
+    def _points(self, game):
+        for kind in MEMBERSHIP_KINDS:
+            for b, d in enumerate(game.dims):
+                for at in (0, d - 1):
+                    z = [np.full(w, 1.0 / w) for w in game.dims]
+                    z[b] = _membership_block(d, kind, at)
+                    yield kind, z, all(bool(_in_chopped(r)) for r in z)
+
+    def test_verdicts_cover_both_sides(self):
+        verdicts = {kind: inside for kind, _, inside
+                    in self._points(hard_instance())}
+        assert verdicts == {"nan": False, "-inf": False, "negative": False,
+                            "short": False, "slack": True, "-0.0": True,
+                            "inf": True}
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_operator_F(self, name):
+        game = self.GAMES[name]
+        for kind, z, inside in self._points(game):
+            if inside:
+                assert len(operator_F(z, game)) == len(game.dims), kind
+                continue
+            with pytest.raises(ValueError) as info:
+                operator_F(z, game)
+            assert str(info.value) == "point outside the chopped joint space"
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    def test_conceptual_round(self, name):
+        game = self.GAMES[name]
+        eta = 0.5 / lipschitz_bound(game)
+        for kind, z, inside in self._points(game):
+            if inside and kind != "inf":
+                conceptual_round(z, game, eta, 1e-12, 5)
+                continue
+            with pytest.raises(ValueError) as info:
+                conceptual_round(z, game, eta, 1e-12, 5)
+            # an infinite mass passes the test; g(w) then holds a NaN
+            # that the proximal input's finiteness check reports
+            assert str(info.value) == (
+                "non-finite input to projection" if inside
+                else "point outside the chopped joint space"), kind
 
 
 class TestLipschitzBound:
@@ -345,9 +415,11 @@ class TestExrmRound:
                                linear[1] / weight) <= envelope
 
 
-# one-block width buckets gather as slices, the others as index arrays:
-# hard3x3 and 5x5x5 have one index bucket, 30x40 and 2x3x4 only slices,
-# and 3x3x4, 3x4x3 and 1x3x1 (a width-1 bucket of two blocks) one of each
+# one-block width buckets read as 1-D slices, runs of contiguous blocks
+# as (rows, width) views, the others by a gather: hard3x3, 5x5x5 and
+# 2x2x2x2 have one view from offset 0, 30x40 and 2x3x4 only slices,
+# 3x3x4 a view and a slice, 4x3x3 a slice and a view from offset 4, and
+# 3x4x3 and 1x3x1 (a width-1 pair) a gathered bucket and a slice
 ORACLE_GAMES = {
     "hard3x3": hard_instance(),
     "matrix30x40": random_matrix_game(30, 40, 0),
@@ -356,6 +428,8 @@ ORACLE_GAMES = {
     "nfg3x3x4": random_nfg((3, 3, 4), 2),
     "nfg3x4x3": random_nfg((3, 4, 3), 3),
     "nfg1x3x1": random_nfg((1, 3, 1), 4),
+    "nfg4x3x3": random_nfg((4, 3, 3), 5),
+    "nfg2x2x2x2": random_nfg((2, 2, 2, 2), 6),
 }
 
 
@@ -376,7 +450,7 @@ class TestFlatSolveMatchesPerBlockOracle:
 
     @given(name=st.sampled_from(sorted(ORACLE_GAMES)),
            seed=st.integers(0, 2**32 - 1),
-           tight=st.lists(st.booleans(), min_size=3, max_size=3),
+           tight=st.lists(st.booleans(), min_size=4, max_size=4),
            # eta * L_F: below 1 the inner loop contracts, above it need not
            contraction=st.sampled_from([0.05, 0.5, 0.99, 2.0, 20.0]),
            eps=st.sampled_from([-1.0, 1e-14, 1e-6, 1e-2]),

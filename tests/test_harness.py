@@ -298,6 +298,19 @@ class TestDivergenceRounds:
         assert exc_info.value.iteration == expected
         assert str(exc_info.value) == f"non-finite iterate at round {expected}"
 
+    # conceptual RM+ on the hard instance scaled toward the float limit:
+    # round 1's proximal input is so large that the simplex threshold
+    # search finds no k, which is a divergence, not a crash
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("scale", [1e305, 1e306, 3e307])
+    def test_simplex_without_a_threshold(self, scale):
+        game = MatrixGame(scale * hard_instance().payoff / 4)
+        config = SolverConfig(algorithm="conceptual-rm+", eta=0.1, iters=5)
+        with pytest.raises(NumericalDivergence) as exc_info:
+            run(config, game)
+        assert exc_info.value.iteration == 1
+        assert str(exc_info.value) == "non-finite iterate at round 1"
+
     @pytest.mark.parametrize("bad_round", [300, 513])
     def test_recorder_check_after_a_chunk_flush(self, bad_round):
         """The recorder's own check of a play handed to it, past the

@@ -20,6 +20,7 @@ from regretkit.stabilized import (
 from .oracles import (
     enumerate_project_chopped,
     grid_project_simplex,
+    simplex_kernel_before,
     straight_line_smooth_round,
     straight_line_stable_round,
 )
@@ -118,14 +119,45 @@ class TestRowwiseProjections:
         # no threshold exists once rounding swamps the unit mass (the
         # chopped projection never gets here: such a row is slack)
         bad = np.array([1e17, 1e17])
-        with pytest.raises(IndexError) as alone:
+        with pytest.raises(NonFiniteError) as alone:
             project_simplex(bad)
-        with pytest.raises(IndexError) as stacked:
+        with pytest.raises(NonFiniteError) as stacked:
             project_simplex(np.array([[0.2, 0.3], bad, [0.0, 0.1]]))
         assert str(stacked.value) == str(alone.value)
         for project in (project_simplex, project_chopped):
             with pytest.raises(NonFiniteError):
                 project(np.array([[0.2, 0.3], [np.nan, 0.0]]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+class TestSimplexWithoutAThreshold:
+    """Near the float limit the threshold search can find no k; the
+    projection then raises ``NonFiniteError`` where the kernel before it
+    raised IndexError, and on every input that kernel projected it
+    returns the same floats."""
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5),
+           d=st.integers(1, 8), exponent=st.integers(-3, 307))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_kernel_before(self, seed, rows, d, exponent):
+        rng = np.random.default_rng(seed)
+        stack = rng.uniform(-1.0, 1.0, (rows, d)) * 10.0**exponent
+        stack[rng.random((rows, d)) < 0.3] *= 1e-300
+        for y in (stack, *stack):
+            try:
+                want = simplex_kernel_before(y)
+            except IndexError:
+                with pytest.raises(NonFiniteError):
+                    project_simplex(y)
+            else:
+                assert project_simplex(y).tobytes() == want.tobytes()
+
+    def test_both_outcomes_occur(self):
+        near_limit = np.array([[-1e306, -2e306], [1e-300, -1e306]])
+        with pytest.raises(IndexError):
+            simplex_kernel_before(near_limit[0])
+        assert project_simplex(near_limit[1]).tobytes() == (
+            simplex_kernel_before(near_limit[1]).tobytes())
 
 
 class TestNonExpansiveness:
