@@ -217,13 +217,6 @@ class BlockLayout:
             out[ids] = part
         return out
 
-    def squared_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per block, the squared Euclidean distance between the blocks of
-        two flat vectors, each summed as ``np.sum`` sums the 1-D block."""
-        squares = (a - b) ** 2
-        return self.per_block([squares[index].sum(axis=-1)
-                               for _, index in self.buckets])
-
 
 class BlockVector(Sequence):
     """A flat vector read as the blocks of a ``BlockLayout``: item b is a

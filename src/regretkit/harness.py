@@ -2,7 +2,11 @@
 
 ``run(config, game)`` executes one solver on one game and returns a
 ``RunTrace``.  Traces are deterministic functions of (config, game, seed);
-the CSV rendering is byte-exact (17 significant digits).
+the CSV rendering is byte-exact (17 significant digits).  ``write_csv``
+writes the header lines verbatim, then each chunk of at most 256 rows
+with one ``%`` format and one ``write``; ``"%.17g" % v`` is
+``format(v, ".17g")`` for every float, so the bytes are those of
+formatting row by row.
 
 CSV schema: ``#``-prefixed ``key=value`` header lines, then the row header
 
@@ -170,18 +174,25 @@ class RunTrace:
         for key, value in self.header.items():
             stream.write(f"# {key}={value}\n")
         stream.write("t,player,regret_max,gap,iter_var,restart,fp_k,fp_residual\n")
-        for row in range(self.t.size):
-            t = int(self.t[row])
-            gap = _fmt(self.gap[row])
-            fpk = "" if math.isnan(self.fp_k[row]) else str(int(self.fp_k[row]))
-            fpr = ("" if math.isnan(self.fp_residual[row])
-                   else _fmt(self.fp_residual[row]))
-            for player in range(self.num_players):
-                stream.write(
-                    f"{t},{player},{_fmt(self.regret_max[row, player])},{gap},"
-                    f"{_fmt(self.iter_var[row, player])},"
-                    f"{int(self.restart[row, player])},{fpk},{fpr}\n"
-                )
+        n = self.num_players
+        line = "".join(f"%d,{i},%.17g,%s,%.17g,%d,%s,%s\n" for i in range(n))
+        for lo in range(0, self.t.size, _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            ts = self.t[rows].tolist()
+            gaps = [_fmt(v) for v in self.gap[rows].tolist()]
+            fpks = ["" if math.isnan(v) else str(int(v))
+                    for v in self.fp_k[rows].tolist()]
+            fprs = ["" if math.isnan(v) else _fmt(v)
+                    for v in self.fp_residual[rows].tolist()]
+            # the line of row r and player i takes values[7 * (n * r + i):][:7]
+            values = [None] * (7 * n * len(ts))
+            for i in range(n):
+                columns = (ts, self.regret_max[rows, i].tolist(), gaps,
+                           self.iter_var[rows, i].tolist(),
+                           self.restart[rows, i].tolist(), fpks, fprs)
+                for j, column in enumerate(columns):
+                    values[7 * i + j::7 * n] = column
+            stream.write((line * len(ts)) % tuple(values))
 
 
 def _fmt(value: float) -> str:

@@ -127,8 +127,10 @@ def _chopped_kernel(y: np.ndarray) -> np.ndarray:
         if positive.sum() >= 1.0:
             return positive
         return _simplex_kernel(y)
-    tight = positive.sum(axis=1) < 1.0
-    if tight.any():
+    tight = np.flatnonzero(positive.sum(axis=1) < 1.0)
+    if tight.size == 1:  # the 1-D path: the same floats, and cheaper
+        positive[tight[0]] = _simplex_kernel(y[tight[0]])
+    elif tight.size:
         positive[tight] = _simplex_kernel(y[tight])
     return positive
 

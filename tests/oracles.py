@@ -7,6 +7,7 @@ re-derivation, sharing no code path with the implementations under test.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -535,6 +536,15 @@ class StrategyAverager:
         return [mean[lo:hi] for lo, hi in self._layout.bounds]
 
 
+def squared_distances(layout, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per block, the squared Euclidean distance between the blocks of two
+    flat vectors, each summed as ``np.sum`` sums the 1-D block (formerly
+    ``BlockLayout.squared_distances``)."""
+    squares = (a - b) ** 2
+    return layout.per_block([squares[index].sum(axis=-1)
+                             for _, index in layout.buckets])
+
+
 class PerRoundRecorder:
     """Per-round bookkeeping for every family, one round at a time."""
 
@@ -599,7 +609,7 @@ class PerRoundRecorder:
             trace.regret_max[row] = regrets
             trace.gap[row] = self.gap_of(t, regrets)
             if self._prev is not None:
-                steps = self.layout.squared_distances(x, self._prev)
+                steps = squared_distances(self.layout, x, self._prev)
                 trace.iter_var[row] = [sum(steps[own].tolist())
                                        for own in self.owned]
             for _, player in restarts:
@@ -618,3 +628,23 @@ class PerRoundRecorder:
         trace.averages = self.averager.average()
         trace.restart_events = tuple(self.restart_events)
         return trace
+
+
+def write_csv_per_row(trace, stream) -> None:
+    """``RunTrace.write_csv`` one row at a time, one ``write`` per line,
+    as it was before it formatted whole chunks of rows."""
+    for key, value in trace.header.items():
+        stream.write(f"# {key}={value}\n")
+    stream.write("t,player,regret_max,gap,iter_var,restart,fp_k,fp_residual\n")
+    for row in range(trace.t.size):
+        t = int(trace.t[row])
+        gap = f"{trace.gap[row]:.17g}"
+        fpk = "" if math.isnan(trace.fp_k[row]) else str(int(trace.fp_k[row]))
+        fpr = ("" if math.isnan(trace.fp_residual[row])
+               else f"{trace.fp_residual[row]:.17g}")
+        for player in range(trace.num_players):
+            stream.write(
+                f"{t},{player},{trace.regret_max[row, player]:.17g},{gap},"
+                f"{trace.iter_var[row, player]:.17g},"
+                f"{int(trace.restart[row, player])},{fpk},{fpr}\n"
+            )

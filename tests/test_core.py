@@ -20,6 +20,8 @@ from regretkit.core import (
 from regretkit.games import instability_losses, random_nfg
 from regretkit.harness import SolverConfig, run
 
+from .oracles import squared_distances
+
 
 class TestNormalize:
     def test_symmetric(self):
@@ -295,7 +297,7 @@ class TestBlockLayoutBuckets:
         layout = LAYOUTS[name]
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(2, layout.size)) * rng.uniform(0.0, 1e3)
-        got = layout.squared_distances(a, b)
+        got = squared_distances(layout, a, b)
         for block in self._members(layout):
             lo, hi = layout.bounds[block]
             want = np.sum((a[lo:hi] - b[lo:hi]) ** 2)

@@ -160,6 +160,37 @@ class TestSimplexWithoutAThreshold:
             simplex_kernel_before(near_limit[1]).tobytes())
 
 
+class TestChoppedTightRows:
+    """A stack with one tight row (positive mass below 1) projects that
+    row through the 1-D simplex path; the floats and the error are those
+    of the per-row projection."""
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8),
+           d=st.integers(1, 12), tight=st.sampled_from(["none", "one", "some"]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_per_row(self, seed, rows, d, tight):
+        rng = np.random.default_rng(seed)
+        stack = np.abs(rng.normal(size=(rows, d))) + 1.0  # every row slack
+        count = {"none": 0, "one": 1, "some": int(rng.integers(2, rows + 2))}
+        picks = rng.permutation(rows)[:count[tight]]
+        stack[picks] = rng.uniform(-1.0, 1.0, (picks.size, d)) * 0.9 / d
+        assert ((np.maximum(stack, 0.0).sum(axis=1) < 1.0).sum()
+                == min(count[tight], rows))
+        want = np.stack([project_chopped(y) for y in stack])
+        assert project_chopped(stack).tobytes() == want.tobytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_no_threshold_message(self):
+        bad = np.array([-1e306, -2e306])  # tight, and no threshold exists
+        with pytest.raises(NonFiniteError) as alone:
+            project_simplex(bad)
+        for stack in ([[5.0, 5.0], bad], [bad, [0.1, 0.2], [5.0, 5.0]],
+                      [[0.1, 0.2], bad]):
+            with pytest.raises(NonFiniteError) as stacked:
+                project_chopped(np.array(stack))
+            assert str(stacked.value) == str(alone.value)
+
+
 class TestNonExpansiveness:
     @pytest.mark.parametrize("project", [project_orthant, project_simplex,
                                          project_chopped])
