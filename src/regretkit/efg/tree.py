@@ -4,7 +4,9 @@ A tree is a list of nodes (chance nodes with fixed distributions,
 player-owned decision nodes, leaves with per-player payoffs) plus an
 explicit information-set table.  Decision nodes sharing an information set
 must share the owning player's own action-observation history (perfect
-recall), which ``TreeBuilder.build`` verifies.
+recall).  ``TreeBuilder.build``, one breadth-first pass, is the one
+validator of a tree, and ``load_tree`` builds through it; ``CompiledTree``
+lowers a tree to flat arrays in one more breadth-first pass.
 
 Leaf payoffs are supplied in whatever units the game is naturally stated
 in; the solver-facing payoffs are affinely mapped into [0, 1] per player
@@ -116,10 +118,10 @@ class GameTree:
 class TreeBuilder:
     """Bottom-up tree construction: create children first, then parents.
 
-    ``leaf``/``decision``/``chance`` return node ids; ``build(root)``
-    relabels nodes in breadth-first order from the root, groups decision
-    nodes into infosets by (player, key), derives the [0, 1] payoff map and
-    validates the perfect-recall property.
+    ``leaf``/``decision``/``chance`` return node ids; ``build(root)``, in
+    one breadth-first pass from the root, relabels the nodes in that order,
+    groups decision nodes into infosets by (player, key) and validates the
+    perfect-recall property; then it derives the [0, 1] payoff map.
     """
 
     def __init__(self, num_players: int):
@@ -163,108 +165,63 @@ class TreeBuilder:
         return len(self._nodes) - 1
 
     def build(self, root: int) -> GameTree:
-        order: list[int] = []
-        seen: set[int] = set()
-        queue = [root]
-        while queue:
-            nid = queue.pop(0)
-            if nid in seen:
-                raise ValueError("node referenced twice: not a tree")
-            seen.add(nid)
-            order.append(nid)
-            raw = self._nodes[nid]
-            if raw[0] == "decision":
-                queue.extend(raw[3])
-            elif raw[0] == "chance":
-                queue.extend(raw[2])
-        relabel = {old: new for new, old in enumerate(order)}
-
-        infoset_ids: dict[tuple[int, str], int] = {}
-        infoset_nodes: dict[int, list[int]] = {}
-        infoset_actions: dict[int, int] = {}
-        infoset_player: dict[int, int] = {}
-        infoset_key: dict[int, str] = {}
-        nodes: list = []
-        raw_payoffs: list[np.ndarray] = []
+        # (player, key) -> (infoset id, action count, member nodes, the
+        # player's own (infoset, action) history at the first member)
+        table: dict[tuple[int, str], tuple[int, int, list[int], tuple]] = {}
+        nodes: list = []  # a leaf holds its row of ``payoffs`` until mapped
+        leaf_rows: list[np.ndarray] = []
+        # breadth-first from the root: ``order`` and ``histories`` (per
+        # node, each player's own history on the way down) grow while read
+        order, seen, histories = [root], {root}, [{}]
         for new_id, old_id in enumerate(order):
             raw = self._nodes[old_id]
             if raw[0] == "leaf":
-                raw_payoffs.append(raw[1])
-                nodes.append(("leaf", len(raw_payoffs) - 1))
-            elif raw[0] == "chance":
-                nodes.append(ChanceNode(raw[1], tuple(relabel[c] for c in raw[2])))
-            else:
-                _, player, key, children = raw
-                iid = infoset_ids.setdefault((player, key), len(infoset_ids))
-                infoset_nodes.setdefault(iid, []).append(new_id)
-                infoset_player[iid] = player
-                infoset_key[iid] = key
-                if infoset_actions.setdefault(iid, len(children)) != len(children):
-                    raise ValueError(f"infoset {key!r}: inconsistent action counts")
-                nodes.append(DecisionNode(player, iid,
-                                          tuple(relabel[c] for c in children)))
+                nodes.append(len(leaf_rows))
+                leaf_rows.append(raw[1])
+                continue
+            children = tuple(range(len(order), len(order) + len(raw[-1])))
+            order.extend(raw[-1])
+            seen.update(raw[-1])
+            if len(seen) != len(order):
+                raise ValueError("node referenced twice: not a tree")
+            history = histories[new_id]
+            if raw[0] == "chance":
+                nodes.append(ChanceNode(raw[1], children))
+                histories.extend([history] * len(children))
+                continue
+            _, player, key, _ = raw
+            own = history.get(player, ())
+            iid, actions, members, first_own = table.setdefault(
+                (player, key), (len(table), len(children), [], own))
+            if actions != len(children):
+                raise ValueError(f"infoset {key!r}: inconsistent action counts")
+            if first_own != own:
+                raise ValueError(f"perfect recall violated at infoset {key!r}")
+            members.append(new_id)
+            nodes.append(DecisionNode(player, iid, children))
+            histories.extend({**history, player: own + ((iid, action),)}
+                             for action in range(len(children)))
 
-        # per-player affine map into [0, 1]; identity when already inside
-        payoff_matrix = (np.stack(raw_payoffs) if raw_payoffs
-                         else np.zeros((0, self.num_players)))
+        # per-player affine map into [0, 1]; identity when already inside.
+        # Each column reduces on its own, as a 1-D view: a 2-D reduction
+        # may pick the other zero among +0.0 and -0.0.
+        payoffs = np.array(leaf_rows, dtype=float).reshape(-1, self.num_players)
         scale = np.ones(self.num_players)
         offset = np.zeros(self.num_players)
-        for i in range(self.num_players):
-            if payoff_matrix.shape[0] == 0:
-                continue
-            lo = float(payoff_matrix[:, i].min())
-            hi = float(payoff_matrix[:, i].max())
-            if 0.0 <= lo and hi <= 1.0:
-                continue
-            if hi > lo:
+        for i, column in enumerate(payoffs.T if len(payoffs) else ()):
+            lo, hi = float(column.min()), float(column.max())
+            if lo < 0.0 or hi > 1.0:  # scale 0: constant payoffs off [0, 1]
                 scale[i], offset[i] = hi - lo, lo
-            else:
-                scale[i], offset[i] = 0.0, lo  # constant payoffs off [0, 1]
-        mapped_nodes: list = []
-        for nd in nodes:
-            if isinstance(nd, tuple):
-                raw_v = raw_payoffs[nd[1]]
-                mapped = np.where(scale > 0.0, (raw_v - offset) / np.where(scale > 0.0, scale, 1.0), 0.5)
-                mapped_nodes.append(LeafNode(mapped))
-            else:
-                mapped_nodes.append(nd)
-
-        infosets = tuple(
-            Infoset(infoset_player[i], infoset_actions[i],
-                    tuple(infoset_nodes[i]), infoset_key[i])
-            for i in range(len(infoset_ids))
-        )
-        own_sequences = _own_sequences(mapped_nodes, infosets)
-        return GameTree(self.num_players, tuple(mapped_nodes), infosets,
-                        scale, offset, own_sequences)
-
-
-def _own_sequences(nodes, infosets) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per-infoset own action history; raises on perfect-recall violations.
-
-    Depth-first with an explicit stack (children pushed in reverse, so nodes
-    are checked in pre-order), so the tree's depth is not bounded by
-    Python's recursion limit."""
-    history: dict[int, tuple[tuple[int, int], ...]] = {}
-    stack: list[tuple[int, dict[int, tuple]]] = [(0, {})] if nodes else []
-    while stack:
-        nid, per_player = stack.pop()
-        node = nodes[nid]
-        if isinstance(node, LeafNode):
-            continue
-        if isinstance(node, ChanceNode):
-            stack.extend((child, per_player) for child in reversed(node.children))
-            continue
-        own = per_player.get(node.player, ())
-        prior = history.setdefault(node.infoset, own)
-        if prior != own:
-            key = infosets[node.infoset].key
-            raise ValueError(f"perfect recall violated at infoset {key!r}")
-        for action in reversed(range(len(node.children))):
-            branched = dict(per_player)
-            branched[node.player] = own + ((node.infoset, action),)
-            stack.append((node.children[action], branched))
-    return tuple(history.get(i, ()) for i in range(len(infosets)))
+        mapped = np.where(scale > 0.0,
+                          (payoffs - offset) / np.where(scale > 0.0, scale, 1.0),
+                          0.5)
+        nodes = [LeafNode(mapped[nd]) if isinstance(nd, int) else nd
+                 for nd in nodes]
+        infosets = tuple(Infoset(player, actions, tuple(members), key)
+                         for (player, key), (_, actions, members, _)
+                         in table.items())
+        return GameTree(self.num_players, tuple(nodes), infosets, scale, offset,
+                        tuple(entry[3] for entry in table.values()))
 
 
 class CompiledTree:
@@ -297,59 +254,52 @@ class CompiledTree:
 
     def __init__(self, tree: GameTree):
         n = tree.num_players
-        node_id, parent, rank, depth = [0], [-1], [0], [0]
-        pos = 0
-        while pos < len(node_id):
-            node = tree.nodes[node_id[pos]]
-            if not isinstance(node, LeafNode):
-                for action, child in enumerate(node.children):
-                    node_id.append(child)
-                    parent.append(pos)
-                    rank.append(action)
-                    depth.append(depth[pos] + 1)
-            pos += 1
-        size = len(node_id)
-        self.num_players = n
-        self.size = size
-        self.node_id = np.array(node_id, dtype=np.intp)
-        self.parent = np.array(parent, dtype=np.intp)
-        self.rank = np.array(rank, dtype=np.intp)
-        self.depth = np.array(depth, dtype=np.intp)
         self.layout = BlockLayout([j.num_actions for j in tree.infosets])
         self.player_layouts = tuple(self.layout.restricted(tree.infosets_of(i))
                                     for i in range(n))
-        offsets, dim = self.layout.offsets, self.layout.size
-
-        mover = np.full(size, -1, dtype=np.intp)
-        infoset = np.full(size, -1, dtype=np.intp)
-        first_child = np.full(size, -1, dtype=np.intp)
-        edge_source = np.empty(size, dtype=np.intp)
-        chance_probs: list[float] = []
-        for pos in range(size):
-            node = tree.nodes[node_id[pos]]
-            if isinstance(node, ChanceNode):
-                mover[pos] = n
-            elif isinstance(node, DecisionNode):
-                mover[pos] = node.player
-                infoset[pos] = node.infoset
-            if pos == 0:
+        offsets, dim = self.layout.offsets.tolist(), self.layout.size
+        # breadth-first: ``node_id`` grows while it is read, and a node's
+        # children take the next free positions, in action order
+        node_id, parent, rank, depth = [0], [-1], [0], [0]
+        mover, infoset, first_child = [], [], []
+        edge_source, chance_probs = [-1], []
+        for pos, nid in enumerate(node_id):
+            node = tree.nodes[nid]
+            if isinstance(node, LeafNode):
+                mover.append(-1)
+                infoset.append(-1)
+                first_child.append(-1)
                 continue
-            up = parent[pos]
-            if rank[pos] == 0:
-                first_child[up] = pos
-            if mover[up] == n:
-                edge_source[pos] = dim + len(chance_probs)
-                chance_probs.append(float(tree.nodes[node_id[up]].probs[rank[pos]]))
+            k = len(node.children)
+            first_child.append(len(node_id))
+            if isinstance(node, ChanceNode):
+                mover.append(n)
+                infoset.append(-1)
+                start = dim + len(chance_probs)
+                chance_probs.extend(node.probs.tolist())
             else:
-                edge_source[pos] = offsets[infoset[up]] + rank[pos]
+                mover.append(node.player)
+                infoset.append(node.infoset)
+                start = offsets[node.infoset]
+            edge_source.extend(range(start, start + k))
+            node_id.extend(node.children)
+            parent.extend([pos] * k)
+            rank.extend(range(k))
+            depth.extend([depth[pos] + 1] * k)
         edge_source[0] = dim + len(chance_probs)
         chance_probs.append(1.0)
-        self.mover, self.infoset, self.first_child = mover, infoset, first_child
+        size = len(node_id)
+        self.num_players, self.size = n, size
+        (self.node_id, self.parent, self.rank, self.depth, self.mover,
+         self.infoset, self.first_child, self.edge_source) = (
+            np.array(column, dtype=np.intp)
+            for column in (node_id, parent, rank, depth, mover, infoset,
+                           first_child, edge_source))
+        mover, infoset, first_child = self.mover, self.infoset, self.first_child
+        self.chance_probs = np.array(chance_probs)
         self.num_children = np.bincount(self.parent[1:], minlength=size)
         position = np.empty(size, dtype=np.intp)
         position[self.node_id] = np.arange(size)
-        self.edge_source = edge_source
-        self.chance_probs = np.array(chance_probs)
         self.parent_mover = np.where(self.parent >= 0, mover[self.parent], -1)
         self.levels = tuple(
             (int(np.searchsorted(self.depth, d, "left")),
@@ -385,7 +335,7 @@ class CompiledTree:
         edge_rank = np.arange(edge_parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
         self.edge_parent = edge_parent
         self.edge_value = (first_child[edge_parent] + edge_rank) * n + mover[edge_parent]
-        self.edge_slot = offsets[infoset[edge_parent]] + edge_rank
+        self.edge_slot = self.layout.offsets[infoset[edge_parent]] + edge_rank
 
     @cached_property
     def best_response_waves(self) -> tuple[tuple[BestResponseWave, ...], ...]:
@@ -569,46 +519,41 @@ def load_tree(path) -> GameTree:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
-    # children are built before their parent: an explicit post-order stack
-    built: dict[int, int] = {}
-    stack = [(0, False)]
-    seen = {0}
-    while stack:
-        nid, expanded = stack.pop()
-        lineno, row = node_rows[nid]
-        where = f"{path}:{lineno}"
-        if row[0] != "leaf" and not expanded:
-            stack.append((nid, True))
-            for child in reversed(row[-1]):
-                if child not in node_rows:
-                    raise ValueError(f"{where}: node {nid} has unknown child {child}")
-                if child in seen:
-                    raise ValueError(f"{where}: node {child} referenced twice")
-                seen.add(child)
-                stack.append((child, False))
-            continue
+    # the builder numbers nodes in file order, so every child's builder id
+    # is known before the child is added; naming the root as a child is
+    # naming it twice
+    ids = {nid: k for k, nid in enumerate(node_rows)}
+    has_parent = {0}
+    for nid, (lineno, row) in node_rows.items():
         try:
             if row[0] == "leaf":
                 if len(row[1]) != num_players:
                     raise ValueError(f"leaf {nid} payoff arity")
-                built[nid] = builder.leaf(row[1])
-            elif row[0] == "chance":
-                built[nid] = builder.chance(row[1], [built[c] for c in row[2]])
-            else:
-                _, player, iid, children = row
-                if iid not in infoset_rows:
-                    raise ValueError(f"node {nid} uses unknown infoset {iid}")
-                ip, acts, key = infoset_rows[iid]
-                if ip != player or acts != len(children):
-                    raise ValueError(f"node {nid} disagrees with infoset table")
-                built[nid] = builder.decision(player, key,
-                                              [built[c] for c in children])
+                builder.leaf(row[1])
+                continue
+            for child in row[-1]:
+                if child not in ids:
+                    raise ValueError(f"node {nid} has unknown child {child}")
+                if child in has_parent:
+                    raise ValueError(f"node {child} referenced twice")
+                has_parent.add(child)
+            children = [ids[c] for c in row[-1]]
+            if row[0] == "chance":
+                builder.chance(row[1], children)
+                continue
+            _, player, iid, _ = row
+            if iid not in infoset_rows:
+                raise ValueError(f"node {nid} uses unknown infoset {iid}")
+            ip, acts, key = infoset_rows[iid]
+            if ip != player or acts != len(children):
+                raise ValueError(f"node {nid} disagrees with infoset table")
+            builder.decision(player, key, children)
         except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-
-    if len(built) != len(node_rows):
-        raise ValueError(f"{path}: unreachable nodes present")
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     try:
-        return builder.build(built[0])
+        tree = builder.build(ids[0])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if len(tree.nodes) != len(node_rows):
+        raise ValueError(f"{path}: unreachable nodes present")
+    return tree

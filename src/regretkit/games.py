@@ -45,7 +45,6 @@ every pure profile in row-major order, last player's action fastest)::
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,29 +222,23 @@ class NormalFormGame:
         (i, k) matrix unfolding over pure choices of the remaining
         players; Cauchy-Schwarz over k gives max_i sqrt(sum_k L_ik^2).
         """
-        dims = self.dims
         n = self.num_players
-        b_u = 0.0
-        l_u = 0.0
-        for i in range(n):
-            others = [j for j in range(n) if j != i]
-            for profile in itertools.product(*(range(dims[j]) for j in others)):
-                index = [slice(None)] * n
-                for j, a in zip(others, profile):
-                    index[j] = a
-                b_u = max(b_u, float(np.linalg.norm(self.payoffs[i][tuple(index)])))
+        b_u = l_u = 0.0
+        for i, u in enumerate(self.payoffs):
+            # per pure profile of the others: player i's payoff vector, and
+            # for each opponent k the (i, k) slab; the same strided views as
+            # indexing ``u`` with the profile, enumerated in the same order
+            fibers = np.moveaxis(u, i, -1)
+            for index in np.ndindex(fibers.shape[:-1]):
+                b_u = max(b_u, float(np.linalg.norm(fibers[index])))
             lik_sq = 0.0
-            for k in others:
-                rest = [j for j in range(n) if j not in (i, k)]
+            for k in range(n):
+                if k == i:
+                    continue
+                slabs = np.moveaxis(u, (i, k), (-2, -1))
                 lik = 0.0
-                for profile in itertools.product(*(range(dims[j]) for j in rest)):
-                    index = [slice(None)] * n
-                    for j, a in zip(rest, profile):
-                        index[j] = a
-                    slab = self.payoffs[i][tuple(index)]  # axes (i, k) in order
-                    if k < i:
-                        slab = slab.T
-                    lik = max(lik, spectral_norm(slab))
+                for index in np.ndindex(slabs.shape[:-2]):
+                    lik = max(lik, spectral_norm(slabs[index]))
                 lik_sq += lik * lik
             l_u = max(l_u, lik_sq**0.5)
         return b_u, l_u

@@ -52,8 +52,9 @@ family it picks only the regret formula (max-action regret, or the sum
 of per-infoset positive maxima), the gap (duality gap, or the CCE gap
 max_i [regret_i]+ / t) and the averager (the tree's, reach-weighted,
 stays per round).  A non-finite value, raised inside a round
-(``NonFiniteError``) or met by the recorder's one per-round check, ends
-the run with ``NumericalDivergence`` naming the round.
+(``NonFiniteError``), met by the recorder's one per-round check or in a
+stored row's regret, gap or squared step, ends the run with
+``NumericalDivergence`` naming the round.
 """
 
 from __future__ import annotations
@@ -468,6 +469,11 @@ class _Recorder:
         trace.iter_var[lo:hi] = np.where((ts > 1)[:, None],
                                          self._player_sums(steps), 0.0)
         trace.fp_k[lo:hi], trace.fp_residual[lo:hi] = self.fp[rows].T
+        # a run that finishes writes finite rows only
+        finite = np.isfinite(np.column_stack(
+            (regrets, trace.gap[lo:hi], trace.iter_var[lo:hi]))).all(axis=1)
+        if not finite.all():
+            raise NumericalDivergence(int(ts[np.argmin(finite)]))
         self._cursor = hi
         for buffer in (self.plays, self.ledger, self.sums, self.weights):
             buffer[0] = buffer[k]

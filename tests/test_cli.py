@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regretkit.cli import main
-from regretkit.games import hard_instance, load_game
+from regretkit.games import hard_instance, load_game, random_nfg
+from regretkit.harness import ALGORITHMS
 from regretkit import efg
 
 
@@ -96,6 +99,43 @@ class TestRun:
         assert code == 3 and out == ""
         assert "round 1" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflowing_gap_exits_three(self, tmp_path, capsys):
+        # every play is finite, but round 1's duality gap overflows
+        path = tmp_path / "rps.game"
+        path.write_text("matrix\n3 3\n0 1e308 -1e308\n-1e308 0 1e308\n"
+                        "1e308 -1e308 0\n")
+        code, out, err = run_cli(
+            ["run", "--algo", "conceptual-rm+", "--eta", "0.1", "--game",
+             str(path), "--iters", "5"], capsys)
+        assert code == 3 and out == ""
+        assert "non-finite iterate at round 1" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
+                                "ignore:divide by zero", "ignore:underflow")
+    @given(algo=st.sampled_from(ALGORITHMS), matrix=st.booleans(),
+           scale=st.integers(-300, 308), alternate=st.booleans(),
+           eta=st.sampled_from(["auto", "1e-300", "0.1", "10", "1e308"]))
+    @settings(max_examples=40, deadline=None)
+    def test_saved_game_exits_zero_two_or_three(self, tmp_path_factory, algo,
+                                                matrix, scale, alternate, eta):
+        """Scaled payoffs past the float range fail to load (exit 2)."""
+        path = tmp_path_factory.mktemp("fuzz") / "game.txt"
+        if algo.endswith("cfr"):
+            efg.save_tree(efg.build_kuhn(2, 3), path)
+        elif matrix:
+            path.write_text("matrix\n3 3\n" + " ".join(
+                repr(10.0**scale * v) for v in hard_instance().payoff.ravel()))
+        else:
+            path.write_text("nfg 3\n2 3 3\n" + " ".join(
+                repr(10.0**scale * v)
+                for u in random_nfg((2, 3, 3), 2).payoffs for v in u.ravel()))
+        code = main(["run", "--algo", algo, "--game", str(path), "--eta", eta,
+                     "--iters", "12", "--kmax", "5", "--out",
+                     str(path.with_suffix(".csv"))]
+                    + (["--alt"] if alternate else []))
+        assert code in (0, 2, 3)
+
     def test_output_file_and_outdir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REGRETKIT_OUTDIR", str(tmp_path))
         code, _, _ = run_cli(
@@ -184,12 +224,28 @@ class TestRun:
         assert code == 2 and out == ""
         assert f"{algo}: the auto step size" in err and source in err
 
-    @pytest.mark.parametrize("spec", ["random-matrix:3x", "random-nfg:3,x"])
+    @pytest.mark.parametrize("spec", ["random-matrix:3x", "random-nfg:3,x",
+                                      "random-matrix:3x4x5"])
     def test_unreadable_game_spec_exits_two(self, capsys, spec):
         code, _, err = run_cli(
             ["run", "--algo", "rm+", "--game", spec, "--iters", "2"], capsys)
         assert code == 2
         assert f"spec {spec!r}" in err
+
+    def test_unreadable_eta_exits_two(self, capsys):
+        code, out, err = run_cli(
+            ["run", "--algo", "rm+", "--game", "hard3x3", "--eta", "abc",
+             "--iters", "2"], capsys)
+        assert code == 2 and out == ""
+        assert "bad eta 'abc'" in err
+
+    def test_random_nfg_spec(self, capsys):
+        code, out, _ = run_cli(
+            ["run", "--algo", "prm+", "--game", "random-nfg:2,3,2",
+             "--iters", "4"], capsys)
+        assert code == 0
+        assert "# game=nfg2x3x2:" in out
+        assert len([l for l in out.splitlines() if l[:1].isdigit()]) == 4 * 3
 
 
 class TestGenAndSweep:
@@ -201,6 +257,36 @@ class TestGenAndSweep:
         assert code == 0
         game = load_game(out)
         assert game.dims == (4, 3)
+
+    @pytest.mark.parametrize("flags,players,dims", [
+        (["--type", "random-nfg", "--dims", "2,3,2", "--seed", "4"], 3,
+         (2, 3, 2)),
+        (["--type", "liars-dice", "--players", "3", "--faces", "2"], 3, None),
+    ], ids=["random-nfg", "liars-dice"])
+    def test_gen_loads_back(self, tmp_path, capsys, flags, players, dims):
+        out = tmp_path / "gen.txt"
+        code, _, _ = run_cli(["gen", *flags, "--out", str(out)], capsys)
+        assert code == 0
+        if dims is None:
+            tree = efg.load_tree(out)
+            assert tree.num_players == players
+            assert len(tree.nodes) == len(efg.build_liars_dice(3, 2).nodes)
+        else:
+            game = load_game(out)
+            assert game.dims == dims
+            for a, b in zip(game.payoffs, random_nfg(dims, 4).payoffs):
+                assert np.array_equal(a, b)
+
+    def test_counterexample_to_file(self, tmp_path, capsys):
+        out = tmp_path / "cx" / "rm.csv"
+        code, stdout, _ = run_cli(
+            ["counterexample", "--variant", "rm+", "--iters", "4", "--out",
+             str(out)], capsys)
+        assert code == 0 and stdout == ""
+        lines = out.read_text().splitlines()
+        assert lines[:3] == ["# variant=rm+", "# scaled=0",
+                             "t,loss_0,loss_1,x_0,x_1"]
+        assert len(lines) == 3 + 4
 
     def test_gen_kuhn_tree(self, tmp_path, capsys):
         out = tmp_path / "kuhn.efg"

@@ -192,6 +192,29 @@ class TestLiftedRegretEquivalence:
                                       [[0.0, 0.0]], [1.0, 0.0])
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: normalize(np.ones((2, 2))), "nonempty 1-D vector"),
+        (lambda: normalize(np.array([])), "nonempty 1-D vector"),
+        (lambda: normalize(np.array([0.5, -0.5])), "negative entries"),
+        (lambda: replay_exact([(1, 0)], "cfr"), "unknown variant: 'cfr'"),
+        (lambda: lifted_regret_equivalence(
+            [[0.5, 0.5]], [[1.0, 0.0]], [[0.5, 0.5]], [1.0, 0.0, 0.0]),
+         "comparator dimension mismatch"),
+        (lambda: lifted_regret_equivalence(
+            [0.5, 0.5], [1.0, 0.0], [0.5, 0.5], [1.0, 0.0]),
+         "comparator dimension mismatch"),
+        (lambda: lifted_regret_equivalence(
+            [[0.5, 0.5]], [[1.0, 0.0]], [[0.5, 0.5, 0.0]], [1.0, 0.0]),
+         "must have identical shapes"),
+    ], ids=["normalize-2d", "normalize-empty", "normalize-negative",
+            "replay-variant", "equivalence-comparator", "equivalence-1d",
+            "equivalence-shapes"])
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestStabilityBound:
     def test_consecutive_iterates_lipschitz(self):
         # along RM+ trajectories with ||R^t||_1 >= R0 the strategies move

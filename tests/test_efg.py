@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretkit import efg
-from regretkit.core import (AggregateState, BlockVector, _normalize_nonneg,
-                            normalize, prm_plus_step)
+from regretkit.efg.tree import CompiledTree
+from regretkit.core import (AggregateState, BlockLayout, BlockVector,
+                            _normalize_nonneg, normalize, prm_plus_step)
 from regretkit.fixedpoint import conceptual_round, initial_lifted_point
 from regretkit.games import NormalFormGame
 from regretkit.core import regret_loss
@@ -115,6 +118,69 @@ class TestTreeBuilder:
         b = efg.TreeBuilder(1)
         with pytest.raises(ValueError, match="'#'"):
             b.decision(0, "A#1", [b.leaf([0.0]), b.leaf([1.0])])
+
+    def test_constant_payoffs_off_the_unit_interval(self):
+        b = efg.TreeBuilder(2)
+        tree = b.build(b.decision(0, "P1:only", [b.leaf([3.0, 0.25]),
+                                                 b.leaf([3.0, 0.75])]))
+        np.testing.assert_array_equal(tree.payoff_scale, [0.0, 1.0])
+        np.testing.assert_array_equal(tree.payoff_offset, [3.0, 0.0])
+        for nid, expected in ((1, [3.0, 0.25]), (2, [3.0, 0.75])):
+            np.testing.assert_array_equal(tree.nodes[nid].payoffs,
+                                          [0.5, expected[1]])
+            np.testing.assert_array_equal(tree.original_leaf_payoffs(nid),
+                                          expected)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda b: efg.TreeBuilder(0), "need at least one player"),
+        (lambda b: b.leaf([0.5]), "one payoff per player required"),
+        (lambda b: b.leaf([0.5, np.inf]), "non-finite leaf payoff"),
+        (lambda b: b.decision(2, "K", [0]), "bad player 2"),
+        (lambda b: b.decision(0, "", [0]), "infoset keys must be nonempty"),
+        (lambda b: b.decision(0, "K", []), "decision node needs at least one"),
+        (lambda b: b.chance([1.0], [0, 0]), "one probability per child"),
+        (lambda b: b.build(b.chance([0.5, 0.5], [b.leaf([0, 0])] * 2)),
+         "node referenced twice: not a tree"),
+        (lambda b: b.build(b.chance([0.5, 0.5], [
+            b.decision(0, "K", [b.leaf([0, 0])]),
+            b.decision(0, "K", [b.leaf([0, 0]), b.leaf([1, 1])])])),
+         "infoset 'K': inconsistent action counts"),
+    ], ids=["no-player", "leaf-arity", "leaf-inf", "bad-player", "empty-key",
+            "no-action", "chance-arity", "shared-child", "action-counts"])
+    def test_argument_checks(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make(efg.TreeBuilder(2))
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call,message", [
+        (lambda tree, x: efg.counterfactual_values(tree, x[:-1]),
+         "one block per infoset required"),
+        (lambda tree, x: efg.counterfactual_values(
+            tree, x[:-1] + [np.ones(3) / 3]), "block dimension mismatch"),
+        (lambda tree, x: efg.counterfactual_values(tree, x[:-1] + [np.ones(2)]),
+         "block not on the simplex"),
+        (lambda tree, x: efg.expected_values(tree, [np.ones(3)], validate=False),
+         "profile does not match the tree's infosets"),
+        (lambda tree, x: efg.predictive_cfr_round(AggregateState.initial(3),
+                                                  tree),
+         "state does not match the tree's infosets"),
+        (lambda tree, x: efg.clairvoyant_cfr_round(np.concatenate(x), tree, 0.0),
+         "step size eta must be positive"),
+        (lambda tree, x: efg.BehavioralAverager(tree, "median"),
+         "unknown averaging scheme 'median'"),
+    ], ids=["block-count", "block-width", "off-simplex", "edge-probs",
+            "state-size", "eta", "averaging"])
+    def test_raises(self, call, message):
+        tree = efg.build_kuhn(2, 3)
+        with pytest.raises(ValueError, match=message):
+            call(tree, efg.uniform_behavioral(tree))
+
+    def test_empty_average_is_uniform(self):
+        tree = efg.build_kuhn(2, 3)
+        average = efg.BehavioralAverager(tree).average()
+        for a, b in zip(average, efg.uniform_behavioral(tree)):
+            assert np.array_equal(a, b)
 
 
 class TestCounterfactualValues:
@@ -508,6 +574,39 @@ class TestTreeFiles:
         with pytest.raises(ValueError):
             efg.load_tree(path)
 
+    @pytest.mark.parametrize("lines,lineno,message", [
+        (["efg 1", "infoset 0 player 0 actions 2 key K",
+          "node 0 player 0 infoset 0 2 1 7", "node 1 leaf 0.5"],
+         3, "node 0 has unknown child 7"),
+        (["efg 1", "node 0 chance 2 0.5 0.5 1 2", "node 1 chance 1 1 3",
+          "node 2 chance 1 1 3", "node 3 leaf 0.5"],
+         4, "node 3 referenced twice"),
+        (["efg 1", "node 0 chance 1 1 1", "node 1 chance 1 1 0"],
+         3, "node 0 referenced twice"),
+        (["efg 1", "node 0 leaf 0.5", "node 1 chance 1 1 2",
+          "node 2 leaf 0.5"], None, "unreachable nodes present"),
+        (["efg 1", "node 0 player 0 infoset 3 2 1 2", "node 1 leaf 0",
+          "node 2 leaf 1"], 2, "node 0 uses unknown infoset 3"),
+        (["efg 1", "infoset 0 player 0 actions 3 key K",
+          "node 0 player 0 infoset 0 2 1 2", "node 1 leaf 0", "node 2 leaf 1"],
+         3, "node 0 disagrees with infoset table"),
+        (["efg 1", "node 0 chance 1 1 1", "node 1 leaf 0.5 0.5"],
+         3, "leaf 1 payoff arity"),
+        (["efg 1", "node 0 leaf 0.5", "node 0 leaf 0.5"],
+         3, "node 0 defined twice"),
+        (["node 0 leaf 0.5"], None, "missing efg header"),
+        (["efg 1", "node 1 leaf 0.5"], None, "missing root node 0"),
+    ], ids=["unknown-child", "child-named-twice", "cycle-through-root",
+            "unreachable", "unknown-infoset", "infoset-disagrees",
+            "leaf-arity", "defined-twice", "no-header", "no-root"])
+    def test_error_names_its_line(self, tmp_path, lines, lineno, message):
+        path = tmp_path / "bad.efg"
+        path.write_text("\n".join(lines) + "\n")
+        where = f"{path}" if lineno is None else f"{path}:{lineno}"
+        with pytest.raises(ValueError) as exc_info:
+            efg.load_tree(path)
+        assert str(exc_info.value) == f"{where}: {message}"
+
     @given(mode=st.sampled_from(["raw", "structure", "numbers"]),
            raw=st.lists(st.sampled_from(TREE_TOKENS), max_size=30),
            base=st.sampled_from(range(len(FUZZ_BASES))), edits=TREE_EDITS)
@@ -747,3 +846,72 @@ class TestBucketedMatchesPerInfoset:
             assert np.array_equal(a, b)
         for a, b in zip(trace.averages, averager.average()):
             assert np.array_equal(a, b)
+
+
+def _hash_into(digest, obj) -> None:
+    """Feed ``obj`` to ``digest``: arrays by dtype, shape and bytes,
+    containers item by item, scalars by ``repr`` (exact for floats)."""
+    if isinstance(obj, np.ndarray):
+        digest.update(f"a{obj.dtype.str}{obj.shape}".encode())
+        digest.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (tuple, list)):
+        digest.update(f"{type(obj).__name__}{len(obj)}(".encode())
+        for item in obj:
+            _hash_into(digest, item)
+        digest.update(b")")
+    elif isinstance(obj, BlockLayout):
+        _hash_into(digest, (obj.widths, obj.offsets, obj.size, obj.bounds,
+                            obj.buckets))
+    elif dataclasses.is_dataclass(obj):
+        digest.update(type(obj).__name__.encode())
+        _hash_into(digest, [getattr(obj, f.name)
+                            for f in dataclasses.fields(obj)])
+    else:
+        digest.update(repr(obj).encode())
+
+
+def tree_digest(tree: efg.GameTree) -> str:
+    """One hash of a tree and a fresh compile of it: every node payload,
+    infoset, own sequence and the payoff map, every ``CompiledTree``
+    attribute, and the best-response waves."""
+    digest = hashlib.sha256()
+    _hash_into(digest, [tree.num_players, tree.nodes, tree.infosets,
+                        tree.payoff_scale, tree.payoff_offset,
+                        tree.own_sequences])
+    compiled = CompiledTree(tree)
+    _hash_into(digest, sorted(vars(compiled).items()))
+    _hash_into(digest, compiled.best_response_waves)
+    return digest.hexdigest()[:16]
+
+
+DIGEST_TREES = {
+    **{f"kuhn{r}": lambda r=r: efg.build_kuhn(2, r) for r in range(3, 7)},
+    "liars2": lambda: efg.build_liars_dice(2, 2),
+    "liars3": lambda: efg.build_liars_dice(3, 2),
+    "bimatrix": lambda: efg.build_bimatrix_tree(4.0 * U1 - 1.0, U2),
+    "chain1500": lambda: chain_tree(1500),
+    "wide": wide_tree,
+}
+
+# recorded before the tree builder, the loader and the compile were each
+# rewritten as one pass; a saved tree loads back to the very same digest
+TREE_DIGESTS = {
+    "kuhn3": "a28267d88555462b", "kuhn4": "45a5307401463fdb",
+    "kuhn5": "d863ccd68acf8031", "kuhn6": "9cc96c66de929d04",
+    "liars2": "744e07ea04789571", "liars3": "cd256abf0aa4c0af",
+    "bimatrix": "bdbc5703db3e903b", "chain1500": "2c60dc8c50babf59",
+    "wide": "e327aa27be11995d",
+}
+
+
+class TestCompiledTreeDigests:
+    @pytest.mark.parametrize("name", sorted(DIGEST_TREES))
+    def test_built(self, name):
+        assert tree_digest(DIGEST_TREES[name]()) == TREE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", ["kuhn3", "liars3", "bimatrix",
+                                      "chain1500", "wide"])
+    def test_saved_and_loaded(self, name, tmp_path):
+        path = tmp_path / "tree.efg"
+        efg.save_tree(DIGEST_TREES[name](), path)
+        assert tree_digest(efg.load_tree(path)) == TREE_DIGESTS[name]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretkit.core import as_flat, normalize, regret_loss
+from regretkit.core import BlockVector, as_flat, normalize, regret_loss
 from regretkit.fixedpoint import (
     FixedPointReport,
     _solve,
@@ -92,6 +92,23 @@ class TestOperatorF:
         z = [np.array([np.nan, 1.0, 1.0]), np.full(3, 1.0)]
         with pytest.raises(ValueError, match="outside the chopped joint space"):
             conceptual_round(z, hard_instance(), 0.1, 1e-12, 10)
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("z,eta,k_max,message", [
+        (lambda layout: BlockVector(np.ones(5), layout), 0.1, 5,
+         "block dimension mismatch"),
+        (lambda layout: [np.ones(3)], 0.1, 5, "one block per player required"),
+        (lambda layout: [np.ones(3), np.ones(2)], 0.1, 5,
+         "block dimension mismatch"),
+        (lambda layout: [np.ones(3), np.ones(3)], 0.0, 5,
+         "step size eta must be positive"),
+        (lambda layout: [np.ones(3), np.ones(3)], 0.1, 0, "k_max must be >= 1"),
+    ], ids=["flat-size", "block-count", "block-width", "eta", "k-max"])
+    def test_conceptual_round_raises(self, z, eta, k_max, message):
+        game = hard_instance()
+        with pytest.raises(ValueError, match=message):
+            conceptual_round(z(game.layout), game, eta, 1e-12, k_max)
 
 
 def _membership_block(d, kind, at):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,17 @@ class TestNfgGradients:
                     assert -grads[i][a] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
+# recorded before the pure-profile enumeration of the constants was
+# rewritten over ``np.moveaxis`` views
+NFG_CONSTANTS_DIGESTS = {
+    (1, 1): "fae1273226434e6a", (1, 4): "d1f82790dc2a3312",
+    (4, 1): "a1c99c1db6c81b9c", (3, 5): "002fa516b2f3cdab",
+    (1, 3, 2): "0a55b200768592ed", (3, 3, 3): "c88c54fbe68ae968",
+    (2, 4, 3): "5d0fe04bcfcf5f7b", (5, 5, 5): "ee086c6f27864f5b",
+    (2, 1, 2, 3): "fc7466aea4a14d28", (2, 3, 2, 3): "09fccd0510d1590b",
+    (3, 2, 2, 2): "be803f71022826af",
+}
+
 class TestConstants:
     def test_matrix_constants_are_valid_bounds(self):
         rng = np.random.default_rng(4)
@@ -197,6 +210,44 @@ class TestConstants:
             assert spectral_norm(a) == pytest.approx(
                 np.linalg.norm(a, ord=2), rel=1e-8)
         assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+    def test_spectral_norm_start_in_the_kernel(self):
+        # rock-paper-scissors maps the uniform start vector to zero, so the
+        # power iteration restarts from the largest column
+        rps = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+        assert spectral_norm(rps) == pytest.approx(np.linalg.norm(rps, 2),
+                                                   abs=1e-9)
+
+    @pytest.mark.parametrize("dims", list(NFG_CONSTANTS_DIGESTS))
+    def test_nfg_constants_digest(self, dims):
+        """(B_u, L_u) of six seeded games, to the last bit."""
+        text = ";".join(f"{b.hex()},{l.hex()}" for b, l in (
+            random_nfg(dims, seed).constants for seed in range(6)))
+        assert (hashlib.sha256(text.encode()).hexdigest()[:16]
+                == NFG_CONSTANTS_DIGESTS[dims])
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: MatrixGame(np.ones(3)), "payoff matrix must be 2-D"),
+        (lambda: MatrixGame([[0.0, np.nan]]), "payoff matrix has non-finite"),
+        (lambda: NormalFormGame(()), "need at least one player"),
+        (lambda: NormalFormGame((np.ones((2, 2)),)),
+         "need one tensor axis per player"),
+        (lambda: NormalFormGame((np.ones((2, 2)), np.ones((2, 3)))),
+         "payoff tensors must share one shape"),
+        (lambda: NormalFormGame((np.ones((2, 2)), np.full((2, 2), np.inf))),
+         "payoff tensor has non-finite entries"),
+        (lambda: random_nfg((2, 3), 0).gradients([np.full(2, 0.5)]),
+         "one strategy per player required"),
+        (lambda: random_nfg((2, 3), 0).gradients([np.full(2, 0.5),
+                                                  np.full(2, 0.5)]),
+         "dimension mismatch for player 1"),
+    ], ids=["matrix-1d", "matrix-nan", "nfg-empty", "nfg-axes", "nfg-shapes",
+            "nfg-inf", "gradient-count", "gradient-dim"])
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestHardInstance:

@@ -3,11 +3,14 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from regretkit import efg, harness
 from regretkit.core import lifted_regret_equivalence
 from regretkit.fixedpoint import lipschitz_bound
-from regretkit.games import MatrixGame, hard_instance, random_matrix_game, random_nfg
+from regretkit.games import (MatrixGame, NormalFormGame, hard_instance,
+                             random_matrix_game, random_nfg)
 from regretkit.harness import (
     NumericalDivergence,
     SolverConfig,
@@ -237,11 +240,15 @@ ALTERNATING_DIVERGENCE_ROUNDS = {
                              "smooth-prm+": 8},
     ("nfg3x3x3", 1e308): {"rm+": None, "prm+": None, "stable-prm+": 3,
                           "smooth-prm+": 3},
-    ("overflow3x3", 0.1): {"rm+": None, "prm+": 4, "stable-prm+": None,
-                           "smooth-prm+": None},
+    # the stabilized ledgers overflow at round 8 while the plays stay finite
+    ("overflow3x3", 0.1): {"rm+": None, "prm+": 4, "stable-prm+": 8,
+                           "smooth-prm+": 8},
     ("overflow3x3", 1.0): {"rm+": None, "prm+": 4, "stable-prm+": 4,
                            "smooth-prm+": 4},
 }
+
+
+RPS = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
 
 
 class TestDivergenceRounds:
@@ -250,11 +257,14 @@ class TestDivergenceRounds:
              "nfg3x3x3": lambda: random_nfg((3, 3, 3), 0),
              "overflow3x3": lambda: MatrixGame(np.array(
                  [[1e308, 0.0, -1e308], [0.0, 1e308, -1e308],
-                  [0.0, 0.0, 1e308]]))}
+                  [0.0, 0.0, 1e308]])),
+             "rps1e308": lambda: MatrixGame(1e308 * RPS)}
 
     def _check(self, config, name, expected):
         if expected is None:
-            assert np.isfinite(run(config, self.GAMES[name]()).gap).all()
+            trace = run(config, self.GAMES[name]())
+            for column in (trace.regret_max, trace.gap, trace.iter_var):
+                assert np.isfinite(column).all()
             return
         with pytest.raises(NumericalDivergence) as exc_info:
             run(config, self.GAMES[name]())
@@ -298,6 +308,14 @@ class TestDivergenceRounds:
         assert exc_info.value.iteration == expected
         assert str(exc_info.value) == f"non-finite iterate at round {expected}"
 
+    # conceptual RM+ on rock-paper-scissors at the float limit: the solve's
+    # plays stay finite, but round 1's duality gap overflows
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("eta", [0.1, 1e-10, 1e-100])
+    def test_gap_overflow_at_round_one(self, eta):
+        config = SolverConfig(algorithm="conceptual-rm+", eta=eta, iters=5)
+        self._check(config, "rps1e308", 1)
+
     # conceptual RM+ on the hard instance scaled toward the float limit:
     # round 1's proximal input is so large that the simplex threshold
     # search finds no k, which is a divergence, not a crash
@@ -327,6 +345,82 @@ class TestDivergenceRounds:
                              [np.zeros(3), np.zeros(3)])
         assert exc_info.value.iteration == bad_round
         assert str(exc_info.value) == f"non-finite iterate at round {bad_round}"
+
+
+FUZZ_GAMES = {
+    "hard3x3": lambda s: MatrixGame(10.0**s * hard_instance().payoff),
+    "rps": lambda s: MatrixGame(10.0**s * RPS),
+    "matrix3x4": lambda s: MatrixGame(
+        10.0**s * random_matrix_game(3, 4, 1).payoff),
+    "nfg233": lambda s: NormalFormGame(tuple(
+        10.0**s * u for u in random_nfg((2, 3, 3), 2).payoffs)),
+    "nfg343": lambda s: NormalFormGame(tuple(
+        10.0**s * u for u in random_nfg((3, 4, 3), 3).payoffs)),
+    "kuhn3": lambda s: efg.build_kuhn(2, 3),
+}
+
+
+class TestRunFuzz:
+    """Any scale of payoffs and step size, on every algorithm: a run ends
+    in a trace whose rows are all finite, in ``NumericalDivergence`` or in
+    a set-up ``ValueError`` (game, configuration or auto step size)."""
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
+                                "ignore:divide by zero", "ignore:underflow")
+    @given(algo=st.sampled_from(harness.ALGORITHMS),
+           name=st.sampled_from(sorted(set(FUZZ_GAMES) - {"kuhn3"})),
+           scale=st.integers(-300, 308),
+           eta=st.one_of(st.just("auto"),
+                         st.integers(-300, 308).map(lambda e: 10.0**e)),
+           alternate=st.booleans(), iters=st.integers(1, 30),
+           k_max=st.integers(1, 5))
+    @example(algo="conceptual-rm+", name="rps", scale=308, eta=0.1,
+             alternate=False, iters=5, k_max=5)
+    @settings(max_examples=1000, deadline=None)
+    def test_outcome(self, algo, name, scale, eta, alternate, iters, k_max):
+        if algo.endswith("cfr"):
+            name = "kuhn3"
+        config = SolverConfig(
+            algorithm=algo, eta=eta, iters=iters, k_max=k_max,
+            alternation=alternate and algo not in ("exrm+", "conceptual-rm+"))
+        try:
+            game = FUZZ_GAMES[name](scale)
+            harness.resolve_eta(config, game)
+        except ValueError:
+            return
+        try:
+            trace = run(config, game)
+        except NumericalDivergence as exc:
+            assert 1 <= exc.iteration <= iters
+            return
+        for column in (trace.regret_max, trace.gap, trace.iter_var):
+            assert np.isfinite(column).all()
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call,message", [
+        (lambda: SolverConfig(algorithm="rm++").validate(),
+         "unknown algorithm 'rm\\+\\+'"),
+        (lambda: SolverConfig(algorithm="rm+", averaging="median").validate(),
+         "unknown averaging scheme 'median'"),
+        (lambda: SolverConfig(algorithm="rm+", iters=5,
+                              report_skip=5).validate(),
+         "report_skip must lie in"),
+        (lambda: SolverConfig(algorithm="rm+", eta=-1.0).validate(),
+         "eta must be 'auto' or a positive real"),
+        (lambda: SolverConfig(algorithm="rm+", eta=float("nan")).validate(),
+         "eta must be 'auto' or a positive real"),
+        (lambda: SolverConfig(algorithm="rm+", eta="fast").validate(),
+         "eta must be 'auto' or a positive real"),
+        (lambda: SolverConfig(algorithm="rm+", k_max=0).validate(),
+         "k_max must be >= 1"),
+        (lambda: slope_loglog([1.0, 10.0], [1.0, 0.1], 5.0, 20.0),
+         "fewer than 2 rows"),
+    ], ids=["algorithm", "averaging", "report-skip", "eta-negative",
+            "eta-nan", "eta-word", "k-max", "one-row-window"])
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestAutoEta:
