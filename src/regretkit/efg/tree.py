@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -121,7 +120,8 @@ class TreeBuilder:
     ``leaf``/``decision``/``chance`` return node ids; ``build(root)``, in
     one breadth-first pass from the root, relabels the nodes in that order,
     groups decision nodes into infosets by (player, key) and validates the
-    perfect-recall property; then it derives the [0, 1] payoff map.
+    perfect-recall property; then it derives the [0, 1] payoff map, which
+    a player's payoffs spanning more than the float range cannot have.
     """
 
     def __init__(self, num_players: int):
@@ -211,6 +211,9 @@ class TreeBuilder:
         for i, column in enumerate(payoffs.T if len(payoffs) else ()):
             lo, hi = float(column.min()), float(column.max())
             if lo < 0.0 or hi > 1.0:  # scale 0: constant payoffs off [0, 1]
+                if not np.isfinite(hi - lo):
+                    raise ValueError(f"player {i}: leaf payoffs span more "
+                                     "than the float range")
                 scale[i], offset[i] = hi - lo, lo
         mapped = np.where(scale > 0.0,
                           (payoffs - offset) / np.where(scale > 0.0, scale, 1.0),
@@ -336,94 +339,6 @@ class CompiledTree:
         self.edge_parent = edge_parent
         self.edge_value = (first_child[edge_parent] + edge_rank) * n + mover[edge_parent]
         self.edge_slot = self.layout.offsets[infoset[edge_parent]] + edge_rank
-
-    @cached_property
-    def best_response_waves(self) -> tuple[tuple[BestResponseWave, ...], ...]:
-        """Per player, the schedule ``values.best_response_value`` runs.
-
-        A node's value needs its children's values; an own decision node
-        also needs its infoset's chosen action, which needs the children of
-        every member of that infoset, and members can sit at different
-        depths.  So nodes are not swept by depth but by *height*: leaves
-        are height 0, any other node not owned by the player sits one above
-        its highest child, and an own node one above the highest child of
-        its infoset's members.  Wave h computes the nodes of height h, then
-        resolves the infosets whose highest member child has height h."""
-        return tuple(self._waves_for(i) for i in range(self.num_players))
-
-    def _waves_for(self, player: int) -> tuple[BestResponseWave, ...]:
-        mover, parent = self.mover.tolist(), self.parent.tolist()
-        infoset, fan = self.infoset.tolist(), self.num_children.tolist()
-        first_child = self.first_child.tolist()
-        height = [0] * self.size
-        pending = list(fan)
-        resolve_at = [0] * len(self.members)
-        awaiting = [sum(fan[m] for m in members.tolist())
-                    if mover[members[0]] == player else 0
-                    for members in self.members]
-        ready = self.leaves.tolist()
-        while ready:
-            child = ready.pop()
-            up = parent[child]
-            if up < 0:
-                continue
-            if mover[up] == player:
-                j = infoset[up]
-                resolve_at[j] = max(resolve_at[j], height[child])
-                awaiting[j] -= 1
-                if awaiting[j] == 0:
-                    for member in self.members[j].tolist():
-                        height[member] = resolve_at[j] + 1
-                        ready.append(member)
-            else:
-                height[up] = max(height[up], height[child] + 1)
-                pending[up] -= 1
-                if pending[up] == 0:
-                    ready.append(up)
-
-        by_height: list[list[int]] = [[] for _ in range(height[0] + 1)]
-        for pos in range(self.size):
-            if mover[pos] != -1:
-                by_height[height[pos]].append(pos)
-        resolved_at: list[list[int]] = [[] for _ in range(height[0] + 1)]
-        for j, members in enumerate(self.members):
-            if mover[members[0]] == player:
-                resolved_at[resolve_at[j]].append(j)
-        waves = []
-        for at, resolved in zip(by_height, resolved_at):
-            summed = [p for p in at if mover[p] != player]
-            slots, slot_children = [], []
-            for j in resolved:
-                start = int(self.layout.offsets[j])
-                for member in self.members[j].tolist():
-                    for action in range(fan[member]):
-                        slots.append(start + action)
-                        slot_children.append(first_child[member] + action)
-            waves.append(BestResponseWave(
-                sum_parents=np.repeat(np.array(summed, dtype=np.intp),
-                                      [fan[p] for p in summed]),
-                sum_children=np.array([first_child[p] + a for p in summed
-                                       for a in range(fan[p])], dtype=np.intp),
-                own=np.array([p for p in at if mover[p] == player], dtype=np.intp),
-                resolved=np.array(resolved, dtype=np.intp),
-                slots=np.array(slots, dtype=np.intp),
-                slot_children=np.array(slot_children, dtype=np.intp)))
-        return tuple(waves)
-
-
-class BestResponseWave(NamedTuple):
-    """One step of a best-response schedule (``CompiledTree``), in
-    positions: nodes valued as the sum of their children (``sum_parents``
-    repeated once per child in ``sum_children``, in action order), own
-    nodes that take their chosen child's value, and own infosets resolved
-    afterwards from per-slot sums over their members' children."""
-
-    sum_parents: np.ndarray
-    sum_children: np.ndarray
-    own: np.ndarray
-    resolved: np.ndarray
-    slots: np.ndarray
-    slot_children: np.ndarray
 
 
 def save_tree(tree: GameTree, path) -> None:

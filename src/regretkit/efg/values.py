@@ -32,7 +32,8 @@ position.  Reach is then computed top-down, one multiply per edge and one
 vectorized step per depth, and node values bottom-up, one scatter-add per
 depth.  Nothing recurses, so a tree's depth is not bounded by Python's
 recursion limit, and the per-node cost is numpy's instead of the
-interpreter's.
+interpreter's, except in best response: one interpreted pass over the
+decision positions, in an order of its own (``best_response_value``).
 
 Summation order
 ---------------
@@ -73,11 +74,10 @@ and ``np.vecdot`` equal the per-block ``.sum()``, ``np.cumsum`` and
   computes ``a0 + (a1 + ...)``; ``einsum`` departs from width 2.
 
 Elementwise work keeps the scalar code's order (``weight * reach[j] *
-block`` is ``(weight * reach[j]) * block``), and sums across infosets
-that the scalar code took with Python's ``sum`` (a player's regret, the
-squared step) still use Python's ``sum``, in the same order: since
-Python 3.12 it compensates, so no numpy reduction reproduces it.  Maxima
-need no such care: they are exact in any order.
+block`` is ``(weight * reach[j]) * block``), and sums across infosets (a
+player's regret, the squared step) add left to right in infoset order,
+starting from 0.0; Python's ``sum`` is not that order, as it compensates
+since Python 3.12.  Maxima need no such care: they are exact in any order.
 """
 
 from __future__ import annotations
@@ -234,38 +234,50 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
 
     ``leaf_weights`` aggregates everything outside the player's control
     (one round's opponents/chance reach, or a cumulative sum over rounds);
-    the optimum over the player's strategies is attained at a pure
-    behavioral strategy.  Each infoset takes its first best action once
-    the subtrees below all its members are valued (see
-    ``CompiledTree.best_response_waves``).
+    the optimum is attained at a pure behavioral strategy.  One ordered
+    pass visits the decision positions by descending count of the player's
+    own decisions above them, then by descending position: every child
+    comes before its parent and, by perfect recall, every member's child
+    before an own infoset's first member.  A node not the player's sums its
+    children; at its first member an own infoset sums each action's child
+    over its members (in ``Infoset.nodes`` order) and takes the first
+    strict best total (NaN never wins); an own node takes its chosen
+    child's value.  Every sum adds left to right from 0.0.
     """
     flat = tree.compiled
     leaf_weights = np.asarray(leaf_weights, dtype=float)
     value = np.zeros(flat.size)
     value[flat.leaves] = (leaf_weights[flat.node_id[flat.leaves]]
                           * flat.leaf_payoffs[:, player])
-    action_value = np.zeros(flat.layout.size)
-    choice = np.zeros(len(tree.infosets), dtype=np.intp)
-    for wave in flat.best_response_waves[player]:
-        np.add.at(value, wave.sum_parents, value[wave.sum_children])
-        value[wave.own] = value[flat.first_child[wave.own]
-                                + choice[flat.infoset[wave.own]]]
-        if not wave.resolved.size:
+    own = np.zeros(flat.size, dtype=np.intp)
+    for lo, hi in flat.levels:
+        own[lo:hi] = own[flat.parent[lo:hi]] + (flat.parent_mover[lo:hi] == player)
+    decisions = np.flatnonzero(flat.mover >= 0)
+    order = decisions[np.lexsort((-decisions, -own[decisions]))].tolist()
+    value = value.tolist()
+    mover, infoset = flat.mover.tolist(), flat.infoset.tolist()
+    first, fan = flat.first_child.tolist(), flat.num_children.tolist()
+    choice = [-1] * len(flat.members)
+    for pos in order:
+        start = first[pos]
+        if mover[pos] != player:
+            total = 0.0
+            for child in range(start, start + fan[pos]):
+                total += value[child]
+            value[pos] = total
             continue
-        np.add.at(action_value, wave.slots, value[wave.slot_children])
-        start = flat.layout.offsets[wave.resolved]
-        width = flat.layout.widths[wave.resolved]
-        best = np.full(wave.resolved.size, -np.inf)
-        pick = np.zeros(wave.resolved.size, dtype=np.intp)
-        for action in range(int(width.max())):
-            candidate = np.where(action < width,
-                                 action_value[start + np.minimum(action, width - 1)],
-                                 -np.inf)
-            better = candidate > best  # strict: ties keep the first action
-            best = np.where(better, candidate, best)
-            pick[better] = action
-        choice[wave.resolved] = pick
-    return float(value[0])
+        j = infoset[pos]
+        if choice[j] < 0:
+            firsts = [first[m] for m in flat.members[j].tolist()]
+            best, choice[j] = -np.inf, 0
+            for action in range(fan[pos]):
+                total = 0.0
+                for child in firsts:
+                    total += value[child + action]
+                if total > best:  # strict: ties and NaN keep the earlier action
+                    best, choice[j] = total, action
+        value[pos] = value[start + choice[j]]
+    return value[0]
 
 
 def exploitability(tree: GameTree, x) -> np.ndarray:

@@ -481,7 +481,7 @@ class _Recorder:
 
     def _player_sums(self, values: np.ndarray) -> np.ndarray:
         """Per row and player, the sum of the player's block columns, added
-        in block order from 0 as Python's ``sum`` adds them."""
+        left to right in block order, starting from 0.0."""
         out = np.zeros((len(values), len(self.owned)))
         for i, own in enumerate(self.owned):
             for j in own.tolist():

@@ -25,6 +25,16 @@ from regretkit.games import MatrixGame, duality_gap
 from regretkit.stabilized import _in_chopped, project_chopped
 
 
+def left_to_right_sum(values) -> float:
+    """The floats added one by one, left to right, starting from 0.0: the
+    order the library's bit-exact sums keep (Python 3.12's ``sum``
+    compensates, so it is not that order)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def grid_project_simplex(y: np.ndarray, resolution: float = 1e-4) -> np.ndarray:
     """Dense grid search for the simplex projection (2-D only)."""
     assert y.size == 2
@@ -355,10 +365,8 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
         node = tree.nodes[nid]
         if isinstance(node, LeafNode):
             return float(leaf_weights[nid] * node.payoffs[player])
-        if isinstance(node, ChanceNode):
-            return sum(node_value(c) for c in node.children)
-        if node.player != player:
-            return sum(node_value(c) for c in node.children)
+        if isinstance(node, ChanceNode) or node.player != player:
+            return left_to_right_sum(node_value(c) for c in node.children)
         return node_value(node.children[choice[node.infoset]])
 
     own = sorted(tree.infosets_of(player),
@@ -367,8 +375,9 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
         iset = tree.infosets[iid]
         best_action, best_value = 0, -np.inf
         for action in range(iset.num_actions):
-            value = sum(node_value(tree.nodes[nid].children[action])
-                        for nid in iset.nodes)
+            value = left_to_right_sum(
+                node_value(tree.nodes[nid].children[action])
+                for nid in iset.nodes)
             if value > best_value:
                 best_action, best_value = action, value
         choice[iid] = best_action
@@ -459,7 +468,8 @@ def tree_recorder_rows(tree, played_rounds, increment_rounds):
             zip(played_rounds, increment_rounds), start=1):
         for acc, increment in zip(cum, increments):
             acc += increment
-        regrets = [sum(max(float(cum[j].max()), 0.0) for j in own)
+        regrets = [left_to_right_sum(max(float(cum[j].max()), 0.0)
+                                     for j in own)
                    for own in owned]
         regret_rows.append(regrets)
         gaps.append(max(0.0, *regrets) / t)
@@ -467,7 +477,8 @@ def tree_recorder_rows(tree, played_rounds, increment_rounds):
             step_rows.append([0.0] * len(owned))
         else:
             steps = [float(np.sum((x - p) ** 2)) for x, p in zip(played, prev)]
-            step_rows.append([sum([steps[j] for j in own]) for own in owned])
+            step_rows.append([left_to_right_sum(steps[j] for j in own)
+                              for own in owned])
         prev = played
     ledgers = [np.concatenate([cum[j] for j in own]) if own else np.zeros(0)
                for own in owned]
@@ -553,7 +564,8 @@ class PerRoundRecorder:
             layout = game.compiled.layout
             owned = [game.infosets_of(i) for i in range(game.num_players)]
             averager = efg.BehavioralAverager(game, config.averaging)
-            self.regret_of = lambda maxima: sum(np.maximum(maxima, 0.0).tolist())
+            self.regret_of = lambda maxima: left_to_right_sum(
+                np.maximum(maxima, 0.0).tolist())
             store_full = False  # tree rounds hand over no losses
         else:
             layout = game.layout
@@ -610,7 +622,7 @@ class PerRoundRecorder:
             trace.gap[row] = self.gap_of(t, regrets)
             if self._prev is not None:
                 steps = squared_distances(self.layout, x, self._prev)
-                trace.iter_var[row] = [sum(steps[own].tolist())
+                trace.iter_var[row] = [left_to_right_sum(steps[own].tolist())
                                        for own in self.owned]
             for _, player in restarts:
                 trace.restart[row, player] = 1

@@ -111,6 +111,21 @@ class TestRun:
         assert code == 3 and out == ""
         assert "non-finite iterate at round 1" in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("algo", ["predictive-cfr", "clairvoyant-cfr"])
+    def test_payoff_span_past_float_range_exits_two(self, tmp_path, capsys,
+                                                    algo):
+        # finite payoffs whose [0, 1] map would divide by an infinite scale
+        path = tmp_path / "span.efg"
+        path.write_text("efg 2\ninfoset 0 player 0 actions 2 key P1:pick\n"
+                        "node 0 player 0 infoset 0 2 1 2\n"
+                        "node 1 leaf 1e308 0\nnode 2 leaf -1e308 1\n")
+        code, out, err = run_cli(["run", "--algo", algo, "--game", str(path),
+                                  "--iters", "3"], capsys)
+        assert code == 2 and out == ""
+        assert (f"{path}: player 0: leaf payoffs span more than the float "
+                "range") in err
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value",
                                 "ignore:divide by zero", "ignore:underflow")
     @given(algo=st.sampled_from(ALGORITHMS), matrix=st.booleans(),

@@ -145,8 +145,12 @@ class TestTreeBuilder:
             b.decision(0, "K", [b.leaf([0, 0])]),
             b.decision(0, "K", [b.leaf([0, 0]), b.leaf([1, 1])])])),
          "infoset 'K': inconsistent action counts"),
+        (lambda b: b.build(b.decision(0, "K", [b.leaf([0.0, 1e308]),
+                                               b.leaf([1.0, -1e308])])),
+         "player 1: leaf payoffs span more than the float range"),
     ], ids=["no-player", "leaf-arity", "leaf-inf", "bad-player", "empty-key",
-            "no-action", "chance-arity", "shared-child", "action-counts"])
+            "no-action", "chance-arity", "shared-child", "action-counts",
+            "payoff-span"])
     def test_argument_checks(self, make, message):
         with pytest.raises(ValueError, match=message):
             make(efg.TreeBuilder(2))
@@ -639,12 +643,33 @@ class TestTreeFiles:
                 assert a == b
 
 
+def mixed_depth_tree() -> efg.GameTree:
+    """Player 0's infoset I has members at depths 1 and 2, and J, reached
+    by action 0 at either member of I, at depths 2 and 3: perfect recall
+    holds, yet an infoset is not one depth.  Payoffs are seeded draws."""
+    rng = np.random.default_rng(3)
+    b = efg.TreeBuilder(2)
+
+    def leaf():
+        return b.leaf(rng.random(2))
+
+    j_shallow = b.decision(0, "P0:J", [b.decision(1, "P1:L", [leaf(), leaf()]),
+                                       leaf()])
+    j_deep = b.decision(0, "P0:J", [leaf(),
+                                    b.decision(1, "P1:M", [leaf(), leaf()])])
+    i_shallow = b.decision(0, "P0:I", [j_shallow, leaf(), leaf()])
+    i_deep = b.decision(0, "P0:I", [j_deep, leaf(), leaf()])
+    k = b.decision(1, "P1:K", [i_deep, b.chance([0.3, 0.7], [leaf(), leaf()])])
+    return b.build(b.chance([0.4, 0.6], [i_shallow, k]))
+
+
 TREES = {
     "kuhn3": efg.build_kuhn(2, 3),
     "kuhn4": efg.build_kuhn(2, 4),
     "liars2": efg.build_liars_dice(2, 2),
     "liars3": efg.build_liars_dice(3, 2),
     "bimatrix": efg.build_bimatrix_tree(4.0 * U1 - 1.0, U2),
+    "mixed_depth": mixed_depth_tree(),
 }
 
 
@@ -722,6 +747,60 @@ def wide_tree() -> efg.GameTree:
                 for a in range(d1)]
         games.append(b.decision(0, f"P1:row{g}", rows))
     return b.build(b.chance([0.25, 0.5, 0.25], games))
+
+
+def _pin_weights(tree, player, seed):
+    """Seeded leaf weights of three kinds: a random profile's leaf reach,
+    uniform draws and normal draws times 1e3 (signs mixed)."""
+    rng = np.random.default_rng(seed)
+    x = [rng.dirichlet(np.ones(j.num_actions)) for j in tree.infosets]
+    if seed % 3 == 0:
+        return efg.leaf_excl_weights(tree, x, player)
+    if seed % 3 == 1:
+        return rng.random(len(tree.nodes))
+    return 1e3 * rng.normal(size=len(tree.nodes))
+
+
+PIN_TREES = {"chain1500": lambda: chain_tree(1500), "wide": wide_tree,
+             "liars3": lambda: TREES["liars3"]}
+
+# ``float.hex`` of ``best_response_value`` per seed 0-2 and player,
+# recorded with the height-wave scheduler that preceded the ordered pass;
+# the recursive oracle cannot reach chain1500's depth
+BEST_RESPONSE_PINS = {
+    "chain1500": [["0x1.9c09c4c1041b7p-1", "0x1.b33584fda1aecp-3"],
+                  ["0x1.737099b05a6b1p+7", "0x1.88a460a05fd50p+7"],
+                  ["0x1.3995064e9dafep+14", "0x1.2a4c51aa9154ep+15"]],
+    "wide": [["0x1.4267ec954ad8ap-1", "0x1.7493f1f14f066p-1"],
+             ["0x1.a41de036b2199p+3", "0x1.743c94515e0edp+3"],
+             ["0x1.880e688be2de1p+12", "0x1.a4eed9a46de1dp+12"]],
+    "liars3": [["0x1.8654c96d8122dp-1", "0x1.8a4433531f501p-1",
+                "0x1.549f5866f685dp-1"],
+               ["0x1.a8f573bea5c2fp+5", "0x1.2a785296f9c26p+6",
+                "0x1.71dcbd242929ep+6"],
+               ["0x1.7eba9cbf6166ap+14", "0x1.4933815750e6ep+14",
+                "0x1.167e9902560e7p+14"]],
+}
+
+
+class TestBestResponse:
+    @pytest.mark.parametrize("name", sorted(PIN_TREES))
+    def test_pinned_values(self, name):
+        tree = PIN_TREES[name]()
+        got = [[efg.best_response_value(tree, i, _pin_weights(tree, i, seed)).hex()
+                for i in range(tree.num_players)] for seed in range(3)]
+        assert got == BEST_RESPONSE_PINS[name]
+
+    @pytest.mark.parametrize("weights, expected", [
+        ([np.nan, 1.0], 0.9), ([1.0, np.nan], 0.3), ([np.nan, np.nan], np.nan)])
+    def test_nan_total_never_wins(self, weights, expected):
+        # an action whose total is NaN is never picked; when every total
+        # is NaN the infoset keeps action 0
+        tree = single_decision_tree()
+        value = efg.best_response_value(tree, 0, [0.0, *weights])
+        assert value.hex() == float(expected).hex()
+        assert value.hex() == oracles.best_response_value(
+            tree, 0, [0.0, *weights]).hex()
 
 
 BUCKETED_TREES = {name: TREES[name] for name in ("kuhn3", "liars3")}
@@ -872,15 +951,14 @@ def _hash_into(digest, obj) -> None:
 
 def tree_digest(tree: efg.GameTree) -> str:
     """One hash of a tree and a fresh compile of it: every node payload,
-    infoset, own sequence and the payoff map, every ``CompiledTree``
-    attribute, and the best-response waves."""
+    infoset, own sequence and the payoff map, and every ``CompiledTree``
+    attribute."""
     digest = hashlib.sha256()
     _hash_into(digest, [tree.num_players, tree.nodes, tree.infosets,
                         tree.payoff_scale, tree.payoff_offset,
                         tree.own_sequences])
     compiled = CompiledTree(tree)
     _hash_into(digest, sorted(vars(compiled).items()))
-    _hash_into(digest, compiled.best_response_waves)
     return digest.hexdigest()[:16]
 
 
@@ -894,13 +972,15 @@ DIGEST_TREES = {
 }
 
 # recorded before the tree builder, the loader and the compile were each
-# rewritten as one pass; a saved tree loads back to the very same digest
+# rewritten as one pass, and again, without the best-response schedule the
+# compile then carried, before that schedule was deleted; a saved tree
+# loads back to the very same digest
 TREE_DIGESTS = {
-    "kuhn3": "a28267d88555462b", "kuhn4": "45a5307401463fdb",
-    "kuhn5": "d863ccd68acf8031", "kuhn6": "9cc96c66de929d04",
-    "liars2": "744e07ea04789571", "liars3": "cd256abf0aa4c0af",
-    "bimatrix": "bdbc5703db3e903b", "chain1500": "2c60dc8c50babf59",
-    "wide": "e327aa27be11995d",
+    "kuhn3": "40f05d04005fcc43", "kuhn4": "fa332e3b5c182a17",
+    "kuhn5": "8cdbaed13dc14111", "kuhn6": "cc4dd6cd44011567",
+    "liars2": "eff82a780546967f", "liars3": "d38802ee15738416",
+    "bimatrix": "0a9c0b821d562f21", "chain1500": "b02b53164ebffff3",
+    "wide": "af5551c127b67f9e",
 }
 
 
