@@ -205,6 +205,22 @@ class BlockLayout:
         rows = np.concatenate([ids for ids, _ in self.buckets])
         return np.argsort(rows).tolist()
 
+    @cached_property
+    def ragged(self) -> tuple:
+        """The member blocks as one run, in ``buckets`` order: their
+        positions in the vector, each bucket's (lo, hi, (rows, width)) in
+        the run, and a (blocks, widest) index of each block's entries in
+        the run, padded with the run's length."""
+        runs = [np.arange(self.size)[index].reshape(ids.size, -1)
+                for ids, index in self.buckets]
+        ends = np.cumsum([0] + [run.size for run in runs]).tolist()
+        widths = np.array([run.shape[1] for run in runs for _ in run], np.intp)
+        ks = np.arange(widths.max(initial=0))
+        return (np.concatenate([np.empty(0, np.intp)] + [r.ravel() for r in runs]),
+                tuple(zip(ends, ends[1:], [run.shape for run in runs])),
+                np.where(ks < widths[:, None],
+                         (np.cumsum(widths) - widths)[:, None] + ks, ends[-1]))
+
     def restricted(self, members) -> "BlockLayout":
         """The same blocks, with buckets over ``members`` only."""
         return BlockLayout(self.widths, members)
@@ -246,7 +262,10 @@ def as_flat(blocks) -> np.ndarray:
 def joint_distance(a, b) -> float:
     """Euclidean distance between two equally cut sequences of blocks,
     taken over all blocks jointly."""
-    return sum(float(np.sum((u - v) ** 2)) for u, v in zip(a, b)) ** 0.5
+    total = 0.0  # left to right: Python's sum compensates from 3.12
+    for u, v in zip(a, b):
+        total += float(np.sum((u - v) ** 2))
+    return total ** 0.5
 
 
 def lifted_regret_equivalence(strategies, losses, lifted, comparator) -> tuple[float, float]:

@@ -20,16 +20,23 @@ state is one ``core.AggregateState`` over that layout (start:
 the lifted vector z itself (start: the uniform blocks of
 ``fixedpoint.initial_lifted_point`` over the infoset widths).  Played
 profiles are handed back as ``BlockVector``s, which read as one block
-per infoset.
-Every per-infoset step (``prm_plus_step``, ``project_chopped``, the
-normalization, the chopped-membership check) runs once per width bucket
-on a ``(rows, width)`` stack, with the floats of the per-infoset code
-(see ``efg.values``).  Both rounds are pure value transformations with
-one loop over update groups: every infoset at once, or, with
-``alternate``, one player's infosets at a time, each player against the
-freshest opponent blocks.  ``BehavioralAverager`` maintains the
-reach-weighted running average of played behavioral profiles (uniform or
-linearly weighted).
+per infoset.  Both rounds are pure value transformations with one loop
+over update groups: every infoset at once, or, with ``alternate``, one
+player's infosets at a time, each player against the freshest opponent
+blocks; an alternating group takes the pass restricted to its player
+(see ``efg.values``).
+
+Every per-infoset step has the floats of the per-infoset code.  The
+steps, normalizations and membership checks run once per width bucket
+on a ``(rows, width)`` stack (see ``efg.values``); each chopped
+projection of a group is one ``stabilized._ragged_chopped`` call.  It
+sums the blocks' masses per bucket and pads the tight rows of every
+width with -inf to one stack for one sort, cumsum and threshold pass;
+the padding sorts last and never passes.  A zero-padded mass would not
+do: from a padded width of 8 numpy's unrolled sum regroups the terms,
+and a mass within rounding of 1 can change sides.
+``BehavioralAverager`` maintains the reach-weighted running average of
+played behavioral profiles (uniform or linearly weighted).
 """
 
 from __future__ import annotations
@@ -43,10 +50,10 @@ from ..core import (
     as_flat,
     prm_plus_step,
 )
-from ..stabilized import _in_chopped, project_chopped
+from ..stabilized import _in_chopped, _ragged_chopped
 from .tree import CompiledTree, GameTree
 from .values import (
-    counterfactual_regret_operator,
+    _group_regrets,
     own_reach_per_infoset,
     uniform_behavioral,
 )
@@ -64,9 +71,10 @@ def _check_size(tree: GameTree, *vectors) -> None:
 
 
 def _update_groups(flat: CompiledTree, alternate: bool):
-    """Infosets that update together against one profile: all of them at
-    once, or one player's at a time (alternation)."""
-    return flat.player_layouts if alternate else (flat.layout,)
+    """Infosets that update together against one profile, as (player,
+    layout): all of them at once (player ``None``), or one player's at a
+    time (alternation)."""
+    return enumerate(flat.player_layouts) if alternate else [(None, flat.layout)]
 
 
 def _play(r: np.ndarray, prediction: np.ndarray) -> np.ndarray:
@@ -86,9 +94,8 @@ def predictive_cfr_round(state: AggregateState, tree: GameTree,
         played[index] = _play(state.r[index], state.prediction[index])
     profile = played.copy() if alternate else played
     r, prediction = state.r.copy(), state.prediction.copy()
-    for group in _update_groups(flat, alternate):
-        h = counterfactual_regret_operator(
-            tree, BlockVector(profile, flat.layout), validate=False).vector
+    for player, group in _update_groups(flat, alternate):
+        h = _group_regrets(tree, profile, player)
         for _, index in group.buckets:
             step, _ = prm_plus_step(
                 AggregateState(r[index], prediction[index]), -h[index])
@@ -118,16 +125,15 @@ def clairvoyant_cfr_round(z: np.ndarray, tree: GameTree, eta: float,
     for _, index in flat.layout.buckets:
         profile[index] = _normalize_nonneg(z[index])
     z_next = z.copy()
-    for group in _update_groups(flat, alternate):
-        h0 = counterfactual_regret_operator(
-            tree, BlockVector(profile, flat.layout), validate=False).vector
-        for _, index in group.buckets:
-            profile[index] = _normalize_nonneg(
-                project_chopped(z[index] + eta * h0[index]))
-        h1 = counterfactual_regret_operator(
-            tree, BlockVector(profile, flat.layout), validate=False).vector
-        for _, index in group.buckets:
-            z_next[index] = project_chopped(z[index] + eta * h1[index])
+    for player, group in _update_groups(flat, alternate):
+        gather, spans, _ = group.ragged
+        zg = z[gather]
+        h0 = _group_regrets(tree, profile, player)[gather]
+        w = _ragged_chopped(zg + eta * h0, group)
+        for (_, index), (lo, hi, shape) in zip(group.buckets, spans):
+            profile[index] = _normalize_nonneg(w[lo:hi].reshape(shape))
+        h1 = _group_regrets(tree, profile, player)[gather]
+        z_next[gather] = _ragged_chopped(zg + eta * h1, group)
     return z_next, BlockVector(profile, flat.layout)
 
 

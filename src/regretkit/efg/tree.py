@@ -54,12 +54,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChanceNode:
+    """Chance picks child k with probability ``probs[k]``."""
     probs: np.ndarray
     children: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class DecisionNode:
+    """A move by ``player`` at a member of ``infoset``: action k to child k."""
     player: int
     infoset: int
     children: tuple[int, ...]
@@ -67,11 +69,13 @@ class DecisionNode:
 
 @dataclass(frozen=True)
 class LeafNode:
-    payoffs: np.ndarray  # [0, 1]-mapped units
+    """Per-player payoffs, in the tree's [0, 1] units."""
+    payoffs: np.ndarray
 
 
 @dataclass(frozen=True)
 class Infoset:
+    """``player``'s indistinguishable ``nodes``, each with ``num_actions``."""
     player: int
     num_actions: int
     nodes: tuple[int, ...]
@@ -340,8 +344,20 @@ class CompiledTree:
         self.edge_value = (first_child[edge_parent] + edge_rank) * n + mover[edge_parent]
         self.edge_slot = self.layout.offsets[infoset[edge_parent]] + edge_rank
 
+    @cached_property
+    def player_edges(self) -> tuple:
+        """Per player, its decision edges in pre-order: the parent's reach
+        entries but the player's own, the child and the behavioural slot."""
+        m = self.num_players + 1
+        owner = self.mover[self.edge_parent]
+        return tuple(
+            (self.edge_parent[own, None] * m + np.delete(np.arange(m), i),
+             self.edge_value[own] // self.num_players, self.edge_slot[own])
+            for i in range(self.num_players) for own in [owner == i])
+
 
 def save_tree(tree: GameTree, path) -> None:
+    """Write ``tree`` in the tree grammar, with its original payoffs."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"efg {tree.num_players}\n")
         for iid, iset in enumerate(tree.infosets):

@@ -21,19 +21,13 @@ converts its output back to original units via the stored affine map.
 
 Compiled layout
 ---------------
-The passes run on ``tree.compiled`` (``CompiledTree``), built once per
-tree on first use: nodes renumbered in breadth-first order, so every
-depth is a contiguous range of positions and siblings are contiguous in
-action order; per position the parent, depth, sibling rank, mover and
-infoset; a leaf-payoff matrix; per-infoset offsets into one flat
-behavioural vector; and the depth-first pre-order of the decision nodes.
-A profile becomes one gather: the probability on the edge into every
-position.  Reach is then computed top-down, one multiply per edge and one
-vectorized step per depth, and node values bottom-up, one scatter-add per
-depth.  Nothing recurses, so a tree's depth is not bounded by Python's
-recursion limit, and the per-node cost is numpy's instead of the
-interpreter's, except in best response: one interpreted pass over the
-decision positions, in an order of its own (``best_response_value``).
+The passes run on ``tree.compiled``, the tree lowered to flat arrays in
+breadth-first order (``CompiledTree``).  A profile becomes one gather:
+the probability on the edge into every position.  Reach is then computed
+top-down and node values bottom-up, one vectorized step per depth.
+Nothing recurses, so a tree's depth is not bounded by Python's recursion
+limit, and the per-node cost is numpy's, except in best response: one
+interpreted pass in an order of its own (``best_response_value``).
 
 Summation order
 ---------------
@@ -78,6 +72,17 @@ block`` is ``(weight * reach[j]) * block``), and sums across infosets (a
 player's regret, the squared step) add left to right in infoset order,
 starting from 0.0; Python's ``sum`` is not that order, as it compensates
 since Python 3.12.  Maxima need no such care: they are exact in any order.
+
+Group passes
+------------
+An alternating CFR round's group reads one player's regrets only, so its
+pass (``_group_regrets``) keeps reach in full, which the exclusion
+product needs, and restricts the rest to the player: node values of its
+column alone, swept up ``parent`` with ``np.add.at``; the exclusion
+product and the scatter over its decision edges, in pre-order
+(``CompiledTree.player_edges``); H_j over its buckets.  That is the full
+pass's arithmetic on those entries, less products with the mover's own
+1.0, which are exact: the player's regrets are bit for bit the full's.
 """
 
 from __future__ import annotations
@@ -106,6 +111,7 @@ __all__ = [
 
 
 def uniform_behavioral(tree: GameTree) -> list[np.ndarray]:
+    """The profile playing every action of every infoset equally often."""
     return [np.full(j.num_actions, 1.0 / j.num_actions) for j in tree.infosets]
 
 
@@ -183,19 +189,41 @@ def counterfactual_values(tree: GameTree, x, validate: bool = True) -> list[np.n
     return _like(x, flat_values, flat)
 
 
+def _group_regrets(tree: GameTree, profile: np.ndarray, player) -> np.ndarray:
+    """H at a flat profile: every entry, by the full pass (player
+    ``None``), or ``player``'s alone, by the group pass (see the module
+    docstring), the other entries left at zero."""
+    flat = tree.compiled
+    x = BlockVector(profile, flat.layout)
+    if player is None:
+        g, layout = counterfactual_values(tree, x, validate=False).vector, flat.layout
+    else:
+        probs = _edge_probs(flat, x)
+        values = np.zeros(flat.size)
+        values[flat.leaves] = flat.leaf_payoffs[:, player]
+        for lo, hi in reversed(flat.levels):
+            np.add.at(values, flat.parent[lo:hi], values[lo:hi] * probs[lo:hi])
+        others, children, slots = flat.player_edges[player]
+        # per edge, in index order; the mover's own 1.0 multiplies exactly
+        factors = _reach(flat, probs)[others]
+        excl = factors[:, 0]
+        for k in range(1, factors.shape[1]):
+            excl = excl * factors[:, k]
+        g, layout = np.zeros(flat.layout.size), flat.player_layouts[player]
+        np.add.at(g, slots, excl * values[children])
+    for _, index in layout.buckets:
+        gj = g[index]
+        g[index] = gj - np.vecdot(gj, profile[index])[..., None]
+    return g
+
+
 def counterfactual_regret_operator(tree: GameTree, x,
                                    validate: bool = True) -> list[np.ndarray]:
     """H_j(x) = G_j(x) - <G_j(x), x_j> 1 for every infoset, per width
     bucket."""
     if validate:
         check_behavioral(tree, x)
-    g = as_flat(counterfactual_values(tree, x, validate=False))
-    profile = as_flat(x)
-    h = np.empty_like(g)
-    for _, index in tree.compiled.layout.buckets:
-        gj = g[index]
-        h[index] = gj - np.vecdot(gj, profile[index])[..., None]
-    return _like(x, h, tree.compiled)
+    return _like(x, _group_regrets(tree, as_flat(x), None), tree.compiled)
 
 
 def expected_values(tree: GameTree, x, validate: bool = True) -> np.ndarray:

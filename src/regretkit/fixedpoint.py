@@ -158,7 +158,10 @@ def _solve(z_prev: np.ndarray, game, eta: float, eps_target: float,
                 advanced[positions] = rows.ravel()
             squares = (w[positions].reshape(shape) - rows) ** 2
             distances += np.add.reduce(squares, -1).reshape(-1).tolist()
-        residual = sum([distances[b] for b in layout._row_order]) ** 0.5
+        residual = 0.0  # left to right: Python's sum compensates from 3.12
+        for b in layout._row_order:
+            residual += distances[b]
+        residual **= 0.5
         history.append(residual)
         if residual <= eps_target or k > k_max:
             return advanced, w, _plays(w, layout), f, FixedPointReport(

@@ -375,6 +375,7 @@ def duality_gap(game: MatrixGame, x, y) -> float | np.ndarray:
 
 
 def save_game(game, path) -> None:
+    """Write a matrix or normal-form game in the game-file grammar."""
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(game, MatrixGame):
             d1, d2 = game.dims

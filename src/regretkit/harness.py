@@ -44,17 +44,17 @@ One ``_Recorder``, the only code that accumulates regret, keeps every
 family's books from those blocks, held as flat vectors cut by a
 ``core.BlockLayout`` (the players' strategies, or the tree's compiled
 infoset layout).  A round only copies its play and increments into a
-row of a chunk buffer and checks the play for finiteness; once per chunk
-of rounds, the ledgers and averages are running sums down the buffer
-and the stored rounds' per-block maxima, regrets, gaps and squared
-steps a few stacked numpy calls, bit for bit as round by round.  Per
+row of a chunk buffer; once per chunk of rounds, the plays are checked,
+the ledgers and averages are running sums down the buffer and the
+stored rounds' per-block maxima, regrets, gaps and squared steps a few
+stacked numpy calls, bit for bit as round by round.  Per
 family it picks only the regret formula (max-action regret, or the sum
 of per-infoset positive maxima), the gap (duality gap, or the CCE gap
 max_i [regret_i]+ / t) and the averager (the tree's, reach-weighted,
 stays per round).  A non-finite value, raised inside a round
-(``NonFiniteError``), met by the recorder's one per-round check or in a
-stored row's regret, gap or squared step, ends the run with
-``NumericalDivergence`` naming the round.
+(``NonFiniteError``), in a play or in a stored row's regret, gap or
+squared step ends the run with ``NumericalDivergence`` naming the round,
+the first non-finite play's wherever there is one.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ class NumericalDivergence(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """One solver run's settings; ``validate`` rejects bad ones."""
     algorithm: str
     eta: float | str = "auto"
     r0: float = 1.0
@@ -425,8 +426,6 @@ class _Recorder:
         else:
             x[:] = blocks.vector
             ledger[:] = increments.vector
-        if not np.isfinite(x).all():
-            raise NumericalDivergence(t)
         if self.tree_averager is not None:
             self.tree_averager.observe(BlockVector(x, self.layout))
         self.restart_events.extend(restarts)
@@ -443,7 +442,14 @@ class _Recorder:
         if k + 1 == self.weights.size:
             self._flush()
 
+    def check_plays(self) -> None:
+        """End the run at the first non-finite play since the last flush."""
+        finite = np.isfinite(self.plays[1:self.k + 1]).all(axis=1)
+        if not finite.all():
+            raise NumericalDivergence(self.t - self.k + 1 + int(np.argmin(finite)))
+
     def _flush(self) -> None:
+        self.check_plays()
         k, t, trace, layout = self.k, self.t, self.trace, self.layout
         new = slice(1, k + 1)
         self.weights[new] = np.arange(t - k + 1, t + 1) if self.linear else 1.0
@@ -610,6 +616,7 @@ def run(config: SolverConfig, game) -> RunTrace:
         try:
             blocks, increments, extras = advance(t)
         except NonFiniteError:
+            recorder.check_plays()  # an earlier play's round comes first
             raise NumericalDivergence(t) from None
         recorder.observe(t, blocks, increments, **extras)
     return recorder.finish(header)

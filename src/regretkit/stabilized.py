@@ -100,7 +100,9 @@ def _simplex_kernel(y: np.ndarray) -> np.ndarray:
         return np.maximum(y + tau, 0.0)
     u = np.sort(y, axis=1)[:, ::-1]
     cumulative = np.cumsum(u, axis=1)
-    positive = u + (1.0 - cumulative) / np.arange(1, y.shape[1] + 1) > 0.0
+    # u + c > 0 exactly when c > -u, for finite u; so written, the -inf
+    # padding of ``_ragged_chopped`` never passes, with no invalid-value warning
+    positive = (1.0 - cumulative) / np.arange(1, y.shape[1] + 1) > -u
     if not positive.any(axis=1).all():
         raise NonFiniteError(_NO_THRESHOLD)
     k = y.shape[1] - np.argmax(positive[:, ::-1], axis=1)
@@ -132,6 +134,24 @@ def _chopped_kernel(y: np.ndarray) -> np.ndarray:
         positive[tight[0]] = _simplex_kernel(y[tight[0]])
     elif tight.size:
         positive[tight] = _simplex_kernel(y[tight])
+    return positive
+
+
+def _ragged_chopped(y: np.ndarray, layout) -> np.ndarray:
+    """``project_chopped`` on every member block of ``layout`` in one
+    call, bit for bit (see ``efg.rounds``), the blocks read from and
+    written to one run in ``layout.ragged`` order."""
+    _, spans, pad = layout.ragged
+    y = _check_finite(y)
+    if len(spans) == 1:  # one width: the stacked kernel
+        return _chopped_kernel(y.reshape(spans[0][2])).ravel()
+    out = np.zeros(y.size + 1)  # the last entry takes the padding's writes
+    positive = np.maximum(y, 0.0, out=out[:-1])
+    mass = np.concatenate([np.empty(0)] + [
+        positive[lo:hi].reshape(shape).sum(axis=1) for lo, hi, shape in spans])
+    tight = pad[mass < 1.0]
+    if tight.size:
+        out[tight] = _simplex_kernel(np.concatenate((y, [-np.inf]))[tight])
     return positive
 
 

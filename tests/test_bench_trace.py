@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from regretkit import efg, fixedpoint, games, harness
+from regretkit.efg import rounds as efg_rounds
 from regretkit.core import as_flat
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -137,27 +138,39 @@ def test_lifted_gradient_calls_per_round():
 
 
 # tree passes per round: groups + 2 for predictive CFR and 2 * groups + 2
-# for clairvoyant CFR, with one update group (sim) or one per player (alt)
-PASSES_PER_ROUND = (
-    ("kuhn3", "predictive-cfr", False, 3),
-    ("kuhn3", "predictive-cfr", True, 4),
-    ("kuhn3", "clairvoyant-cfr", False, 4),
-    ("kuhn3", "clairvoyant-cfr", True, 6),
-    ("liars3", "predictive-cfr", False, 3),
-    ("liars3", "predictive-cfr", True, 5),
-    ("liars3", "clairvoyant-cfr", False, 4),
-    ("liars3", "clairvoyant-cfr", True, 8),
+# for clairvoyant CFR, with one update group (sim) or one per player (alt).
+# The tracer sees the full passes (the group pass of a simultaneous round,
+# the harness's regret operator and the averager's own reach); an
+# alternating group's pass is restricted to its player, outside the
+# tracer's names, and is counted here on its own.
+PASSES_PER_ROUND = (  # (tree, algorithm, alternate, traced, restricted)
+    ("kuhn3", "predictive-cfr", False, 3, 0),
+    ("kuhn3", "predictive-cfr", True, 2, 2),
+    ("kuhn3", "clairvoyant-cfr", False, 4, 0),
+    ("kuhn3", "clairvoyant-cfr", True, 2, 4),
+    ("liars3", "predictive-cfr", False, 3, 0),
+    ("liars3", "predictive-cfr", True, 2, 3),
+    ("liars3", "clairvoyant-cfr", False, 4, 0),
+    ("liars3", "clairvoyant-cfr", True, 2, 6),
 )
 
 
-def test_tree_passes_per_round_for_every_cfr_variant():
+def test_tree_passes_per_round_for_every_cfr_variant(monkeypatch):
     tracer_mod = _load_tracer()
     trees = {"kuhn3": efg.build_kuhn(2, 3), "liars3": efg.build_liars_dice(3, 2)}
     iters = 3
+    restricted = [0] * len(PASSES_PER_ROUND)
+    group_regrets = efg_rounds._group_regrets
+
+    def counted(tree, profile, player):
+        restricted[index] += player is not None
+        return group_regrets(tree, profile, player)
+
+    monkeypatch.setattr(efg_rounds, "_group_regrets", counted)
     tracer = tracer_mod.Tracer()
     undo = tracer_mod.install(tracer)
     try:
-        for index, (tree, algo, alternate, _) in enumerate(PASSES_PER_ROUND):
+        for index, (tree, algo, alternate, *_) in enumerate(PASSES_PER_ROUND):
             with tracer.span("bench.cell", index):
                 harness.run(harness.SolverConfig(
                     algorithm=algo, alternation=alternate, iters=iters),
@@ -166,8 +179,15 @@ def test_tree_passes_per_round_for_every_cfr_variant():
         tracer_mod.uninstall(undo)
     counts = tracer_mod.PassSpans(tracer, tracer.arrays()).per_cell_counts(
         len(PASSES_PER_ROUND))["tree passes"]
-    assert counts.tolist() == [per_round * iters
-                               for *_, per_round in PASSES_PER_ROUND]
+    assert counts.tolist() == [traced * iters
+                               for *_, traced, _ in PASSES_PER_ROUND]
+    assert restricted == [per_round * iters
+                          for *_, per_round in PASSES_PER_ROUND]
+    groups = {"kuhn3": 2, "liars3": 3}
+    for (tree, algo, alternate, traced, player_passes) in PASSES_PER_ROUND:
+        n = groups[tree] if alternate else 1
+        assert traced + player_passes == (
+            n + 2 if algo == "predictive-cfr" else 2 * n + 2)
 
 
 def test_uninstall_restores_the_library():

@@ -1,3 +1,6 @@
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,3 +392,31 @@ class TestGenAndSweep:
              "--to", "2000"], capsys)
         assert code == 0
         assert float(out.strip()) < -1.0
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The commands of the README's CLI block, continuation lines joined."""
+    block = README.read_text().split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    """Every README CLI command exits 0, the game files written first, with
+    every round count and regression bound of 1000 or more cut 100-fold."""
+    commands = readme_cli_commands()
+    assert len(commands) == 7 and all(c[0] == "regretkit" for c in commands)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REGRETKIT_OUTDIR", raising=False)
+    for command in sorted(commands, key=lambda c: c[1] != "gen"):
+        args = command[1:]
+        for i in range(1, len(args)):
+            if args[i - 1] in ("--iters", "--from", "--to") and int(args[i]) >= 1000:
+                args[i] = str(int(args[i]) // 100)
+        assert main(args) == 0, command
+    for written in ("smooth.csv", "out", "m.game", "kuhn3.efg"):
+        assert (tmp_path / written).exists()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from regretkit import efg
 from regretkit.efg.tree import CompiledTree
+from regretkit.efg.values import _group_regrets
 from regretkit.core import (AggregateState, BlockLayout, BlockVector,
                             _normalize_nonneg, normalize, prm_plus_step)
 from regretkit.fixedpoint import conceptual_round, initial_lifted_point
@@ -925,6 +926,38 @@ class TestBucketedMatchesPerInfoset:
             assert np.array_equal(a, b)
         for a, b in zip(trace.averages, averager.average()):
             assert np.array_equal(a, b)
+
+
+GROUP_PASS_TREES = {**TREES, "wide": BUCKETED_TREES["wide"]}
+
+
+class TestGroupPass:
+    """An alternating group's pass, restricted to its player, returns the
+    regret operator's floats on that player's infosets; the simultaneous
+    group's pass is the operator itself."""
+
+    @pytest.mark.parametrize("name", sorted(GROUP_PASS_TREES))
+    @given(seed=st.integers(0, 2**32 - 1), sparsity=st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_the_operator(self, name, seed, sparsity):
+        tree = GROUP_PASS_TREES[name]
+        rng = np.random.default_rng(seed)
+        blocks = []
+        for iset in tree.infosets:
+            block = rng.dirichlet(np.ones(iset.num_actions))
+            block[rng.random(iset.num_actions) < sparsity] = 0.0
+            if block.sum() == 0.0:
+                block[rng.integers(iset.num_actions)] = 1.0
+            blocks.append(block / block.sum())
+        profile = np.concatenate(blocks)
+        want = np.concatenate(efg.counterfactual_regret_operator(tree, blocks))
+        assert _group_regrets(tree, profile, None).tobytes() == want.tobytes()
+        bounds = tree.compiled.layout.bounds
+        for player in range(tree.num_players):
+            got = _group_regrets(tree, profile, player)
+            for j in tree.infosets_of(player):
+                lo, hi = bounds[j]
+                assert got[lo:hi].tobytes() == want[lo:hi].tobytes()
 
 
 def _hash_into(digest, obj) -> None:

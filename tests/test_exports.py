@@ -1,5 +1,8 @@
+import ast
 import importlib
+import inspect
 import pkgutil
+import textwrap
 
 import pytest
 
@@ -21,3 +24,18 @@ def test_every_export_resolves(name):
     missing = [export for export in getattr(module, "__all__", ())
                if not hasattr(module, export)]
     assert not missing, f"{name}.__all__ names missing attributes {missing}"
+
+
+@pytest.mark.parametrize("name", _modules())
+def test_every_exported_function_and_class_has_its_own_docstring(name):
+    """A docstring written at the definition: not inherited, and not the
+    signature ``dataclass`` fills in."""
+    module = importlib.import_module(name)
+    missing = []
+    for export in getattr(module, "__all__", ()):
+        obj = getattr(module, export)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            definition = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+            if not ast.get_docstring(definition.body[0]):
+                missing.append(export)
+    assert not missing, f"{name}: no docstring of their own: {missing}"

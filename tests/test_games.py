@@ -444,6 +444,11 @@ class TestGameFiles:
             return
         save_game(game, path)
         again = load_game(path)
-        for a, b in zip(getattr(again, "payoffs", [again.payoff]),
-                        getattr(game, "payoffs", [game.payoff])):
+        # (a getattr default would read ``payoff`` of a normal-form game)
+        assert type(again) is type(game)
+        if isinstance(game, NormalFormGame):
+            pairs = zip(again.payoffs, game.payoffs)
+        else:
+            pairs = [(again.payoff, game.payoff)]
+        for a, b in pairs:
             np.testing.assert_array_equal(a, b)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from regretkit import efg, harness
-from regretkit.core import lifted_regret_equivalence
+from regretkit.core import NonFiniteError, lifted_regret_equivalence
 from regretkit.fixedpoint import lipschitz_bound
 from regretkit.games import (MatrixGame, NormalFormGame, hard_instance,
                              random_matrix_game, random_nfg)
@@ -332,7 +333,8 @@ class TestDivergenceRounds:
     @pytest.mark.parametrize("bad_round", [300, 513])
     def test_recorder_check_after_a_chunk_flush(self, bad_round):
         """The recorder's own check of a play handed to it, past the
-        first chunk and at the first round of a chunk."""
+        first chunk and at the first round of a chunk.  The check runs
+        when the chunk is flushed, and names the play's round."""
         game = hard_instance()
         config = SolverConfig(algorithm="rm+", iters=1000)
         recorder = harness._Recorder(config, game)
@@ -343,8 +345,31 @@ class TestDivergenceRounds:
             recorder.observe(bad_round, [np.full(3, 1 / 3),
                                          np.array([0.5, np.nan, 0.5])],
                              [np.zeros(3), np.zeros(3)])
+            for t in range(bad_round + 1, config.iters + 1):
+                recorder.observe(t, uniform, [np.zeros(3), np.zeros(3)])
+            recorder.finish({})
         assert exc_info.value.iteration == bad_round
         assert str(exc_info.value) == f"non-finite iterate at round {bad_round}"
+
+    @pytest.mark.parametrize("raise_round", [None, 6, 9])
+    def test_first_non_finite_play_names_the_round(self, raise_round,
+                                                    monkeypatch):
+        """A non-finite play at round 5 names round 5, whether the run ends
+        at the last flush or a later round raises ``NonFiniteError``
+        before the chunk is flushed."""
+        def fake_round(state, game, eta, algorithm, alternate, floors):
+            t = state.t + 1
+            if t == raise_round:
+                raise NonFiniteError("non-finite loss")
+            plays = [np.full(3, 1 / 3), np.full(3, np.nan if t == 5 else 1 / 3)]
+            zeros = [np.zeros(3), np.zeros(3)]
+            return dataclasses.replace(state, t=t), plays, zeros, zeros
+
+        monkeypatch.setattr(harness, "_lifted_round", fake_round)
+        with pytest.raises(NumericalDivergence) as exc_info:
+            run(SolverConfig(algorithm="rm+", iters=10), hard_instance())
+        assert exc_info.value.iteration == 5
+        assert str(exc_info.value) == "non-finite iterate at round 5"
 
 
 FUZZ_GAMES = {

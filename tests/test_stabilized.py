@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretkit.core import NonFiniteError
+from regretkit.core import BlockLayout, NonFiniteError
 from regretkit.games import MatrixGame, hard_instance, random_nfg
 from regretkit.stabilized import (
     project_chopped,
@@ -16,6 +16,7 @@ from regretkit.stabilized import (
     stable_prmp_round,
     stable_prmp_round_alternating,
 )
+from regretkit.stabilized import _chopped_kernel, _ragged_chopped
 
 from .oracles import (
     enumerate_project_chopped,
@@ -189,6 +190,96 @@ class TestChoppedTightRows:
             with pytest.raises(NonFiniteError) as stacked:
                 project_chopped(np.array(stack))
             assert str(stacked.value) == str(alone.value)
+
+
+def _ragged_rows(rng, widths, no_threshold):
+    """One row per width: slack (positive mass >= 1), tight, tight with
+    zeros of both signs and ties, of any scale, of mass 1 up to rounding
+    (where the order of the mass's sum decides tight or slack), or, where
+    ``no_threshold``, tight with entries so negative that the unit mass is
+    lost to rounding."""
+    rows = []
+    for w in widths:
+        kind = rng.integers(5) if not no_threshold else 5
+        if kind == 0:
+            row = np.abs(rng.normal(size=w)) + 1.0 / w
+        elif kind == 1:
+            row = rng.uniform(-1.0, 1.0, w) * 0.9 / w
+        elif kind == 2:
+            row = rng.choice([0.0, -0.0, 0.125, -0.5, 0.25], w)
+        elif kind == 3:
+            row = rng.normal(size=w) * 10.0 ** rng.integers(-3, 4)
+        elif kind == 4:
+            row = rng.random(w)
+            row /= row.sum()
+        else:
+            row = -rng.uniform(1.0, 2.0, w) * 1e20
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestRaggedChopped:
+    """``_ragged_chopped`` projects each block of a group of mixed widths
+    as the block's own ``project_chopped`` call does, bit for bit, and
+    raises that call's ``NonFiniteError``: its tight rows share one
+    ``_simplex_kernel`` call on a stack padded with -inf."""
+
+    @given(widths=st.lists(st.integers(1, 20), min_size=1, max_size=16),
+           seed=st.integers(0, 2**32 - 1),
+           no_threshold=st.sampled_from([False] * 5 + [True]))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_match_their_own_calls(self, widths, seed, no_threshold):
+        rng = np.random.default_rng(seed)
+        members = np.flatnonzero(rng.random(len(widths)) < 0.8)
+        layout = BlockLayout(widths, members if members.size else [0])
+        gather, _, _ = layout.ragged
+        flat = np.empty(layout.size)
+        bad = rng.integers(len(widths)) if no_threshold else -1
+        for b, (lo, hi) in enumerate(layout.bounds):
+            flat[lo:hi] = _ragged_rows(rng, [hi - lo], b == bad)[0]
+        expected, raised = np.full(layout.size, np.nan), None
+        for ids, _ in layout.buckets:
+            for b in ids.tolist():
+                lo, hi = layout.bounds[b]
+                try:
+                    expected[lo:hi] = _chopped_kernel(flat[lo:hi])
+                except NonFiniteError as exc:
+                    raised = str(exc)
+        if raised is not None:
+            with pytest.raises(NonFiniteError) as exc_info:
+                _ragged_chopped(flat[gather], layout)
+            assert str(exc_info.value) == raised
+            return
+        got = np.full(layout.size, np.nan)
+        got[gather] = _ragged_chopped(flat[gather], layout)
+        for ids, _ in layout.buckets:
+            for b in ids.tolist():
+                lo, hi = layout.bounds[b]
+                assert got[lo:hi].tobytes() == expected[lo:hi].tobytes()
+
+    def test_every_width_in_one_call(self):
+        # widths 1..20, each tight, so the one simplex call pads to 20
+        rng = np.random.default_rng(5)
+        widths = np.arange(1, 21)
+        layout = BlockLayout(widths)
+        flat = np.concatenate([rng.uniform(-1.0, 1.0, w) * 0.9 / w
+                               for w in widths])
+        gather, _, pad = layout.ragged
+        assert pad.shape == (20, 20)
+        got = np.empty(layout.size)
+        got[gather] = _ragged_chopped(flat[gather], layout)
+        for lo, hi in layout.bounds:
+            assert got[lo:hi].tobytes() == project_chopped(flat[lo:hi]).tobytes()
+
+    def test_non_finite_input_message(self):
+        layout = BlockLayout([2, 3])
+        y = np.array([0.1, 0.2, 5.0, np.inf, 0.0])
+        with pytest.raises(NonFiniteError) as alone:
+            project_chopped(y[2:])
+        with pytest.raises(NonFiniteError) as grouped:
+            _ragged_chopped(y[layout.ragged[0]], layout)
+        assert str(grouped.value) == str(alone.value)
 
 
 class TestNonExpansiveness:
