@@ -21,20 +21,15 @@ the lifted vector z itself (start: the uniform blocks of
 ``fixedpoint.initial_lifted_point`` over the infoset widths).  Played
 profiles are handed back as ``BlockVector``s, which read as one block
 per infoset.  Both rounds are pure value transformations with one loop
-over update groups: every infoset at once, or, with ``alternate``, one
-player's infosets at a time, each player against the freshest opponent
-blocks; an alternating group takes the pass restricted to its player
-(see ``efg.values``).
+over update groups (``CompiledTree.groups``): every infoset at once, or,
+with ``alternate``, one player's infosets at a time, each player against
+the freshest opponent blocks.  A group's pass computes its own regrets
+only (see ``efg.values``).
 
-Every per-infoset step has the floats of the per-infoset code.  The
+Every per-infoset step has the floats of the per-infoset code: the
 steps, normalizations and membership checks run once per width bucket
-on a ``(rows, width)`` stack (see ``efg.values``); each chopped
-projection of a group is one ``stabilized._ragged_chopped`` call.  It
-sums the blocks' masses per bucket and pads the tight rows of every
-width with -inf to one stack for one sort, cumsum and threshold pass;
-the padding sorts last and never passes.  A zero-padded mass would not
-do: from a padded width of 8 numpy's unrolled sum regroups the terms,
-and a mass within rounding of 1 can change sides.
+on a ``(rows, width)`` stack (see ``efg.values``), and each chopped
+projection of a group is one ``stabilized._ragged_chopped`` call.
 ``BehavioralAverager`` maintains the reach-weighted running average of
 played behavioral profiles (uniform or linearly weighted).
 """
@@ -72,9 +67,10 @@ def _check_size(tree: GameTree, *vectors) -> None:
 
 def _update_groups(flat: CompiledTree, alternate: bool):
     """Infosets that update together against one profile, as (player,
-    layout): all of them at once (player ``None``), or one player's at a
-    time (alternation)."""
-    return enumerate(flat.player_layouts) if alternate else [(None, flat.layout)]
+    layout) from ``CompiledTree.groups``: all of them at once (player
+    ``None``), or one player's at a time (alternation)."""
+    return [(player, flat.groups[player][0])
+            for player in (range(flat.num_players) if alternate else [None])]
 
 
 def _play(r: np.ndarray, prediction: np.ndarray) -> np.ndarray:

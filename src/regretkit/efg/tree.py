@@ -32,6 +32,7 @@ use them to identify decision points); they take no part in solving.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -237,37 +238,33 @@ class CompiledTree:
     Nodes are renumbered by *position*, their breadth-first rank from the
     root, so each depth is one contiguous range of positions and the
     children of a node are contiguous, in action order.  Per position:
-    ``node_id``, ``parent`` (-1 at the root), ``depth``, ``rank`` among
-    its siblings, ``mover`` (the player, ``num_players`` for chance, -1 at
-    leaves), ``infoset`` (-1 off decision nodes), ``first_child`` and
-    ``num_children``; ``members[j]`` holds infoset j's member positions in
-    ``Infoset.nodes`` order.
+    ``node_id``, ``parent`` (-1 at the root), ``mover`` (the player,
+    ``num_players`` for chance, -1 at leaves), ``infoset`` (-1 off
+    decision nodes), ``first_child`` and ``num_children``; ``members[j]``
+    holds infoset j's member positions in ``Infoset.nodes`` order.
     ``levels`` holds the ``(lo, hi)`` position range of every depth below
     the root; ``leaves`` and ``leaf_payoffs`` (one row per leaf) hold the
     payoff matrix.  Infoset j owns block j of one flat behavioural vector,
     cut by ``layout`` (a ``BlockLayout`` bucketing every infoset by action
-    count; its ``size`` is P); ``player_layouts[i]``
-    buckets player i's infosets only, for alternating updates.  The
-    probability on the edge into position c is entry ``edge_source[c]`` of
-    that vector followed by ``chance_probs`` (chance-edge probabilities,
-    then a 1.0 for the root).  ``dfs_decisions`` lists the decision
-    positions in depth-first pre-order, the order the recursive passes
-    visit them in.
+    count; its ``size`` is P).  The probability on the edge into position
+    c is entry ``edge_source[c]`` of that vector followed by
+    ``chance_probs`` (chance-edge probabilities, then a 1.0 for the root).
+    ``dfs_decisions`` lists the decision positions in depth-first
+    pre-order, the order the recursive passes visit them in.
 
-    The rest are gather/scatter indices for the passes: into the
+    The rest are gather/scatter indices for the passes, into the
     row-major (position, player) value matrix and the (position, player
-    or chance) reach matrix, and the decision edges in pre-order.
+    or chance) reach matrix; ``groups`` holds the edge table of every
+    update group.
     """
 
     def __init__(self, tree: GameTree):
         n = tree.num_players
         self.layout = BlockLayout([j.num_actions for j in tree.infosets])
-        self.player_layouts = tuple(self.layout.restricted(tree.infosets_of(i))
-                                    for i in range(n))
         offsets, dim = self.layout.offsets.tolist(), self.layout.size
         # breadth-first: ``node_id`` grows while it is read, and a node's
         # children take the next free positions, in action order
-        node_id, parent, rank, depth = [0], [-1], [0], [0]
+        node_id, parent, depth = [0], [-1], [0]
         mover, infoset, first_child = [], [], []
         edge_source, chance_probs = [-1], []
         for pos, nid in enumerate(node_id):
@@ -291,17 +288,16 @@ class CompiledTree:
             edge_source.extend(range(start, start + k))
             node_id.extend(node.children)
             parent.extend([pos] * k)
-            rank.extend(range(k))
             depth.extend([depth[pos] + 1] * k)
         edge_source[0] = dim + len(chance_probs)
         chance_probs.append(1.0)
         size = len(node_id)
         self.num_players, self.size = n, size
-        (self.node_id, self.parent, self.rank, self.depth, self.mover,
-         self.infoset, self.first_child, self.edge_source) = (
+        (self.node_id, self.parent, self.mover, self.infoset, self.first_child,
+         self.edge_source) = (
             np.array(column, dtype=np.intp)
-            for column in (node_id, parent, rank, depth, mover, infoset,
-                           first_child, edge_source))
+            for column in (node_id, parent, mover, infoset, first_child,
+                           edge_source))
         mover, infoset, first_child = self.mover, self.infoset, self.first_child
         self.chance_probs = np.array(chance_probs)
         self.num_children = np.bincount(self.parent[1:], minlength=size)
@@ -309,9 +305,8 @@ class CompiledTree:
         position[self.node_id] = np.arange(size)
         self.parent_mover = np.where(self.parent >= 0, mover[self.parent], -1)
         self.levels = tuple(
-            (int(np.searchsorted(self.depth, d, "left")),
-             int(np.searchsorted(self.depth, d, "right")))
-            for d in range(1, int(self.depth[-1]) + 1))
+            (bisect_left(depth, d), bisect_right(depth, d))
+            for d in range(1, depth[-1] + 1))
         self.leaves = np.flatnonzero(mover == -1)
         self.leaf_payoffs = np.array(
             [tree.nodes[node_id[p]].payoffs for p in self.leaves.tolist()],
@@ -337,23 +332,27 @@ class CompiledTree:
         self.value_scatter = (self.parent[below, None] * n + np.arange(n)).ravel()
         self.dfs_own_slot = self.dfs_decisions * m + mover[self.dfs_decisions]
         self.dfs_infoset = infoset[self.dfs_decisions]
-        fan = self.num_children[self.dfs_decisions]
-        edge_parent = np.repeat(self.dfs_decisions, fan)
-        edge_rank = np.arange(edge_parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
-        self.edge_parent = edge_parent
-        self.edge_value = (first_child[edge_parent] + edge_rank) * n + mover[edge_parent]
-        self.edge_slot = self.layout.offsets[infoset[edge_parent]] + edge_rank
 
     @cached_property
-    def player_edges(self) -> tuple:
-        """Per player, its decision edges in pre-order: the parent's reach
-        entries but the player's own, the child and the behavioural slot."""
-        m = self.num_players + 1
-        owner = self.mover[self.edge_parent]
-        return tuple(
-            (self.edge_parent[own, None] * m + np.delete(np.arange(m), i),
-             self.edge_value[own] // self.num_players, self.edge_slot[own])
-            for i in range(self.num_players) for own in [owner == i])
+    def groups(self) -> dict:
+        """One table per update group, keyed ``None`` for every infoset and
+        i for player i's: the group's ``BlockLayout`` and its decision
+        edges in pre-order, as the parent's reach entries but the mover's
+        (``(num_players, edges)``, in column order), the child's entry in
+        the group's node values and the behavioural slot."""
+        n = self.num_players
+        fan = self.num_children[self.dfs_decisions]
+        parent = np.repeat(self.dfs_decisions, fan)
+        rank = np.arange(parent.size) - np.repeat(np.cumsum(fan) - fan, fan)
+        mover, infoset = self.mover[parent], self.infoset[parent]
+        column = np.arange(n)[:, None]
+        others = parent * (n + 1) + column + (column >= mover)  # skip the mover
+        child = self.first_child[parent] + rank
+        slot = self.layout.offsets[infoset] + rank
+        return {None: (self.layout, others, child * n + mover, slot),
+                **{i: (self.layout.restricted(np.unique(infoset[own])),
+                       others[:, own], child[own], slot[own])
+                   for i in range(n) for own in [mover == i]}}
 
 
 def save_tree(tree: GameTree, path) -> None:

@@ -19,15 +19,23 @@ instantaneous regret is H_j = G_j - <G_j, x_j> 1, orthogonal to x_j.
 All values here are in the tree's [0, 1] payoff units; ``exploitability``
 converts its output back to original units via the stored affine map.
 
-Compiled layout
----------------
+Passes
+------
 The passes run on ``tree.compiled``, the tree lowered to flat arrays in
-breadth-first order (``CompiledTree``).  A profile becomes one gather:
-the probability on the edge into every position.  Reach is then computed
-top-down and node values bottom-up, one vectorized step per depth.
-Nothing recurses, so a tree's depth is not bounded by Python's recursion
-limit, and the per-node cost is numpy's, except in best response: one
-interpreted pass in an order of its own (``best_response_value``).
+breadth-first order (``CompiledTree``).  One kernel (``_pass``) computes
+G for an update group: every infoset (``counterfactual_values``), or one
+player's (an alternating CFR round's, through ``_group_regrets``).  A
+profile becomes one gather, the probability on the edge into every
+position; reach (every column) is computed top-down and node values
+(every player's, or the group player's alone) bottom-up, one vectorized
+step per depth; then over the group's decision edges in pre-order
+(``CompiledTree.groups``) one product excludes the mover's reach and one
+scatter fills the behavioural slots.  A player's entries are bit for bit
+the full pass's: its column is swept alike, and each entry adds the same
+products in the same order.  Nothing recurses, so a tree's depth is not
+bounded by Python's recursion limit, and the per-node cost is numpy's,
+except in best response: one interpreted pass in an order of its own
+(``best_response_value``).
 
 Summation order
 ---------------
@@ -37,9 +45,9 @@ byte-identical.  Floating-point addition is not associative, so every
 sum and product keeps the recursive order:
 
 * reach products run root to leaf, starting from 1.0;
-* the opponents-and-chance weight of a decision node multiplies the reach
-  of players 0..n-1, then chance, in index order (its own entry set to
-  1.0, which multiplies exactly);
+* the opponents-and-chance weight of a decision edge multiplies the
+  parent's reach of players 0..n-1, then chance, in index order, but the
+  mover's own (the recursive pass's exact 1.0);
 * a node's value starts from zeros and adds ``prob * child_value`` in
   action order (``np.add.at`` applies repeated indices one after another,
   in index order);
@@ -72,17 +80,6 @@ block`` is ``(weight * reach[j]) * block``), and sums across infosets (a
 player's regret, the squared step) add left to right in infoset order,
 starting from 0.0; Python's ``sum`` is not that order, as it compensates
 since Python 3.12.  Maxima need no such care: they are exact in any order.
-
-Group passes
-------------
-An alternating CFR round's group reads one player's regrets only, so its
-pass (``_group_regrets``) keeps reach in full, which the exclusion
-product needs, and restricts the rest to the player: node values of its
-column alone, swept up ``parent`` with ``np.add.at``; the exclusion
-product and the scatter over its decision edges, in pre-order
-(``CompiledTree.player_edges``); H_j over its buckets.  That is the full
-pass's arithmetic on those entries, less products with the mover's own
-1.0, which are exact: the player's regrets are bit for bit the full's.
 """
 
 from __future__ import annotations
@@ -157,61 +154,55 @@ def _reach(flat: CompiledTree, probs: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _node_values(flat: CompiledTree, probs: np.ndarray) -> np.ndarray:
-    """Per-player expected payoff below every position, (size, n)."""
-    n = flat.num_players
-    values = np.zeros((flat.size, n))
-    values[flat.leaves] = flat.leaf_payoffs
-    scattered = values.reshape(-1)
+def _node_values(flat: CompiledTree, probs: np.ndarray, player=None) -> np.ndarray:
+    """Expected payoff below every position, flat row-major (position,
+    player): every player's (``player`` None), or ``player``'s alone."""
+    if player is None:
+        payoffs, scatter = flat.leaf_payoffs, flat.value_scatter
+        probs = np.repeat(probs, flat.num_players)
+    else:
+        payoffs, scatter = flat.leaf_payoffs[:, player:player + 1], flat.parent[1:]
+    n = payoffs.shape[1]
+    values = np.zeros(flat.size * n)
+    values.reshape(flat.size, n)[flat.leaves] = payoffs
     for lo, hi in reversed(flat.levels):
-        np.add.at(scattered, flat.value_scatter[(lo - 1) * n:(hi - 1) * n],
-                  (values[lo:hi] * probs[lo:hi, None]).reshape(-1))
+        lo, hi = lo * n, hi * n
+        np.add.at(values, scatter[lo - n:hi - n], values[lo:hi] * probs[lo:hi])
     return values
+
+
+def _pass(flat: CompiledTree, x, player) -> np.ndarray:
+    """G on the infosets of ``player``'s update group (every infoset for
+    ``None``), flat, the other entries left at zero."""
+    probs = _edge_probs(flat, x)
+    reach = _reach(flat, probs)
+    values = _node_values(flat, probs, player)
+    _, others, children, slots = flat.groups[player]
+    factors = reach[others]
+    excl = factors[0]
+    for k in range(1, len(factors)):  # in column order
+        excl = excl * factors[k]
+    g = np.zeros(flat.layout.size)
+    np.add.at(g, slots, excl * values[children])
+    return g
 
 
 def counterfactual_values(tree: GameTree, x, validate: bool = True) -> list[np.ndarray]:
     """All counterfactual values in one top-down and one bottom-up sweep."""
     if validate:
         check_behavioral(tree, x)
-    flat = tree.compiled
-    m = flat.num_players + 1
-    probs = _edge_probs(flat, x)
-    reach = _reach(flat, probs)
-    values = _node_values(flat, probs)
-    reach[flat.dfs_own_slot] = 1.0  # a decision node's mover is excluded
-    columns = reach.reshape(flat.size, m)
-    excl = columns[:, 0].copy()
-    for k in range(1, m):
-        excl *= columns[:, k]
-    flat_values = np.zeros(flat.layout.size)
-    np.add.at(flat_values, flat.edge_slot,
-              excl[flat.edge_parent] * values.reshape(-1)[flat.edge_value])
-    return _like(x, flat_values, flat)
+    return _like(x, _pass(tree.compiled, x, None), tree.compiled)
 
 
 def _group_regrets(tree: GameTree, profile: np.ndarray, player) -> np.ndarray:
-    """H at a flat profile: every entry, by the full pass (player
-    ``None``), or ``player``'s alone, by the group pass (see the module
-    docstring), the other entries left at zero."""
+    """H at a flat profile on the infosets of ``player``'s update group
+    (every infoset for ``None``, through ``counterfactual_values``), the
+    other entries left at zero."""
     flat = tree.compiled
     x = BlockVector(profile, flat.layout)
-    if player is None:
-        g, layout = counterfactual_values(tree, x, validate=False).vector, flat.layout
-    else:
-        probs = _edge_probs(flat, x)
-        values = np.zeros(flat.size)
-        values[flat.leaves] = flat.leaf_payoffs[:, player]
-        for lo, hi in reversed(flat.levels):
-            np.add.at(values, flat.parent[lo:hi], values[lo:hi] * probs[lo:hi])
-        others, children, slots = flat.player_edges[player]
-        # per edge, in index order; the mover's own 1.0 multiplies exactly
-        factors = _reach(flat, probs)[others]
-        excl = factors[:, 0]
-        for k in range(1, factors.shape[1]):
-            excl = excl * factors[:, k]
-        g, layout = np.zeros(flat.layout.size), flat.player_layouts[player]
-        np.add.at(g, slots, excl * values[children])
-    for _, index in layout.buckets:
+    g = (counterfactual_values(tree, x, validate=False).vector if player is None
+         else _pass(flat, x, player))
+    for _, index in flat.groups[player][0].buckets:
         gj = g[index]
         g[index] = gj - np.vecdot(gj, profile[index])[..., None]
     return g
@@ -231,7 +222,7 @@ def expected_values(tree: GameTree, x, validate: bool = True) -> np.ndarray:
     if validate:
         x = check_behavioral(tree, x)
     flat = tree.compiled
-    return _node_values(flat, _edge_probs(flat, x))[0].copy()
+    return _node_values(flat, _edge_probs(flat, x))[:flat.num_players].copy()
 
 
 def leaf_excl_weights(tree: GameTree, x, player: int) -> np.ndarray:

@@ -608,6 +608,8 @@ def run(config: SolverConfig, game) -> RunTrace:
     family = _FAMILY[algo]
     if (family is _tree_family) != isinstance(game, efg.GameTree):
         raise ValueError(f"{algo} is incompatible with {type(game).__name__}")
+    if family is _tree_family and not game.infosets:
+        raise ValueError("the tree has no decision node: no decisions to solve")
     eta, constants = resolve_eta(config, game)
     header = _header(config, game, eta, constants)
     advance = family(config, game, eta)

@@ -25,14 +25,16 @@ Plain PRM+ is the same update with P the positive part, eta = 1, w^0 = 0
 and no floor (it is scale-free); RM+ is PRM+ with zero predictions.
 
 One body, ``_lifted_round``, runs all four; the algorithm picks P and
-the floors.  The losses are evaluated once, at the plays x, and the
-players update in index order; alternating rounds replace entry i of
-that profile, once player i has updated, by its next-round play (the
-first step above, from the updated w_i and m_i): the alternation
-convention of the experiment harness.  The body checks nothing its
-caller built: the public rounds check their inputs, the harness its
-floors once, at set-up.  Rounds are pure: (state, game) -> (state,
-played strategies).
+the floors.  The losses are evaluated once, at the plays x (a later
+alternating player's once more, by ``gradient_for`` at the profile it
+sees), and the players update in index order; alternating rounds
+replace entry i of that profile, once player i has updated, by its
+next-round play (the first step above, from the updated w_i and m_i):
+the alternation convention of the experiment harness.  The body checks
+nothing its caller built: the public rounds check their inputs (step
+size, dimensions, floors, chopped membership), the harness its floors
+once, at set-up.  Rounds are pure: (state, game) -> (state, played
+strategies).
 """
 
 from __future__ import annotations
@@ -138,9 +140,11 @@ def _chopped_kernel(y: np.ndarray) -> np.ndarray:
 
 
 def _ragged_chopped(y: np.ndarray, layout) -> np.ndarray:
-    """``project_chopped`` on every member block of ``layout`` in one
-    call, bit for bit (see ``efg.rounds``), the blocks read from and
-    written to one run in ``layout.ragged`` order."""
+    """``project_chopped`` on every member block of ``layout``, bit for
+    bit, in one call on one run in ``layout.ragged`` order.  Masses are
+    summed per bucket: from a padded width of 8 numpy's unrolled sum
+    regroups the terms.  The tight rows, padded with -inf, are one stack
+    for one sort, cumsum and threshold pass; the padding never passes."""
     _, spans, pad = layout.ragged
     y = _check_finite(y)
     if len(spans) == 1:  # one width: the stacked kernel

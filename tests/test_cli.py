@@ -170,6 +170,22 @@ class TestRun:
         assert "t,player," in out
 
 
+    @pytest.mark.parametrize("lines", [
+        ["node 0 leaf 1 0"],
+        ["node 0 chance 2 0.5 0.5 1 2", "node 1 leaf 1 0", "node 2 leaf 0 1"],
+    ], ids=["leaf-root", "chance-over-leaves"])
+    @pytest.mark.parametrize("algo", ["predictive-cfr", "clairvoyant-cfr"])
+    def test_tree_without_decisions_exits_two(self, tmp_path, capsys, lines,
+                                              algo):
+        path = tmp_path / "idle.efg"
+        path.write_text("\n".join(["efg 2"] + lines) + "\n")
+        code, out, err = run_cli(
+            ["run", "--algo", algo, "--game", str(path), "--iters", "2"],
+            capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: the tree has no decision node: no decisions "
+                       "to solve\n")
+
     @pytest.mark.parametrize("lines,lineno,message", [
         (["infoset 0 player 0 actions 2 key P1:pick",
           "node 0 player 0 infoset 0 2 1 7", "node 1 leaf 0.5"],

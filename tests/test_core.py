@@ -274,8 +274,8 @@ def _layouts():
         [0, 3, 4, 5])
     for name, tree in trees.items():
         layouts[name] = tree.compiled.layout
-        for i, player in enumerate(tree.compiled.player_layouts):
-            layouts[f"{name}-player{i}"] = player
+        for i in range(tree.num_players):
+            layouts[f"{name}-player{i}"] = tree.compiled.groups[i][0]
     return layouts
 
 

@@ -804,8 +804,26 @@ class TestBestResponse:
             tree, 0, [0.0, *weights]).hex()
 
 
+def idle_player_tree() -> efg.GameTree:
+    """Three players, of whom player 2 never moves: a chance root over a
+    player-0 decision above player 1's infoset, and a player-1 decision
+    above player 0's."""
+    rng = np.random.default_rng(5)
+    b = efg.TreeBuilder(3)
+
+    def leaves(k):
+        return [b.leaf(rng.random(3)) for _ in range(k)]
+
+    first = b.decision(0, "P1:a", [b.decision(1, "P2:a", leaves(3))
+                                   for _ in range(2)])
+    second = b.decision(1, "P2:b", [b.decision(0, "P1:b", leaves(2))
+                                    for _ in range(3)])
+    return b.build(b.chance([0.3, 0.7], [first, second]))
+
+
 BUCKETED_TREES = {name: TREES[name] for name in ("kuhn3", "liars3")}
 BUCKETED_TREES["wide"] = wide_tree()
+BUCKETED_TREES["idle_player"] = idle_player_tree()
 
 
 def _blocks(tree, vector):
@@ -928,18 +946,21 @@ class TestBucketedMatchesPerInfoset:
             assert np.array_equal(a, b)
 
 
-GROUP_PASS_TREES = {**TREES, "wide": BUCKETED_TREES["wide"]}
+GROUP_PASS_TREES = {**TREES, "wide": BUCKETED_TREES["wide"],
+                    "idle_player": BUCKETED_TREES["idle_player"]}
 
 
 class TestGroupPass:
-    """An alternating group's pass, restricted to its player, returns the
-    regret operator's floats on that player's infosets; the simultaneous
-    group's pass is the operator itself."""
+    """Every update group's pass returns the recursive reference's regrets
+    (``tests/oracles.py``): the regret operator and the simultaneous
+    group's pass on every infoset, an alternating group's on its player's
+    infosets, with zeros elsewhere (all zeros for a player that never
+    moves)."""
 
     @pytest.mark.parametrize("name", sorted(GROUP_PASS_TREES))
     @given(seed=st.integers(0, 2**32 - 1), sparsity=st.sampled_from([0.0, 0.5]))
     @settings(max_examples=20, deadline=None)
-    def test_matches_the_operator(self, name, seed, sparsity):
+    def test_matches_the_recursive_reference(self, name, seed, sparsity):
         tree = GROUP_PASS_TREES[name]
         rng = np.random.default_rng(seed)
         blocks = []
@@ -950,14 +971,16 @@ class TestGroupPass:
                 block[rng.integers(iset.num_actions)] = 1.0
             blocks.append(block / block.sum())
         profile = np.concatenate(blocks)
-        want = np.concatenate(efg.counterfactual_regret_operator(tree, blocks))
+        want = np.concatenate(oracles.regret_operator_per_infoset(tree, blocks))
+        operator = efg.counterfactual_regret_operator(tree, blocks)
+        assert np.concatenate(operator).tobytes() == want.tobytes()
         assert _group_regrets(tree, profile, None).tobytes() == want.tobytes()
-        bounds = tree.compiled.layout.bounds
+        owner = np.repeat([j.player for j in tree.infosets],
+                          tree.compiled.layout.widths)
         for player in range(tree.num_players):
+            expected = np.where(owner == player, want, 0.0)
             got = _group_regrets(tree, profile, player)
-            for j in tree.infosets_of(player):
-                lo, hi = bounds[j]
-                assert got[lo:hi].tobytes() == want[lo:hi].tobytes()
+            assert got.tobytes() == expected.tobytes()
 
 
 def _hash_into(digest, obj) -> None:
@@ -1005,15 +1028,15 @@ DIGEST_TREES = {
 }
 
 # recorded before the tree builder, the loader and the compile were each
-# rewritten as one pass, and again, without the best-response schedule the
-# compile then carried, before that schedule was deleted; a saved tree
-# loads back to the very same digest
+# rewritten as one pass, and again whenever attributes left the compile,
+# every kept one then byte-identical; a saved tree loads back to the very
+# same digest
 TREE_DIGESTS = {
-    "kuhn3": "40f05d04005fcc43", "kuhn4": "fa332e3b5c182a17",
-    "kuhn5": "8cdbaed13dc14111", "kuhn6": "cc4dd6cd44011567",
-    "liars2": "eff82a780546967f", "liars3": "d38802ee15738416",
-    "bimatrix": "0a9c0b821d562f21", "chain1500": "b02b53164ebffff3",
-    "wide": "af5551c127b67f9e",
+    "kuhn3": "19c5dd1088aad3aa", "kuhn4": "9e26f6c67d3b5b73",
+    "kuhn5": "ad24a4111a37e484", "kuhn6": "dcbfe27fb43b6603",
+    "liars2": "17431033ac447571", "liars3": "c96b449850b7e813",
+    "bimatrix": "0d5998c490d670dc", "chain1500": "3a471a629025bfca",
+    "wide": "6f2c9a7f57b8450e",
 }
 
 

@@ -551,6 +551,27 @@ class TestTreeRuns:
         assert "P" in trace.header
         assert np.all(np.isfinite(trace.gap))
 
+    @staticmethod
+    def _leaf_root():
+        b = efg.TreeBuilder(2)
+        return b.build(b.leaf([1.0, 0.0]))
+
+    @staticmethod
+    def _chance_over_leaves():
+        b = efg.TreeBuilder(2)
+        return b.build(b.chance([0.5, 0.5], [b.leaf([1.0, 0.0]),
+                                             b.leaf([0.0, 1.0])]))
+
+    @pytest.mark.parametrize("make", ["_leaf_root", "_chance_over_leaves"])
+    @pytest.mark.parametrize("algo", ["predictive-cfr", "clairvoyant-cfr"])
+    @pytest.mark.parametrize("alternate", [False, True], ids=["sim", "alt"])
+    def test_a_tree_without_decisions_is_rejected(self, make, algo, alternate):
+        tree = getattr(self, make)()
+        config = SolverConfig(algorithm=algo, iters=3, alternation=alternate)
+        with pytest.raises(ValueError, match="has no decision node: no "
+                                             "decisions to solve"):
+            run(config, tree)
+
 
 # SHA-256 of whole trace CSVs (eta auto, linear averaging), recorded from
 # the recursive tree passes; the array passes must reproduce them byte for

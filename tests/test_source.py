@@ -43,3 +43,27 @@ def _builtin_sum_calls() -> Counter:
 
 def test_builtin_sum_only_on_ints_and_fractions():
     assert _builtin_sum_calls() == INT_OR_FRACTION_SUMS
+
+
+def test_every_compiled_tree_attribute_is_read_outside_its_init():
+    """Each attribute ``CompiledTree.__init__`` sets on ``self`` is read, by
+    name, somewhere in the library outside that ``__init__``."""
+    init, read = None, set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = ast.parse(path.read_text())
+        inside = set()
+        for node in ast.walk(module):
+            if isinstance(node, ast.ClassDef) and node.name == "CompiledTree":
+                init = next(f for f in node.body
+                            if isinstance(f, ast.FunctionDef)
+                            and f.name == "__init__")
+                inside = {id(n) for n in ast.walk(init)}
+        read |= {node.attr for node in ast.walk(module)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and id(node) not in inside}
+    assigned = {node.attr for node in ast.walk(init)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    assert len(assigned) > 10
+    assert sorted(assigned - read) == []
