@@ -104,15 +104,23 @@ def regret_loss(x, loss) -> np.ndarray:
     Satisfies <x, f(x, l)> = 0 up to rounding; adding any multiple of the
     all-ones vector to ``l`` leaves the result unchanged.
     """
-    x = np.asarray(x, dtype=float)
-    loss = np.asarray(loss, dtype=float)
+    return _regret_loss(*_checked(x, loss))
+
+
+def _checked(x, loss) -> tuple[np.ndarray, np.ndarray]:
+    x, loss = np.asarray(x, dtype=float), np.asarray(loss, dtype=float)
     if x.shape != loss.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {loss.shape}")
     if not np.all(np.isfinite(loss)):
         raise NonFiniteError("regret_loss: non-finite loss")
+    return x, loss
+
+
+def _regret_loss(x: np.ndarray, loss: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         return loss - np.dot(x, loss)
-    return loss - np.vecdot(x, loss)[:, None]
+    # a one-term np.dot is the product, -0.0 kept; np.vecdot adds it to +0.0
+    return loss - (x * loss if x.shape[1] == 1 else np.vecdot(x, loss)[:, None])
 
 
 @dataclass(frozen=True)
@@ -153,11 +161,14 @@ def prm_plus_step(state: AggregateState, loss) -> tuple[AggregateState, np.ndarr
     next-round prediction m' = -f(x, l).  With m = 0 throughout this is
     exactly ``rm_plus_step`` (R stays nonnegative, so [R + 0]+ = R).
     """
-    r_hat = np.maximum(state.r + state.prediction, 0.0)
-    x = _normalize_nonneg(r_hat)
-    f = regret_loss(x, loss)
-    r_next = np.maximum(state.r - f, 0.0)
-    return AggregateState(r_next, -f), x
+    x = _normalize_nonneg(np.maximum(state.r + state.prediction, 0.0))
+    return AggregateState(*_prm_plus_update(state.r, *_checked(x, loss))), x
+
+
+def _prm_plus_update(r: np.ndarray, x: np.ndarray, loss: np.ndarray):
+    """``prm_plus_step``'s update at its play x, unchecked: ([R - f]+, -f)."""
+    f = _regret_loss(x, loss)
+    return np.maximum(r - f, 0.0), -f
 
 
 class BlockLayout:
@@ -224,14 +235,6 @@ class BlockLayout:
     def restricted(self, members) -> "BlockLayout":
         """The same blocks, with buckets over ``members`` only."""
         return BlockLayout(self.widths, members)
-
-    def per_block(self, parts, dtype=float) -> np.ndarray:
-        """One value per block from per-bucket row values (``buckets``
-        order); blocks outside ``members`` are left unset."""
-        out = np.empty(len(self.bounds), dtype)
-        for (ids, _), part in zip(self.buckets, parts):
-            out[ids] = part
-        return out
 
 
 class BlockVector(Sequence):

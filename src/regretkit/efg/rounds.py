@@ -15,23 +15,27 @@ exact tree analogue of extragradient RM+ with the operator -H o ghat.
 
 States, played profiles and regrets are flat vectors in the compiled
 tree's behavioural layout (``CompiledTree.layout``): predictive CFR's
-state is one ``core.AggregateState`` over that layout (start:
-``AggregateState.initial(tree.behavioral_dim)``), the clairvoyant state
-the lifted vector z itself (start: the uniform blocks of
-``fixedpoint.initial_lifted_point`` over the infoset widths).  Played
-profiles are handed back as ``BlockVector``s, which read as one block
-per infoset.  Both rounds are pure value transformations with one loop
-over update groups (``CompiledTree.groups``): every infoset at once, or,
-with ``alternate``, one player's infosets at a time, each player against
-the freshest opponent blocks.  A group's pass computes its own regrets
-only (see ``efg.values``).
+state one ``core.AggregateState`` (start: ``AggregateState.initial``),
+the clairvoyant state the lifted vector z (start: the uniform blocks of
+``fixedpoint.initial_lifted_point``).  Played profiles are handed back
+as ``BlockVector``s, read as one block per infoset.  Both rounds are
+pure, with one loop over update groups (``CompiledTree.groups``): every
+infoset at once, or, with ``alternate``, one player's infosets at a
+time, against the freshest opponent blocks.  A group's pass computes
+its own regrets only, from its profile's sweep (see ``efg.values``); an
+alternating clairvoyant group's first pass reads the sweep of the
+previous group's second, the same profile: n + 1 sweeps for n groups.
 
-Every per-infoset step has the floats of the per-infoset code: the
-steps, normalizations and membership checks run once per width bucket
-on a ``(rows, width)`` stack (see ``efg.values``), and each chopped
-projection of a group is one ``stabilized._ragged_chopped`` call.
-``BehavioralAverager`` maintains the reach-weighted running average of
-played behavioral profiles (uniform or linearly weighted).
+Every per-infoset step has the floats of the per-infoset code, once per
+width bucket on a ``(rows, width)`` stack (see ``efg.values``).  A
+predictive step is ``core._prm_plus_update`` from the bucket's played
+blocks, g([r + m]+) as the round computed them; each chopped projection
+of a group is one ``stabilized._ragged_chopped`` call.  The checks sit
+at entry (the state's size, eta, and the chopped membership of z, whose
+block masses ghat(z) shares, by ``fixedpoint._plays``), and once per
+group, where a predictive round tests the regrets for finiteness.
+``BehavioralAverager`` keeps the reach-weighted running average of the
+played profiles (uniform or linearly weighted).
 """
 
 from __future__ import annotations
@@ -41,14 +45,17 @@ import numpy as np
 from ..core import (
     AggregateState,
     BlockVector,
+    NonFiniteError,
     _normalize_nonneg,
+    _prm_plus_update,
     as_flat,
-    prm_plus_step,
 )
+from ..fixedpoint import _plays
 from ..stabilized import _in_chopped, _ragged_chopped
 from .tree import CompiledTree, GameTree
 from .values import (
     _group_regrets,
+    _sweep,
     own_reach_per_infoset,
     uniform_behavioral,
 )
@@ -92,13 +99,14 @@ def predictive_cfr_round(state: AggregateState, tree: GameTree,
     r, prediction = state.r.copy(), state.prediction.copy()
     for player, group in _update_groups(flat, alternate):
         h = _group_regrets(tree, profile, player)
+        if not np.isfinite(h).all():
+            raise NonFiniteError("non-finite counterfactual regrets")
         for _, index in group.buckets:
-            step, _ = prm_plus_step(
-                AggregateState(r[index], prediction[index]), -h[index])
-            r[index], prediction[index] = step.r, step.prediction
-            if alternate:
+            rj, mj = _prm_plus_update(r[index], played[index], -h[index])
+            r[index], prediction[index] = rj, mj
+            if alternate and player < flat.num_players - 1:
                 # freshly updated blocks are visible to later players
-                profile[index] = _play(step.r, step.prediction)
+                profile[index] = _play(rj, mj)
     return AggregateState(r, prediction), BlockVector(played, flat.layout)
 
 
@@ -112,25 +120,27 @@ def clairvoyant_cfr_round(z: np.ndarray, tree: GameTree, eta: float,
         raise ValueError("step size eta must be positive")
     _check_size(tree, z)
     flat = tree.compiled
-    inside = flat.layout.per_block(
-        [_in_chopped(z[index]) for _, index in flat.layout.buckets], bool)
-    if not inside.all():
-        key = tree.infosets[int(np.argmin(inside))].key
-        raise ValueError(f"infoset {key!r}: block outside its chopped orthant")
-    profile = np.empty(z.size)
-    for _, index in flat.layout.buckets:
-        profile[index] = _normalize_nonneg(z[index])
+    try:
+        profile = _plays(z, flat.layout)
+    except ValueError:  # the first block outside names its infoset
+        j = next(j for j, block in enumerate(BlockVector(z, flat.layout))
+                 if not _in_chopped(block))
+        raise ValueError(f"infoset {tree.infosets[j].key!r}: block outside "
+                         "its chopped orthant") from None
+    x = BlockVector(profile, flat.layout)
     z_next = z.copy()
+    sweep = None  # a player's h1 profile is the next player's h0 profile
     for player, group in _update_groups(flat, alternate):
         gather, spans, _ = group.ragged
         zg = z[gather]
-        h0 = _group_regrets(tree, profile, player)[gather]
+        h0 = _group_regrets(tree, profile, player, sweep)[gather]
         w = _ragged_chopped(zg + eta * h0, group)
         for (_, index), (lo, hi, shape) in zip(group.buckets, spans):
             profile[index] = _normalize_nonneg(w[lo:hi].reshape(shape))
-        h1 = _group_regrets(tree, profile, player)[gather]
+        sweep = None if player is None else _sweep(flat, x)
+        h1 = _group_regrets(tree, profile, player, sweep)[gather]
         z_next[gather] = _ragged_chopped(zg + eta * h1, group)
-    return z_next, BlockVector(profile, flat.layout)
+    return z_next, x
 
 
 class BehavioralAverager:

@@ -22,13 +22,15 @@ converts its output back to original units via the stored affine map.
 Passes
 ------
 The passes run on ``tree.compiled``, the tree lowered to flat arrays in
-breadth-first order (``CompiledTree``).  One kernel (``_pass``) computes
-G for an update group: every infoset (``counterfactual_values``), or one
-player's (an alternating CFR round's, through ``_group_regrets``).  A
-profile becomes one gather, the probability on the edge into every
-position; reach (every column) is computed top-down and node values
-(every player's, or the group player's alone) bottom-up, one vectorized
-step per depth; then over the group's decision edges in pre-order
+breadth-first order (``CompiledTree``), in two steps.  The sweep
+(``_sweep``) depends on the profile alone: one gather, the probability
+on the edge into every position, then reach (every column) top-down.
+The group step (``_pass``) computes G from a sweep for an update group:
+every infoset (``counterfactual_values``), or one player's (an
+alternating CFR round's, through ``_group_regrets``, which can take a
+sweep the round already made).  Node values (every player's, or the
+group player's alone) run bottom-up, one vectorized step per depth as
+reach does; then over the group's decision edges in pre-order
 (``CompiledTree.groups``) one product excludes the mover's reach and one
 scatter fills the behavioural slots.  A player's entries are bit for bit
 the full pass's: its column is swept alike, and each entry adds the same
@@ -66,7 +68,8 @@ gathered from the flat vector as a C-contiguous ``(rows, width)`` stack
 (``BlockLayout``).  On such a stack ``sum(axis=1)``, ``cumsum(axis=1)``
 and ``np.vecdot`` equal the per-block ``.sum()``, ``np.cumsum`` and
 ``np.dot`` bit for bit (checked on numpy 2.4 with OpenBLAS for widths
-1-40).  Cheaper-looking alternatives are not exact and are not used:
+1-40), but at width 1 ``np.vecdot`` adds a -0.0 product to +0.0 where
+``np.dot`` keeps it.  Cheaper-looking alternatives are not exact:
 
 * padding blocks to one width: ``np.vecdot`` on zero-padded rows departs
   from the per-block ``np.dot`` from a padded width of 16, where BLAS
@@ -171,11 +174,16 @@ def _node_values(flat: CompiledTree, probs: np.ndarray, player=None) -> np.ndarr
     return values
 
 
-def _pass(flat: CompiledTree, x, player) -> np.ndarray:
-    """G on the infosets of ``player``'s update group (every infoset for
-    ``None``), flat, the other entries left at zero."""
+def _sweep(flat: CompiledTree, x) -> tuple[np.ndarray, np.ndarray]:
+    """A profile's top-down sweep: its edge probabilities and reach."""
     probs = _edge_probs(flat, x)
-    reach = _reach(flat, probs)
+    return probs, _reach(flat, probs)
+
+
+def _pass(flat: CompiledTree, sweep, player) -> np.ndarray:
+    """G from a profile's sweep on the infosets of ``player``'s update group
+    (every infoset for ``None``), flat, the other entries left at zero."""
+    probs, reach = sweep
     values = _node_values(flat, probs, player)
     _, others, children, slots = flat.groups[player]
     factors = reach[others]
@@ -191,17 +199,19 @@ def counterfactual_values(tree: GameTree, x, validate: bool = True) -> list[np.n
     """All counterfactual values in one top-down and one bottom-up sweep."""
     if validate:
         check_behavioral(tree, x)
-    return _like(x, _pass(tree.compiled, x, None), tree.compiled)
+    flat = tree.compiled
+    return _like(x, _pass(flat, _sweep(flat, x), None), flat)
 
 
-def _group_regrets(tree: GameTree, profile: np.ndarray, player) -> np.ndarray:
+def _group_regrets(tree: GameTree, profile: np.ndarray, player,
+                   sweep=None) -> np.ndarray:
     """H at a flat profile on the infosets of ``player``'s update group
-    (every infoset for ``None``, through ``counterfactual_values``), the
-    other entries left at zero."""
+    (every infoset for ``None``, through ``counterfactual_values``, else
+    from ``sweep`` if given), the other entries left at zero."""
     flat = tree.compiled
     x = BlockVector(profile, flat.layout)
     g = (counterfactual_values(tree, x, validate=False).vector if player is None
-         else _pass(flat, x, player))
+         else _pass(flat, _sweep(flat, x) if sweep is None else sweep, player))
     for _, index in flat.groups[player][0].buckets:
         gj = g[index]
         g[index] = gj - np.vecdot(gj, profile[index])[..., None]
@@ -242,7 +252,7 @@ def own_reach_per_infoset(tree: GameTree, x) -> np.ndarray:
     """Owner's own reach mass of every infoset (sum over member nodes of the
     product of the owner's probabilities above the node)."""
     flat = tree.compiled
-    reach = _reach(flat, _edge_probs(flat, x))
+    _, reach = _sweep(flat, x)
     mass = np.zeros(len(tree.infosets))
     np.add.at(mass, flat.dfs_infoset, reach[flat.dfs_own_slot])
     return mass
@@ -312,7 +322,10 @@ def exploitability(tree: GameTree, x) -> np.ndarray:
 
 
 def counterfactual_lipschitz(tree: GameTree) -> float:
-    """sqrt(2 P): Lipschitz constant of H over behavioral profiles."""
+    """sqrt(2 P): Lipschitz constant of H over behavioral profiles; like
+    the two below, it raises ValueError on a tree without decisions."""
+    if not tree.infosets:
+        raise ValueError("the tree has no decision node: no decisions to solve")
     return (2.0 * tree.behavioral_dim) ** 0.5
 
 
@@ -320,8 +333,8 @@ def lifted_lipschitz(tree: GameTree) -> float:
     """Lipschitz bound of H composed with blockwise normalization on the
     chopped lifted space (every block of mass >= 1, the floor of the
     clairvoyant rounds): sqrt(2P) * max_j sqrt(n_j)."""
-    widest = max(j.num_actions for j in tree.infosets)
-    return counterfactual_lipschitz(tree) * widest**0.5
+    bound = counterfactual_lipschitz(tree)  # first: it checks for decisions
+    return bound * max(j.num_actions for j in tree.infosets) ** 0.5
 
 
 def contraction_step_size(tree: GameTree) -> float:

@@ -102,14 +102,17 @@ def _simplex_kernel(y: np.ndarray) -> np.ndarray:
         return np.maximum(y + tau, 0.0)
     u = np.sort(y, axis=1)[:, ::-1]
     cumulative = np.cumsum(u, axis=1)
+    thresholds = (1.0 - cumulative) / np.arange(1, y.shape[1] + 1)
     # u + c > 0 exactly when c > -u, for finite u; so written, the -inf
     # padding of ``_ragged_chopped`` never passes, with no invalid-value warning
-    positive = (1.0 - cumulative) / np.arange(1, y.shape[1] + 1) > -u
-    if not positive.any(axis=1).all():
+    positive = thresholds > -u
+    # the last passing column; a row where none passes lands on a failing one
+    rows = np.arange(y.shape[0])
+    k = y.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
+    if not positive[rows, k].all():
         raise NonFiniteError(_NO_THRESHOLD)
-    k = y.shape[1] - np.argmax(positive[:, ::-1], axis=1)
-    tau = (1.0 - cumulative[np.arange(y.shape[0]), k - 1]) / k
-    return np.maximum(y + tau[:, None], 0.0)
+    out = y + thresholds[rows, k][:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def project_chopped(y) -> np.ndarray:

@@ -552,8 +552,10 @@ def squared_distances(layout, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     flat vectors, each summed as ``np.sum`` sums the 1-D block (formerly
     ``BlockLayout.squared_distances``)."""
     squares = (a - b) ** 2
-    return layout.per_block([squares[index].sum(axis=-1)
-                             for _, index in layout.buckets])
+    out = np.empty(len(layout.bounds))
+    for ids, index in layout.buckets:
+        out[ids] = squares[index].sum(axis=-1)
+    return out
 
 
 class PerRoundRecorder:

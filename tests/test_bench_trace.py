@@ -11,6 +11,7 @@ from pathlib import Path
 
 from regretkit import efg, fixedpoint, games, harness
 from regretkit.efg import rounds as efg_rounds
+from regretkit.efg import values as efg_values
 from regretkit.core import as_flat
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -155,18 +156,39 @@ PASSES_PER_ROUND = (  # (tree, algorithm, alternate, traced, restricted)
 )
 
 
+# Profile sweeps (edge probabilities and reach) per round inside the
+# rounds, in PASSES_PER_ROUND order: one per group pass, n for predictive
+# CFR, but an alternating clairvoyant group's first pass reads the
+# previous group's second sweep, n + 1 for clairvoyant CFR.
+SWEEPS_PER_ROUND = (1, 2, 2, 3, 1, 3, 2, 4)
+
+
 def test_tree_passes_per_round_for_every_cfr_variant(monkeypatch):
     tracer_mod = _load_tracer()
     trees = {"kuhn3": efg.build_kuhn(2, 3), "liars3": efg.build_liars_dice(3, 2)}
     iters = 3
     restricted = [0] * len(PASSES_PER_ROUND)
-    group_regrets = efg_rounds._group_regrets
+    sweeps = [0] * len(PASSES_PER_ROUND)
+    group_regrets, sweep_of = efg_rounds._group_regrets, efg_values._sweep
+    in_group = []
 
-    def counted(tree, profile, player):
+    def counted(tree, profile, player, sweep=None):
         restricted[index] += player is not None
-        return group_regrets(tree, profile, player)
+        in_group.append(player)
+        try:
+            return group_regrets(tree, profile, player, sweep)
+        finally:
+            in_group.pop()
+
+    def counted_sweep(flat, x, in_round=False):
+        # the rounds' own sweeps, and those of their group passes
+        sweeps[index] += in_round or bool(in_group)
+        return sweep_of(flat, x)
 
     monkeypatch.setattr(efg_rounds, "_group_regrets", counted)
+    monkeypatch.setattr(efg_values, "_sweep", counted_sweep)
+    monkeypatch.setattr(efg_rounds, "_sweep",
+                        lambda flat, x: counted_sweep(flat, x, True))
     tracer = tracer_mod.Tracer()
     undo = tracer_mod.install(tracer)
     try:
@@ -183,11 +205,14 @@ def test_tree_passes_per_round_for_every_cfr_variant(monkeypatch):
                                for *_, traced, _ in PASSES_PER_ROUND]
     assert restricted == [per_round * iters
                           for *_, per_round in PASSES_PER_ROUND]
+    assert sweeps == [per_round * iters for per_round in SWEEPS_PER_ROUND]
     groups = {"kuhn3": 2, "liars3": 3}
-    for (tree, algo, alternate, traced, player_passes) in PASSES_PER_ROUND:
+    for (tree, algo, alternate, traced, player_passes), swept in zip(
+            PASSES_PER_ROUND, SWEEPS_PER_ROUND):
         n = groups[tree] if alternate else 1
         assert traced + player_passes == (
             n + 2 if algo == "predictive-cfr" else 2 * n + 2)
+        assert swept == (n if algo == "predictive-cfr" else n + 1)
 
 
 def test_uninstall_restores_the_library():

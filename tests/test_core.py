@@ -77,6 +77,29 @@ class TestRegretLoss:
         assert abs(np.dot(r, f)) < 1e-12 * max(1.0, np.abs(r).sum())
 
 
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6),
+           d=st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_stack_rows_match_one_dimensional(self, seed, rows, d):
+        # zeros of both signs included: a width-1 row of loss -0.0 has
+        # f = +0.0 and m' = -0.0, as the 1-D call computes them
+        rng = np.random.default_rng(seed)
+        pick = rng.integers(0, 4, (2, rows, d))
+        r = np.choose(pick[0], [0.0, -0.0, 1.0, rng.uniform(0.0, 2.0)])
+        loss = np.choose(pick[1], [0.0, -0.0, 0.5, rng.normal()])
+        state = AggregateState(r, -loss)
+        x = np.stack([normalize(np.maximum(row, 0.0)) for row in r + 1.0])
+        f = regret_loss(x, loss)
+        step, played = prm_plus_step(state, loss)
+        for i in range(rows):
+            assert f[i].tobytes() == regret_loss(x[i], loss[i]).tobytes()
+            alone, x_alone = prm_plus_step(AggregateState(r[i], -loss[i]),
+                                           loss[i])
+            assert played[i].tobytes() == x_alone.tobytes()
+            assert step.r[i].tobytes() == alone.r.tobytes()
+            assert step.prediction[i].tobytes() == alone.prediction.tobytes()
+
+
 class TestRmPlusStep:
     def test_from_origin(self):
         state = AggregateState.initial(2)

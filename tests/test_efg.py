@@ -12,14 +12,17 @@ from regretkit import efg
 from regretkit.efg.tree import CompiledTree
 from regretkit.efg.values import _group_regrets
 from regretkit.core import (AggregateState, BlockLayout, BlockVector,
-                            _normalize_nonneg, normalize, prm_plus_step)
+                            NonFiniteError, _normalize_nonneg, normalize,
+                            prm_plus_step)
 from regretkit.fixedpoint import conceptual_round, initial_lifted_point
 from regretkit.games import NormalFormGame
 from regretkit.core import regret_loss
 from regretkit.harness import SolverConfig, run
+from regretkit.stabilized import _in_chopped
 
 from . import oracles
 from .oracles import count_paths, counterfactual_values_by_paths
+from .test_fixedpoint import MEMBERSHIP_KINDS, _membership_block
 
 
 def clairvoyant_start(tree):
@@ -376,6 +379,20 @@ class TestLipschitzCertificates:
         assert efg.contraction_step_size(tree) == pytest.approx(
             1.0 / (np.sqrt(2.0) * efg.lifted_lipschitz(tree)))
 
+    @pytest.mark.parametrize("root", ["leaf", "chance"])
+    @pytest.mark.parametrize("name", ["counterfactual_lipschitz",
+                                      "lifted_lipschitz",
+                                      "contraction_step_size"])
+    def test_a_tree_without_decisions_is_rejected(self, root, name):
+        b = efg.TreeBuilder(2)
+        leaf = b.leaf([1.0, 0.0])
+        tree = b.build(leaf if root == "leaf" else
+                       b.chance([0.5, 0.5], [leaf, b.leaf([0.0, 1.0])]))
+        with pytest.raises(ValueError) as info:
+            getattr(efg, name)(tree)
+        assert str(info.value) == ("the tree has no decision node: "
+                                   "no decisions to solve")
+
 
 class TestPredictiveCfr:
     def test_constant_tree_stays_uniform(self):
@@ -457,6 +474,39 @@ class TestClairvoyantCfr:
                                                       alternate=True)
             for block in played:
                 assert block.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestClairvoyantMembership:
+    """The clairvoyant round's membership test, fused with ghat(z), gives
+    the verdict of the per-block ``_in_chopped`` and names the first
+    infoset outside, wherever the bad block sits: first or last in a
+    width bucket, read as a slice, a view or a gather."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("name", ["kuhn3", "liars3"])
+    def test_verdict_and_key(self, name):
+        tree = TREES[name]
+        layout = tree.compiled.layout
+        picks = sorted({int(j) for ids, _ in layout.buckets
+                        for j in (ids[0], ids[-1])})
+        for kind in MEMBERSHIP_KINDS:
+            for j in picks:
+                z = BlockVector(clairvoyant_start(tree), layout)
+                for b in (j, picks[-1]):  # only the first bad one is named
+                    z[b][:] = _membership_block(layout.widths[b], kind, 0)
+                bad = [b for b in (j, picks[-1]) if not _in_chopped(z[b])]
+                if not bad:
+                    if kind == "inf":  # ghat(z) holds a NaN
+                        with pytest.raises(NonFiniteError):
+                            efg.clairvoyant_cfr_round(z.vector, tree, 0.1)
+                    else:
+                        efg.clairvoyant_cfr_round(z.vector, tree, 0.1)
+                    continue
+                with pytest.raises(ValueError) as info:
+                    efg.clairvoyant_cfr_round(z.vector, tree, 0.1)
+                assert str(info.value) == (
+                    f"infoset {tree.infosets[bad[0]].key!r}: block outside "
+                    "its chopped orthant"), (kind, j)
 
 
 class TestCfrDecomposition:
@@ -876,19 +926,20 @@ class TestBucketedMatchesPerInfoset:
             state, played = efg.predictive_cfr_round(state, tree, alternate)
             states, expected = oracles.predictive_cfr_round(states, tree,
                                                             alternate)
-            assert np.array_equal(played.vector, np.concatenate(expected))
-            assert np.array_equal(state.r, np.concatenate([s.r for s in states]))
-            assert np.array_equal(state.prediction,
-                                  np.concatenate([s.prediction for s in states]))
+            assert played.vector.tobytes() == np.concatenate(expected).tobytes()
+            assert state.r.tobytes() == np.concatenate(
+                [s.r for s in states]).tobytes()
+            assert state.prediction.tobytes() == np.concatenate(
+                [s.prediction for s in states]).tobytes()
             h = efg.counterfactual_regret_operator(tree, played, validate=False)
-            assert np.array_equal(h.vector, np.concatenate(
-                oracles.regret_operator_per_infoset(tree, expected)))
+            assert h.vector.tobytes() == np.concatenate(
+                oracles.regret_operator_per_infoset(tree, expected)).tobytes()
             averager.observe(played)
             expected_averager.observe(expected)
-            assert np.array_equal(averager._sums,
-                                  np.concatenate(expected_averager.sums))
+            assert averager._sums.tobytes() == np.concatenate(
+                expected_averager.sums).tobytes()
         for a, b in zip(averager.average(), expected_averager.average()):
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUCKETED_TREES))
     @pytest.mark.parametrize("alternate", [False, True], ids=["sim", "alt"])
@@ -903,8 +954,8 @@ class TestBucketedMatchesPerInfoset:
             state, played = efg.clairvoyant_cfr_round(state, tree, eta,
                                                       alternate)
             z, expected = oracles.clairvoyant_cfr_round(z, tree, eta, alternate)
-            assert np.array_equal(played.vector, np.concatenate(expected))
-            assert np.array_equal(state, np.concatenate(z))
+            assert played.vector.tobytes() == np.concatenate(expected).tobytes()
+            assert state.tobytes() == np.concatenate(z).tobytes()
 
     @pytest.mark.parametrize("name", sorted(BUCKETED_TREES))
     @pytest.mark.parametrize("algo", ["predictive-cfr", "clairvoyant-cfr"])
@@ -1007,14 +1058,18 @@ def _hash_into(digest, obj) -> None:
 
 def tree_digest(tree: efg.GameTree) -> str:
     """One hash of a tree and a fresh compile of it: every node payload,
-    infoset, own sequence and the payoff map, and every ``CompiledTree``
-    attribute."""
+    infoset, own sequence and the payoff map, every ``CompiledTree``
+    attribute, and each update group's layout (buckets, ``ragged``,
+    ``_views``) and edge tables."""
     digest = hashlib.sha256()
     _hash_into(digest, [tree.num_players, tree.nodes, tree.infosets,
                         tree.payoff_scale, tree.payoff_offset,
                         tree.own_sequences])
     compiled = CompiledTree(tree)
     _hash_into(digest, sorted(vars(compiled).items()))
+    # the cached group tables, after the attributes that ``__init__`` sets
+    _hash_into(digest, [(player, layout, layout.ragged, layout._views, tables)
+                        for player, (layout, *tables) in compiled.groups.items()])
     return digest.hexdigest()[:16]
 
 
@@ -1029,14 +1084,15 @@ DIGEST_TREES = {
 
 # recorded before the tree builder, the loader and the compile were each
 # rewritten as one pass, and again whenever attributes left the compile,
-# every kept one then byte-identical; a saved tree loads back to the very
-# same digest
+# every kept one then byte-identical, and once more when the group tables
+# joined the digest, each table then hashing alike on both sides; a saved
+# tree loads back to the very same digest
 TREE_DIGESTS = {
-    "kuhn3": "19c5dd1088aad3aa", "kuhn4": "9e26f6c67d3b5b73",
-    "kuhn5": "ad24a4111a37e484", "kuhn6": "dcbfe27fb43b6603",
-    "liars2": "17431033ac447571", "liars3": "c96b449850b7e813",
-    "bimatrix": "0d5998c490d670dc", "chain1500": "3a471a629025bfca",
-    "wide": "6f2c9a7f57b8450e",
+    "kuhn3": "16a4e303f8c1a52b", "kuhn4": "4cf3c56e74dde55c",
+    "kuhn5": "215f96cd4805c16b", "kuhn6": "eeebee56762d6de2",
+    "liars2": "0d2ab2ae4dec9433", "liars3": "130ab7dd34b6518a",
+    "bimatrix": "5a4b779c7744b72b", "chain1500": "688223bf9591dfe8",
+    "wide": "722e35fd46a4b51e",
 }
 
 

@@ -572,6 +572,31 @@ class TestTreeRuns:
                                              "decisions to solve"):
             run(config, tree)
 
+    @pytest.mark.parametrize("alternate", [False, True], ids=["sim", "alt"])
+    def test_non_finite_group_regrets_name_the_round(self, alternate,
+                                                     monkeypatch):
+        # a NaN in the regrets of round 3's first update group
+        tree = efg.build_kuhn(2, 3)
+        lo, _ = tree.compiled.layout.bounds[tree.infosets_of(0)[0]]
+        group_regrets = efg.rounds._group_regrets
+        starts = []
+
+        def poisoned(tree, profile, player, *sweep):
+            h = group_regrets(tree, profile, player, *sweep)
+            if player in (None, 0):  # a round's first group
+                starts.append(player)
+                if len(starts) == 3:
+                    h[lo] = np.nan
+            return h
+
+        monkeypatch.setattr(efg.rounds, "_group_regrets", poisoned)
+        config = SolverConfig(algorithm="predictive-cfr", iters=6,
+                              alternation=alternate)
+        with pytest.raises(NumericalDivergence) as exc_info:
+            run(config, tree)
+        assert exc_info.value.iteration == 3
+        assert str(exc_info.value) == "non-finite iterate at round 3"
+
 
 # SHA-256 of whole trace CSVs (eta auto, linear averaging), recorded from
 # the recursive tree passes; the array passes must reproduce them byte for
