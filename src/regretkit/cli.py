@@ -5,13 +5,15 @@ Subcommands:
  * ``run``            one (algorithm, game) cell; CSV to stdout or --out
  * ``sweep``          cross product of step sizes and seeds on one game
  * ``counterexample`` emit an adversarial loss sequence and its replay
- * ``gen``            write random games / built-in trees as game files
+ * ``gen``            write any game the others read, by the same spec
  * ``rate``           log-log rate regression over a trace CSV
 
-Games are referenced by file path, by built-in name (``hard3x3``,
-``kuhn3`` .. ``kuhn6``, ``liars2``, ``liars3``), or by a seeded random
-spec (``random-matrix:30x40``, ``random-nfg:3,3,3``) that draws one
-instance per seed, which is how sweeps cover instance distributions.
+Games are referenced by one spec in every command: a built-in name
+(``hard3x3``; ``kuhn<R>``, Kuhn poker with R >= 3 ranks; ``liars<P>``,
+Liar's dice for P in {2, 3} players), a seeded random spec
+(``random-matrix:30x40``, ``random-nfg:3,3,3``) that draws one instance
+per seed, which is how sweeps cover instance distributions, or else a
+game file path.
 Relative output paths are resolved against $REGRETKIT_OUTDIR when set.
 
 Exit codes: 0 success, 2 configuration error (including unknown flags),
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -46,14 +49,8 @@ from .harness import (
     slope_loglog,
 )
 
-_BUILTIN_TREES = {
-    "kuhn3": lambda: efg.build_kuhn(2, 3),
-    "kuhn4": lambda: efg.build_kuhn(2, 4),
-    "kuhn5": lambda: efg.build_kuhn(2, 5),
-    "kuhn6": lambda: efg.build_kuhn(2, 6),
-    "liars2": lambda: efg.build_liars_dice(2, 2),
-    "liars3": lambda: efg.build_liars_dice(3, 2),
-}
+_GAME_HELP = ("game file, built-in name (hard3x3, kuhn<R>, liars<P>), or "
+              "seeded spec (random-matrix:D1xD2, random-nfg:D1,D2,..)")
 
 
 def _resolve_out(path: str | None) -> Path | None:
@@ -69,8 +66,11 @@ def _resolve_out(path: str | None) -> Path | None:
 def _load_any_game(spec: str, seed: int = 0):
     if spec == "hard3x3":
         return hard_instance()
-    if spec in _BUILTIN_TREES:
-        return _BUILTIN_TREES[spec]()
+    tree = re.fullmatch(r"(kuhn|liars)([0-9]+)", spec)
+    if tree:  # the builders reject counts they cannot build
+        count = int(tree[2])
+        return (efg.build_kuhn(2, count) if tree[1] == "kuhn"
+                else efg.build_liars_dice(count, 2))
     if spec.startswith("random-matrix:"):
         dims = _ints(spec.split(":", 1)[1].split("x"), f"random-matrix spec {spec!r}")
         if len(dims) != 2:
@@ -99,9 +99,7 @@ def _ints(parts, what: str) -> list[int]:
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", required=True, choices=ALGORITHMS)
-    parser.add_argument("--game", required=True,
-                        help="game file, built-in name, or seeded spec "
-                             "(random-matrix:D1xD2, random-nfg:D1,D2,..)")
+    parser.add_argument("--game", required=True, help=_GAME_HELP)
     parser.add_argument("--eta", default="auto",
                         help="step size, or 'auto' for the prescribed value")
     parser.add_argument("--r0", type=float, default=1.0)
@@ -218,17 +216,9 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    out = _resolve_out(args.out)
-    if args.type == "random-matrix":
-        game = random_matrix_game(args.d1, args.d2, args.seed)
-        save_game(game, out)
-    elif args.type == "random-nfg":
-        dims = _ints(args.dims.split(","), f"--dims {args.dims!r}")
-        save_game(random_nfg(dims, args.seed), out)
-    elif args.type == "kuhn":
-        efg.save_tree(efg.build_kuhn(2, args.ranks), out)
-    else:  # liars-dice; argparse restricts the choices
-        efg.save_tree(efg.build_liars_dice(args.players, args.faces), out)
+    game = _load_any_game(args.game, args.seed)
+    save = efg.save_tree if isinstance(game, efg.GameTree) else save_game
+    save(game, _resolve_out(args.out))
     return 0
 
 
@@ -268,15 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cx.set_defaults(func=_cmd_counterexample)
 
     p_gen = sub.add_parser("gen", help="write a game file")
-    p_gen.add_argument("--type", required=True,
-                       choices=("random-matrix", "random-nfg", "kuhn",
-                                "liars-dice"))
-    p_gen.add_argument("--d1", type=int, default=30)
-    p_gen.add_argument("--d2", type=int, default=40)
-    p_gen.add_argument("--dims", default="3,3", help="random-nfg action counts")
-    p_gen.add_argument("--ranks", type=int, default=3)
-    p_gen.add_argument("--players", type=int, default=2)
-    p_gen.add_argument("--faces", type=int, default=2)
+    p_gen.add_argument("--game", required=True, help=_GAME_HELP)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=_cmd_gen)

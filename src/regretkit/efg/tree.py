@@ -5,8 +5,9 @@ player-owned decision nodes, leaves with per-player payoffs) plus an
 explicit information-set table.  Decision nodes sharing an information set
 must share the owning player's own action-observation history (perfect
 recall).  ``TreeBuilder.build``, one breadth-first pass, is the one
-validator of a tree, and ``load_tree`` builds through it; ``CompiledTree``
-lowers a tree to flat arrays in one more breadth-first pass.
+validator of a tree and numbers its nodes in that order, and ``load_tree``
+builds through it; ``CompiledTree`` lowers a tree to flat arrays in one
+more pass, over the nodes in that numbering.
 
 Leaf payoffs are supplied in whatever units the game is naturally stated
 in; the solver-facing payoffs are affinely mapped into [0, 1] per player
@@ -27,7 +28,8 @@ in original units (the [0, 1] map is re-derived on load)::
     node <id> leaf <v_1> ... <v_num_players>
 
 Infoset keys are opaque whitespace-free tokens without ``#`` (builders
-use them to identify decision points); they take no part in solving.
+use them to identify decision points); they take no part in solving.  The
+header comes once, each id is defined once, and each (player, key) too.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ class Infoset:
 
 @dataclass(frozen=True)
 class GameTree:
-    """Immutable tree; node 0 is the root.
+    """Immutable tree; node 0 is the root, and nodes are numbered
+    breadth-first with each node's children contiguous, in action order
+    (``TreeBuilder.build`` makes every tree, and numbers it so).
 
     ``payoff_scale``/``payoff_offset`` recover original payoff units from
     the stored [0, 1] values: original = scale * stored + offset.
@@ -235,13 +239,13 @@ class TreeBuilder:
 class CompiledTree:
     """A ``GameTree`` lowered to flat arrays (see ``efg.values``).
 
-    Nodes are renumbered by *position*, their breadth-first rank from the
-    root, so each depth is one contiguous range of positions and the
-    children of a node are contiguous, in action order.  Per position:
-    ``node_id``, ``parent`` (-1 at the root), ``mover`` (the player,
+    A node's *position* is its id: ``TreeBuilder.build`` numbers nodes
+    breadth-first from the root, so each depth is one contiguous range of
+    positions and the children of a node are contiguous, in action order.
+    Per position: ``parent`` (-1 at the root), ``mover`` (the player,
     ``num_players`` for chance, -1 at leaves), ``infoset`` (-1 off
     decision nodes), ``first_child`` and ``num_children``; ``members[j]``
-    holds infoset j's member positions in ``Infoset.nodes`` order.
+    is infoset j's ``Infoset.nodes``.
     ``levels`` holds the ``(lo, hi)`` position range of every depth below
     the root; ``leaves`` and ``leaf_payoffs`` (one row per leaf) hold the
     payoff matrix.  Infoset j owns block j of one flat behavioural vector,
@@ -262,20 +266,17 @@ class CompiledTree:
         n = tree.num_players
         self.layout = BlockLayout([j.num_actions for j in tree.infosets])
         offsets, dim = self.layout.offsets.tolist(), self.layout.size
-        # breadth-first: ``node_id`` grows while it is read, and a node's
-        # children take the next free positions, in action order
-        node_id, parent, depth = [0], [-1], [0]
+        parent, depth = [-1], [0]
         mover, infoset, first_child = [], [], []
         edge_source, chance_probs = [-1], []
-        for pos, nid in enumerate(node_id):
-            node = tree.nodes[nid]
+        for pos, node in enumerate(tree.nodes):
             if isinstance(node, LeafNode):
                 mover.append(-1)
                 infoset.append(-1)
                 first_child.append(-1)
                 continue
             k = len(node.children)
-            first_child.append(len(node_id))
+            first_child.append(node.children[0])
             if isinstance(node, ChanceNode):
                 mover.append(n)
                 infoset.append(-1)
@@ -286,32 +287,29 @@ class CompiledTree:
                 infoset.append(node.infoset)
                 start = offsets[node.infoset]
             edge_source.extend(range(start, start + k))
-            node_id.extend(node.children)
             parent.extend([pos] * k)
             depth.extend([depth[pos] + 1] * k)
         edge_source[0] = dim + len(chance_probs)
         chance_probs.append(1.0)
-        size = len(node_id)
+        size = len(tree.nodes)
         self.num_players, self.size = n, size
-        (self.node_id, self.parent, self.mover, self.infoset, self.first_child,
+        (self.parent, self.mover, self.infoset, self.first_child,
          self.edge_source) = (
             np.array(column, dtype=np.intp)
-            for column in (node_id, parent, mover, infoset, first_child,
-                           edge_source))
+            for column in (parent, mover, infoset, first_child, edge_source))
         mover, infoset, first_child = self.mover, self.infoset, self.first_child
         self.chance_probs = np.array(chance_probs)
         self.num_children = np.bincount(self.parent[1:], minlength=size)
-        position = np.empty(size, dtype=np.intp)
-        position[self.node_id] = np.arange(size)
         self.parent_mover = np.where(self.parent >= 0, mover[self.parent], -1)
         self.levels = tuple(
             (bisect_left(depth, d), bisect_right(depth, d))
             for d in range(1, depth[-1] + 1))
         self.leaves = np.flatnonzero(mover == -1)
         self.leaf_payoffs = np.array(
-            [tree.nodes[node_id[p]].payoffs for p in self.leaves.tolist()],
+            [tree.nodes[p].payoffs for p in self.leaves.tolist()],
             dtype=float).reshape(-1, n)
-        self.members = tuple(position[list(j.nodes)] for j in tree.infosets)
+        self.members = tuple(np.array(j.nodes, dtype=np.intp)
+                             for j in tree.infosets)
 
         dfs: list[int] = []
         stack = [0]
@@ -378,13 +376,13 @@ def save_tree(tree: GameTree, path) -> None:
 
 
 def _parse_tree_line(parts: list[str]) -> tuple:
-    """One tokenized line as ("efg", n), ("infoset", id, row) or
+    """One tokenized line as ("efg", n, None), ("infoset", id, row) or
     ("node", id, row); raises ValueError naming what is wrong."""
     head = parts[0]
     if head == "efg":
         if len(parts) != 2:
             raise ValueError("expected 'efg <num_players>'")
-        return "efg", int(parts[1])
+        return "efg", int(parts[1]), None
     if head == "infoset":
         if len(parts) != 8 or parts[2::2] != ["player", "actions", "key"]:
             raise ValueError("expected 'infoset <id> player <i> actions <k> "
@@ -422,6 +420,7 @@ def load_tree(path) -> GameTree:
     line is at fault, its line number."""
     num_players = None
     infoset_rows: dict[int, tuple[int, int, str]] = {}
+    infoset_of: dict[tuple, int] = {}  # (player, key), as row[::2] -> id
     node_rows: dict[int, tuple[int, tuple]] = {}  # id -> (line number, row)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -429,17 +428,22 @@ def load_tree(path) -> GameTree:
             if not parts:
                 continue
             try:
-                parsed = _parse_tree_line(parts)
+                kind, ident, row = _parse_tree_line(parts)
+                if kind == "efg":
+                    if num_players is not None:
+                        raise ValueError("second efg header")
+                    num_players = ident
+                elif ident in (infoset_rows if kind == "infoset" else node_rows):
+                    raise ValueError(f"{kind} {ident} defined twice")
+                elif kind == "node":
+                    node_rows[ident] = (lineno, row)
+                elif infoset_of.setdefault(row[::2], ident) != ident:
+                    raise ValueError(f"infoset {ident} repeats the player and "
+                                     f"key of infoset {infoset_of[row[::2]]}")
+                else:
+                    infoset_rows[ident] = row
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if parsed[0] == "efg":
-                num_players = parsed[1]
-            elif parsed[0] == "infoset":
-                infoset_rows[parsed[1]] = parsed[2]
-            elif parsed[1] in node_rows:
-                raise ValueError(f"{path}:{lineno}: node {parsed[1]} defined twice")
-            else:
-                node_rows[parsed[1]] = (lineno, parsed[2])
     if num_players is None:
         raise ValueError(f"{path}: missing efg header")
     if 0 not in node_rows:

@@ -22,9 +22,10 @@ converts its output back to original units via the stored affine map.
 Passes
 ------
 The passes run on ``tree.compiled``, the tree lowered to flat arrays in
-breadth-first order (``CompiledTree``), in two steps.  The sweep
-(``_sweep``) depends on the profile alone: one gather, the probability
-on the edge into every position, then reach (every column) top-down.
+its own node numbering, which is breadth-first (``CompiledTree``), in
+two steps.  The sweep (``_sweep``) depends on the profile alone: one
+gather, the probability on the edge into every position, then reach
+(every column) top-down.
 The group step (``_pass``) computes G from a sweep for an update group:
 every infoset (``counterfactual_values``), or one player's (an
 alternating CFR round's, through ``_group_regrets``, which can take a
@@ -196,7 +197,11 @@ def _pass(flat: CompiledTree, sweep, player) -> np.ndarray:
 
 
 def counterfactual_values(tree: GameTree, x, validate: bool = True) -> list[np.ndarray]:
-    """All counterfactual values in one top-down and one bottom-up sweep."""
+    """All counterfactual values in one top-down and one bottom-up sweep.
+
+    ``validate=False`` skips the per-infoset simplex check: a CFR round's
+    full pass (``_group_regrets``) calls this name, which perfbench's
+    tracer counts, on a profile the round made itself."""
     if validate:
         check_behavioral(tree, x)
     flat = tree.compiled
@@ -218,19 +223,16 @@ def _group_regrets(tree: GameTree, profile: np.ndarray, player,
     return g
 
 
-def counterfactual_regret_operator(tree: GameTree, x,
-                                   validate: bool = True) -> list[np.ndarray]:
+def counterfactual_regret_operator(tree: GameTree, x) -> list[np.ndarray]:
     """H_j(x) = G_j(x) - <G_j(x), x_j> 1 for every infoset, per width
     bucket."""
-    if validate:
-        check_behavioral(tree, x)
+    check_behavioral(tree, x)
     return _like(x, _group_regrets(tree, as_flat(x), None), tree.compiled)
 
 
-def expected_values(tree: GameTree, x, validate: bool = True) -> np.ndarray:
+def expected_values(tree: GameTree, x) -> np.ndarray:
     """Per-player expected payoff of the joint profile, in [0, 1] units."""
-    if validate:
-        x = check_behavioral(tree, x)
+    check_behavioral(tree, x)
     flat = tree.compiled
     return _node_values(flat, _edge_probs(flat, x))[:flat.num_players].copy()
 
@@ -243,9 +245,7 @@ def leaf_excl_weights(tree: GameTree, x, player: int) -> np.ndarray:
     path = np.ones(flat.size)
     for lo, hi in flat.levels:
         np.multiply(path[flat.parent[lo:hi]], factors[lo:hi], out=path[lo:hi])
-    weights = np.zeros(len(tree.nodes))
-    weights[flat.node_id[flat.leaves]] = path[flat.leaves]
-    return weights
+    return np.where(flat.mover == -1, path, 0.0)
 
 
 def own_reach_per_infoset(tree: GameTree, x) -> np.ndarray:
@@ -276,8 +276,7 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
     flat = tree.compiled
     leaf_weights = np.asarray(leaf_weights, dtype=float)
     value = np.zeros(flat.size)
-    value[flat.leaves] = (leaf_weights[flat.node_id[flat.leaves]]
-                          * flat.leaf_payoffs[:, player])
+    value[flat.leaves] = leaf_weights[flat.leaves] * flat.leaf_payoffs[:, player]
     own = np.zeros(flat.size, dtype=np.intp)
     for lo, hi in flat.levels:
         own[lo:hi] = own[flat.parent[lo:hi]] + (flat.parent_mover[lo:hi] == player)
@@ -312,8 +311,7 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
 def exploitability(tree: GameTree, x) -> np.ndarray:
     """Per-player best-response gain over the current profile, reported in
     the game's original payoff units."""
-    x = check_behavioral(tree, x)
-    current = expected_values(tree, x, validate=False)
+    current = expected_values(tree, x)
     gaps = np.empty(tree.num_players)
     for i in range(tree.num_players):
         weights = leaf_excl_weights(tree, x, i)

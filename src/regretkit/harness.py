@@ -587,9 +587,8 @@ def _tree_family(config: SolverConfig, tree, eta):
         else:
             state, played = efg.clairvoyant_cfr_round(
                 state, tree, eta, alternate=config.alternation)
-        regrets = efg.counterfactual_regret_operator(tree, played,
-                                                     validate=False)
-        return played, regrets, {}
+        regrets = efg.values._group_regrets(tree, played.vector, None)
+        return played, BlockVector(regrets, layout), {}
 
     return advance
 

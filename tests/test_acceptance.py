@@ -368,12 +368,12 @@ def test_criterion_11_efg_sanity():
     for t in range(1, 10**4 + 1):
         state, played = efg.predictive_cfr_round(state, tree, alternate=True)
         averager.observe(played)
-        h = efg.counterfactual_regret_operator(tree, played, validate=False)
+        h = efg.counterfactual_regret_operator(tree, played)
         for j, hj in enumerate(h):
             cum_h[j] += hj
         for i in range(2):
             cum_weights[i] += efg.leaf_excl_weights(tree, played, i)
-        cum_value += efg.expected_values(tree, played, validate=False)
+        cum_value += efg.expected_values(tree, played)
         if t % 500 == 0:
             for i in range(2):
                 seq_regret = (efg.best_response_value(tree, i, cum_weights[i])
@@ -391,8 +391,7 @@ def test_criterion_11_efg_sanity():
         series = []
         for t in range(1, 2001):
             st, played = efg.clairvoyant_cfr_round(st, tree, eta)
-            h = efg.counterfactual_regret_operator(tree, played,
-                                                   validate=False)
+            h = efg.counterfactual_regret_operator(tree, played)
             for j, hj in enumerate(h):
                 cum[j] += hj
             per_player = [sum(max(float(cum[j].max()), 0.0)

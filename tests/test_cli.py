@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regretkit.cli import main
-from regretkit.games import hard_instance, load_game, random_nfg
+from regretkit.games import (
+    hard_instance,
+    load_game,
+    random_matrix_game,
+    random_nfg,
+    save_game,
+)
 from regretkit.harness import ALGORITHMS
 from regretkit import efg
 
@@ -286,16 +292,15 @@ class TestGenAndSweep:
     def test_gen_random_matrix_round_trip(self, tmp_path, capsys):
         out = tmp_path / "m.game"
         code, _, _ = run_cli(
-            ["gen", "--type", "random-matrix", "--d1", "4", "--d2", "3",
-             "--seed", "9", "--out", str(out)], capsys)
+            ["gen", "--game", "random-matrix:4x3", "--seed", "9",
+             "--out", str(out)], capsys)
         assert code == 0
         game = load_game(out)
         assert game.dims == (4, 3)
 
     @pytest.mark.parametrize("flags,players,dims", [
-        (["--type", "random-nfg", "--dims", "2,3,2", "--seed", "4"], 3,
-         (2, 3, 2)),
-        (["--type", "liars-dice", "--players", "3", "--faces", "2"], 3, None),
+        (["--game", "random-nfg:2,3,2", "--seed", "4"], 3, (2, 3, 2)),
+        (["--game", "liars3"], 3, None),
     ], ids=["random-nfg", "liars-dice"])
     def test_gen_loads_back(self, tmp_path, capsys, flags, players, dims):
         out = tmp_path / "gen.txt"
@@ -325,8 +330,7 @@ class TestGenAndSweep:
     def test_gen_kuhn_tree(self, tmp_path, capsys):
         out = tmp_path / "kuhn.efg"
         code, _, _ = run_cli(
-            ["gen", "--type", "kuhn", "--ranks", "3", "--out", str(out)],
-            capsys)
+            ["gen", "--game", "kuhn3", "--out", str(out)], capsys)
         assert code == 0
         tree = efg.load_tree(out)
         assert len(tree.infosets) == 12
@@ -356,10 +360,53 @@ class TestGenAndSweep:
 
     def test_unreadable_gen_dims_exit_two(self, tmp_path, capsys):
         code, _, err = run_cli(
-            ["gen", "--type", "random-nfg", "--dims", "3,x",
+            ["gen", "--game", "random-nfg:3,x",
              "--out", str(tmp_path / "g.game")], capsys)
         assert code == 2
-        assert "--dims '3,x'" in err
+        assert "random-nfg spec 'random-nfg:3,x'" in err
+
+    @pytest.mark.parametrize("spec,seed,make", [
+        ("random-matrix:30x40", 7, lambda: random_matrix_game(30, 40, 7)),
+        ("random-nfg:2,3,2", 4, lambda: random_nfg([2, 3, 2], 4)),
+        ("kuhn3", 0, lambda: efg.build_kuhn(2, 3)),
+        ("kuhn7", 0, lambda: efg.build_kuhn(2, 7)),
+        ("liars2", 0, lambda: efg.build_liars_dice(2, 2)),
+        ("liars3", 0, lambda: efg.build_liars_dice(3, 2)),
+        ("hard3x3", 0, hard_instance),
+    ], ids=["random-matrix", "random-nfg", "kuhn3", "kuhn7", "liars2",
+            "liars3", "hard3x3"])
+    def test_gen_writes_the_builders_file(self, tmp_path, capsys, spec, seed,
+                                          make):
+        out, expected = tmp_path / "gen.txt", tmp_path / "expected.txt"
+        code, _, _ = run_cli(["gen", "--game", spec, "--seed", str(seed),
+                              "--out", str(out)], capsys)
+        assert code == 0
+        game = make()
+        save = efg.save_tree if isinstance(game, efg.GameTree) else save_game
+        save(game, expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--type", "kuhn"), ("--d1", "4"), ("--d2", "3"), ("--dims", "3,3"),
+        ("--ranks", "3"), ("--players", "2"), ("--faces", "2"),
+    ])
+    def test_gen_type_flags_are_gone(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--game", "kuhn3", flag, value,
+                  "--out", str(tmp_path / "g.efg")])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "g.efg").exists()
+
+    @pytest.mark.parametrize("spec,message", [
+        ("kuhn2", "Kuhn poker needs at least 3 ranks"),
+        ("liars4", "Liar's dice is built for 2 or 3 players"),
+    ])
+    def test_unbuildable_tree_exits_two(self, tmp_path, capsys, spec, message):
+        code, _, err = run_cli(
+            ["gen", "--game", spec, "--out", str(tmp_path / "g.efg")], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("seeds", ["1:", "0,x"])
     def test_unreadable_seeds_exit_two(self, tmp_path, capsys, seeds):

@@ -168,7 +168,8 @@ class TestArgumentErrors:
             tree, x[:-1] + [np.ones(3) / 3]), "block dimension mismatch"),
         (lambda tree, x: efg.counterfactual_values(tree, x[:-1] + [np.ones(2)]),
          "block not on the simplex"),
-        (lambda tree, x: efg.expected_values(tree, [np.ones(3)], validate=False),
+        (lambda tree, x: efg.counterfactual_values(tree, [np.ones(3)],
+                                                     validate=False),
          "profile does not match the tree's infosets"),
         (lambda tree, x: efg.predictive_cfr_round(AggregateState.initial(3),
                                                   tree),
@@ -524,13 +525,12 @@ class TestCfrDecomposition:
         for t in range(1, rounds + 1):
             state, played = efg.predictive_cfr_round(state, tree,
                                                      alternate=(n == 2))
-            h = efg.counterfactual_regret_operator(tree, played,
-                                                   validate=False)
+            h = efg.counterfactual_regret_operator(tree, played)
             for j, hj in enumerate(h):
                 cum_h[j] += hj
             for i in range(n):
                 cum_weights[i] += efg.leaf_excl_weights(tree, played, i)
-            cum_value += efg.expected_values(tree, played, validate=False)
+            cum_value += efg.expected_values(tree, played)
             if t % 50 == 0:
                 for i in range(n):
                     seq_regret = (efg.best_response_value(tree, i,
@@ -651,9 +651,22 @@ class TestTreeFiles:
          3, "node 0 defined twice"),
         (["node 0 leaf 0.5"], None, "missing efg header"),
         (["efg 1", "node 1 leaf 0.5"], None, "missing root node 0"),
+        (["efg 1", "infoset 0 player 0 actions 2 key a",
+          "infoset 0 player 0 actions 3 key b",
+          "node 0 player 0 infoset 0 3 1 2 3", "node 1 leaf 0", "node 2 leaf 1",
+          "node 3 leaf 1"], 3, "infoset 0 defined twice"),
+        (["efg 2", "node 0 chance 1 1 1", "efg 3", "node 1 leaf 0 1 0.5"],
+         3, "second efg header"),
+        (["efg 1", "infoset 0 player 0 actions 2 key K",
+          "infoset 1 player 0 actions 2 key K",
+          "node 0 chance 2 0.5 0.5 1 2", "node 1 player 0 infoset 0 2 3 4",
+          "node 2 player 0 infoset 1 2 5 6", "node 3 leaf 0", "node 4 leaf 1",
+          "node 5 leaf 0", "node 6 leaf 1"],
+         3, "infoset 1 repeats the player and key of infoset 0"),
     ], ids=["unknown-child", "child-named-twice", "cycle-through-root",
             "unreachable", "unknown-infoset", "infoset-disagrees",
-            "leaf-arity", "defined-twice", "no-header", "no-root"])
+            "leaf-arity", "defined-twice", "no-header", "no-root",
+            "infoset-defined-twice", "second-header", "shared-infoset-key"])
     def test_error_names_its_line(self, tmp_path, lines, lineno, message):
         path = tmp_path / "bad.efg"
         path.write_text("\n".join(lines) + "\n")
@@ -931,7 +944,7 @@ class TestBucketedMatchesPerInfoset:
                 [s.r for s in states]).tobytes()
             assert state.prediction.tobytes() == np.concatenate(
                 [s.prediction for s in states]).tobytes()
-            h = efg.counterfactual_regret_operator(tree, played, validate=False)
+            h = efg.counterfactual_regret_operator(tree, played)
             assert h.vector.tobytes() == np.concatenate(
                 oracles.regret_operator_per_infoset(tree, expected)).tobytes()
             averager.observe(played)
@@ -1088,12 +1101,34 @@ DIGEST_TREES = {
 # joined the digest, each table then hashing alike on both sides; a saved
 # tree loads back to the very same digest
 TREE_DIGESTS = {
-    "kuhn3": "16a4e303f8c1a52b", "kuhn4": "4cf3c56e74dde55c",
-    "kuhn5": "215f96cd4805c16b", "kuhn6": "eeebee56762d6de2",
-    "liars2": "0d2ab2ae4dec9433", "liars3": "130ab7dd34b6518a",
-    "bimatrix": "5a4b779c7744b72b", "chain1500": "688223bf9591dfe8",
-    "wide": "722e35fd46a4b51e",
+    "kuhn3": "d670b912daedfa02", "kuhn4": "74bccf6d080086e8",
+    "kuhn5": "e76576a41c922fef", "kuhn6": "7d444c992e808a8f",
+    "liars2": "986aeac245ffc6a5", "liars3": "c9dfbede5fb26cda",
+    "bimatrix": "510d08bc1c90df93", "chain1500": "94abf81b7d68676b",
+    "wide": "c9c8d5fb0269d74c",
 }
+
+
+def assert_breadth_first(tree: efg.GameTree) -> None:
+    """Node ids are the breadth-first order from the root, each node's
+    children contiguous and in action order: the positions the compiled
+    passes index by."""
+    next_id = 1
+    for node in tree.nodes:
+        children = getattr(node, "children", ())
+        assert children == tuple(range(next_id, next_id + len(children)))
+        next_id += len(children)
+    assert next_id == len(tree.nodes)
+
+
+class TestNodeNumbering:
+    @pytest.mark.parametrize("name", sorted({*TREES, *DIGEST_TREES}))
+    def test_breadth_first(self, name, tmp_path):
+        tree = TREES[name] if name in TREES else DIGEST_TREES[name]()
+        assert_breadth_first(tree)
+        path = tmp_path / "tree.efg"
+        efg.save_tree(tree, path)
+        assert_breadth_first(efg.load_tree(path))
 
 
 class TestCompiledTreeDigests:

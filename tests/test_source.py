@@ -67,3 +67,18 @@ def test_every_compiled_tree_attribute_is_read_outside_its_init():
                 and isinstance(node.value, ast.Name) and node.value.id == "self"}
     assert len(assigned) > 10
     assert sorted(assigned - read) == []
+
+
+def test_only_counterfactual_values_takes_validate():
+    """``validate`` is a parameter of one library function: the full tree
+    pass that a CFR round calls on a profile it made itself."""
+    owners = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)]
+                if "validate" in names:
+                    owners.add((path.relative_to(SRC).as_posix(), node.name))
+    assert owners == {("efg/values.py", "counterfactual_values")}
