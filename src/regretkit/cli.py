@@ -13,8 +13,9 @@ Games are referenced by one spec in every command: a built-in name
 Liar's dice for P in {2, 3} players), a seeded random spec
 (``random-matrix:30x40``, ``random-nfg:3,3,3``) that draws one instance
 per seed, which is how sweeps cover instance distributions, or else a
-game file path.
-Relative output paths are resolved against $REGRETKIT_OUTDIR when set.
+game file path: ``games.load_game`` reads every kind, ``save_game`` writes it.
+Relative output paths are resolved against $REGRETKIT_OUTDIR when set,
+and their parent directories are created.
 
 Exit codes: 0 success, 2 configuration error (including unknown flags),
 3 numerical failure (a non-finite iterate; the message names the round).
@@ -26,6 +27,7 @@ import argparse
 import os
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +56,14 @@ _GAME_HELP = ("game file, built-in name (hard3x3, kuhn<R>, liars<P>), or "
 
 
 def _resolve_out(path: str | None) -> Path | None:
+    """``path`` under $REGRETKIT_OUTDIR when relative; makes its parent."""
     if path is None:
         return None
     p = Path(path)
     base = os.environ.get("REGRETKIT_OUTDIR")
     if base and not p.is_absolute():
         p = Path(base) / p
+    p.parent.mkdir(parents=True, exist_ok=True)
     return p
 
 
@@ -82,10 +86,6 @@ def _load_any_game(spec: str, seed: int = 0):
     path = Path(spec)
     if not path.exists():
         raise ValueError(f"game file not found: {spec}")
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().split()
-    if first and first[0] == "efg":
-        return efg.load_tree(path)
     return load_game(path)
 
 
@@ -104,9 +104,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="step size, or 'auto' for the prescribed value")
     parser.add_argument("--r0", type=float, default=1.0)
     parser.add_argument("--avg", choices=("uniform", "linear"), default="linear")
-    alt = parser.add_mutually_exclusive_group()
-    alt.add_argument("--alt", dest="alt", action="store_true", default=False)
-    alt.add_argument("--no-alt", dest="alt", action="store_false")
+    parser.add_argument("--alt", action="store_true")
     parser.add_argument("--iters", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--skip", type=int, default=0,
@@ -144,7 +142,6 @@ def _cmd_run(args) -> int:
     if out is None:
         trace.write_csv(sys.stdout)
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
         with open(out, "w", encoding="utf-8") as fh:
             trace.write_csv(fh)
     return 0
@@ -191,34 +188,32 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_counterexample(args) -> int:
-    seq = instability_losses(args.iters, args.variant, scaled=args.scaled)
+    losses = instability_losses(args.iters, args.variant, scaled=args.scaled)
     lines = [f"# variant={args.variant}", f"# scaled={int(args.scaled)}",
              "t,loss_0,loss_1,x_0,x_1"]
     if args.rational:
-        played = replay_exact(seq.fractions(), args.variant)
-        for t, (loss, x) in enumerate(zip(seq.fractions(), played), start=1):
-            lines.append(f"{t},{loss[0]},{loss[1]},{x[0]},{x[1]}")
+        played = replay_exact(losses, args.variant)
+        for t, (loss, x) in enumerate(zip(losses, played), start=1):
+            lines.append(f"{t},{Fraction(loss[0])},{Fraction(loss[1])},"
+                         f"{x[0]},{x[1]}")
     else:
         step = rm_plus_step if args.variant == "rm+" else prm_plus_step
         state = AggregateState.initial(2)
-        for t in range(1, args.iters + 1):
-            state, x = step(state, seq.losses[t - 1])
-            lines.append(f"{t},{seq.losses[t-1][0]:.17g},{seq.losses[t-1][1]:.17g},"
+        for t, loss in enumerate(losses, start=1):
+            state, x = step(state, loss)
+            lines.append(f"{t},{loss[0]:.17g},{loss[1]:.17g},"
                          f"{x[0]:.17g},{x[1]:.17g}")
     text = "\n".join(lines) + "\n"
     out = _resolve_out(args.out)
     if out is None:
         sys.stdout.write(text)
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text, encoding="utf-8")
     return 0
 
 
 def _cmd_gen(args) -> int:
-    game = _load_any_game(args.game, args.seed)
-    save = efg.save_tree if isinstance(game, efg.GameTree) else save_game
-    save(game, _resolve_out(args.out))
+    save_game(_load_any_game(args.game, args.seed), _resolve_out(args.out))
     return 0
 
 

@@ -318,12 +318,12 @@ def replay_exact(losses, variant: str) -> list[tuple[Fraction, ...]]:
     """Replay a loss sequence through RM+ or PRM+ in exact rational
     arithmetic, starting from R = 0.  Returns the played strategies.
 
-    ``losses`` is a sequence of per-round loss tuples (any Fraction-
-    convertible entries); ``variant`` is ``"rm+"`` or ``"prm+"``.
+    ``losses`` holds per-round loss rows, a sequence or a ``(T, d)`` array
+    of Fraction-convertible entries; ``variant`` is ``"rm+"`` or ``"prm+"``.
     """
     if variant not in ("rm+", "prm+"):
         raise ValueError(f"unknown variant: {variant!r}")
-    if not losses:
+    if not len(losses):
         return []
     dim = len(losses[0])
     r = tuple(_ZERO for _ in range(dim))

@@ -244,8 +244,7 @@ class CompiledTree:
     positions and the children of a node are contiguous, in action order.
     Per position: ``parent`` (-1 at the root), ``mover`` (the player,
     ``num_players`` for chance, -1 at leaves), ``infoset`` (-1 off
-    decision nodes), ``first_child`` and ``num_children``; ``members[j]``
-    is infoset j's ``Infoset.nodes``.
+    decision nodes), ``first_child`` and ``num_children``.
     ``levels`` holds the ``(lo, hi)`` position range of every depth below
     the root; ``leaves`` and ``leaf_payoffs`` (one row per leaf) hold the
     payoff matrix.  Infoset j owns block j of one flat behavioural vector,
@@ -308,8 +307,6 @@ class CompiledTree:
         self.leaf_payoffs = np.array(
             [tree.nodes[p].payoffs for p in self.leaves.tolist()],
             dtype=float).reshape(-1, n)
-        self.members = tuple(np.array(j.nodes, dtype=np.intp)
-                             for j in tree.infosets)
 
         dfs: list[int] = []
         stack = [0]

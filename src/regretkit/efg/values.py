@@ -285,7 +285,7 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
     value = value.tolist()
     mover, infoset = flat.mover.tolist(), flat.infoset.tolist()
     first, fan = flat.first_child.tolist(), flat.num_children.tolist()
-    choice = [-1] * len(flat.members)
+    choice = [-1] * len(tree.infosets)
     for pos in order:
         start = first[pos]
         if mover[pos] != player:
@@ -296,7 +296,7 @@ def best_response_value(tree: GameTree, player: int, leaf_weights) -> float:
             continue
         j = infoset[pos]
         if choice[j] < 0:
-            firsts = [first[m] for m in flat.members[j].tolist()]
+            firsts = [first[m] for m in tree.infosets[j].nodes]
             best, choice[j] = -np.inf, 0
             for action in range(fan[pos]):
                 total = 0.0

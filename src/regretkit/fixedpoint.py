@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import BlockVector, as_flat
-from .games import MatrixGame, spectral_norm
+from .games import MatrixGame
 from .stabilized import _check_finite, _chopped_kernel
 
 __all__ = [
@@ -121,10 +121,9 @@ def operator_F(z_blocks, game) -> BlockVector:
 
 def lipschitz_bound(game) -> float:
     """Upper bound L_F on the Lipschitz constant of F over X>."""
-    if isinstance(game, MatrixGame):
-        d1, d2 = game.dims
-        return 6.0**0.5 * spectral_norm(game.payoff) * max(d1, d2)
     b_u, l_u = game.constants
+    if isinstance(game, MatrixGame):
+        return 6.0**0.5 * l_u * max(game.dims)
     return max(game.dims) * (2.0 * b_u**2 + 4.0 * l_u**2) ** 0.5
 
 

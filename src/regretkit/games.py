@@ -21,7 +21,9 @@ one C-order copy).  Each step is one ``np.dot`` on exactly the operands
 
 Game file grammar (``save_game`` / ``load_game``)
 -------------------------------------------------
-Plain text; blank lines and ``#`` comment lines are ignored; tokens are
+Plain text; blank lines and ``#`` comments are ignored, and the first
+token names the kind: ``matrix``, ``nfg``, or ``efg`` for a tree file
+(``efg.tree``'s grammar).  Matrix and normal-form tokens are
 whitespace-separated and may wrap lines freely.
 
 Matrix game (two-line header, then the d1 x d2 payoff grid in row-major
@@ -47,7 +49,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -57,7 +58,6 @@ from .core import BlockLayout
 __all__ = [
     "MatrixGame",
     "NormalFormGame",
-    "LossSequence",
     "hard_instance",
     "instability_losses",
     "random_matrix_game",
@@ -279,19 +279,6 @@ def hard_instance() -> MatrixGame:
     ]))
 
 
-@dataclass(frozen=True)
-class LossSequence:
-    """Adversarial two-action loss sequence; ``losses`` has shape (T, 2)."""
-
-    losses: np.ndarray
-    variant: str
-    scaled: bool
-
-    def fractions(self) -> list[tuple[Fraction, Fraction]]:
-        """Exact dyadic values for the rational replay."""
-        return [(Fraction(float(a)), Fraction(float(b))) for a, b in self.losses]
-
-
 def _instability_scalar(t: int, variant: str) -> float:
     # first component of the round-t loss; the second component is 0
     if variant == "rm+":
@@ -311,8 +298,8 @@ def _instability_scalar(t: int, variant: str) -> float:
     raise ValueError(f"unknown variant: {variant!r}")
 
 
-def instability_losses(T: int, variant: str, scaled: bool = False) -> LossSequence:
-    """The loss sequences driving (P)RM+ into perpetual oscillation.
+def instability_losses(T: int, variant: str, scaled: bool = False) -> np.ndarray:
+    """The ``(T, 2)`` losses driving (P)RM+ into perpetual oscillation.
 
     Replayed from R = 0, the strategy alternates between (1/2, 1/2) at odd
     rounds and (0, 1) at even rounds.  With ``scaled`` the sequence is
@@ -333,7 +320,7 @@ def instability_losses(T: int, variant: str, scaled: bool = False) -> LossSequen
         first = first / np.abs(first).max()
     out = np.zeros((T, 2))
     out[:, 0] = first
-    return LossSequence(out, variant, scaled)
+    return out
 
 
 def random_matrix_game(d1: int, d2: int, seed: int) -> MatrixGame:
@@ -375,7 +362,14 @@ def duality_gap(game: MatrixGame, x, y) -> float | np.ndarray:
 
 
 def save_game(game, path) -> None:
-    """Write a matrix or normal-form game in the game-file grammar."""
+    """Write a matrix game, normal-form game or game tree in its grammar."""
+    from . import efg  # efg imports this module, through fixedpoint
+    if isinstance(game, efg.GameTree):
+        efg.save_tree(game, path)
+        return
+    # checked first: opening the path truncates a file already there
+    if not isinstance(game, (MatrixGame, NormalFormGame)):
+        raise ValueError(f"cannot serialize {type(game).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(game, MatrixGame):
             d1, d2 = game.dims
@@ -383,13 +377,11 @@ def save_game(game, path) -> None:
             fh.write(f"{d1} {d2}\n")
             for row in game.payoff:
                 fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-        elif isinstance(game, NormalFormGame):
+        else:
             fh.write(f"nfg {game.num_players}\n")
             fh.write(" ".join(str(d) for d in game.dims) + "\n")
             for u in game.payoffs:
                 fh.write(" ".join(f"{v:.17g}" for v in u.ravel()) + "\n")
-        else:
-            raise ValueError(f"cannot serialize {type(game).__name__}")
 
 
 def _tokens(path):
@@ -401,7 +393,8 @@ def _tokens(path):
 
 
 def load_game(path):
-    """Parse a game file (see the module docstring for the grammar).
+    """Parse a game file of any kind (see the module docstring for the
+    grammar); an ``efg`` file is read by ``efg.load_tree``.
 
     Every malformed input raises ValueError naming the file and the line
     of the offending token."""
@@ -409,6 +402,9 @@ def load_game(path):
     kind, line = next(tokens, (None, 0))
     if kind is None:
         raise ValueError(f"{path}: empty game file")
+    if kind == "efg":
+        from . import efg  # efg imports this module, through fixedpoint
+        return efg.load_tree(path)
 
     def error(message: str) -> ValueError:
         return ValueError(f"{path}:{line}: {message}")

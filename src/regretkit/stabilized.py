@@ -163,11 +163,9 @@ def _ragged_chopped(y: np.ndarray, layout) -> np.ndarray:
 
 
 def _in_chopped(r):
-    """Membership in D> (floor 1, 1e-9 slack on the mass), one bool per
-    row of a ``(rows, d)`` stack; NaN fails it, an infinite mass passes."""
-    if r.ndim == 1:
-        return (r >= 0.0).all() and r.sum() >= 1.0 - 1e-9
-    return (r >= 0.0).all(axis=1) & (r.sum(axis=1) >= 1.0 - 1e-9)
+    """Membership of one block in D> (floor 1, 1e-9 slack on the mass);
+    NaN fails it, an infinite mass passes."""
+    return (r >= 0.0).all() and r.sum() >= 1.0 - 1e-9
 
 
 @dataclass(frozen=True)

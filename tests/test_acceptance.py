@@ -66,8 +66,8 @@ def test_criterion_1_exact_instability():
     half = Fraction(1, 2)
     for variant in ("rm+", "prm+"):
         for scaled in (False, True):
-            seq = instability_losses(40, variant, scaled=scaled)
-            played = replay_exact(seq.fractions(), variant)
+            losses = instability_losses(40, variant, scaled=scaled)
+            played = replay_exact(losses, variant)
             for t, x in enumerate(played, start=1):
                 expected = ((half, half) if t % 2 == 1
                             else (Fraction(0), Fraction(1)))
@@ -75,7 +75,7 @@ def test_criterion_1_exact_instability():
             state = AggregateState.initial(2)
             step = rm_plus_step if variant == "rm+" else prm_plus_step
             for t in range(1, 41):
-                state, x = step(state, seq.losses[t - 1])
+                state, x = step(state, losses[t - 1])
                 target = ([0.5, 0.5] if t % 2 == 1 else [0.0, 1.0])
                 assert np.max(np.abs(x - np.array(target))) <= 1e-12
     elapsed = time.perf_counter() - start

@@ -86,6 +86,17 @@ class TestRun:
             main(["run", "--algo", "rm+", "--game", "hard3x3", "--frobnicate"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_no_alt_is_gone(self, tmp_path, capsys, command):
+        """Simultaneous updates are the default: ``--alt`` is the one
+        switch, and ``--no-alt`` is an unknown flag."""
+        sweep = ["--etas", "0.1", "--outdir", str(tmp_path)]
+        with pytest.raises(SystemExit) as info:
+            main([command, "--algo", "rm+", "--game", "hard3x3", "--iters",
+                  "2", "--no-alt", *(sweep if command == "sweep" else [])])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --no-alt" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_numerical_failure_exits_three(self, capsys):
         code, _, err = run_cli(
@@ -167,6 +178,22 @@ class TestRun:
              "--out", "sub/trace.csv"], capsys)
         assert code == 0
         assert (tmp_path / "sub" / "trace.csv").exists()
+
+    @pytest.mark.parametrize("opening", ["# Kuhn poker, 3 ranks\n", "\n"],
+                             ids=["comment", "blank-line"])
+    def test_tree_file_may_open_with_a_comment_or_blank_line(
+            self, tmp_path, capsys, opening):
+        plain, padded = tmp_path / "plain.efg", tmp_path / "padded.efg"
+        efg.save_tree(efg.build_kuhn(2, 3), plain)
+        padded.write_text(opening + plain.read_text())
+        outputs = []
+        for path in (plain, padded):
+            code, out, err = run_cli(
+                ["run", "--algo", "predictive-cfr", "--game", str(path),
+                 "--iters", "2"], capsys)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_tree_game_by_name(self, capsys):
         code, out, _ = run_cli(
@@ -326,6 +353,14 @@ class TestGenAndSweep:
         assert lines[:3] == ["# variant=rm+", "# scaled=0",
                              "t,loss_0,loss_1,x_0,x_1"]
         assert len(lines) == 3 + 4
+
+    def test_gen_makes_the_output_directory(self, tmp_path, capsys):
+        out, expected = tmp_path / "new" / "dir" / "k.efg", tmp_path / "k.efg"
+        code, _, err = run_cli(
+            ["gen", "--game", "kuhn3", "--out", str(out)], capsys)
+        assert code == 0, err
+        efg.save_tree(efg.build_kuhn(2, 3), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_gen_kuhn_tree(self, tmp_path, capsys):
         out = tmp_path / "kuhn.efg"

@@ -259,8 +259,8 @@ class TestStabilityBound:
 class TestExactInstability:
     @pytest.mark.parametrize("variant", ["rm+", "prm+"])
     def test_rational_replay_alternates(self, variant):
-        seq = instability_losses(40, variant)
-        played = replay_exact(seq.fractions(), variant)
+        losses = instability_losses(40, variant)
+        played = replay_exact(losses, variant)
         half = Fraction(1, 2)
         for t, x in enumerate(played, start=1):
             if t % 2 == 1:
@@ -271,21 +271,24 @@ class TestExactInstability:
     @pytest.mark.parametrize("variant", ["rm+", "prm+"])
     @pytest.mark.parametrize("scaled", [False, True])
     def test_float_replay_alternates(self, variant, scaled):
-        seq = instability_losses(40, variant, scaled=scaled)
+        losses = instability_losses(40, variant, scaled=scaled)
         state = AggregateState.initial(2)
         step = rm_plus_step if variant == "rm+" else prm_plus_step
         for t in range(1, 41):
-            state, x = step(state, seq.losses[t - 1])
+            state, x = step(state, losses[t - 1])
             target = [0.5, 0.5] if t % 2 == 1 else [0.0, 1.0]
             np.testing.assert_allclose(x, target, atol=1e-12)
 
+    @pytest.mark.parametrize("losses", [[], np.zeros((0, 2))],
+                             ids=["list", "array"])
+    def test_empty_replay(self, losses):
+        assert replay_exact(losses, "rm+") == []
+
     def test_scaled_and_unscaled_match_exactly(self):
         for variant in ("rm+", "prm+"):
-            raw = replay_exact(instability_losses(40, variant).fractions(),
-                               variant)
+            raw = replay_exact(instability_losses(40, variant), variant)
             scaled = replay_exact(
-                instability_losses(40, variant, scaled=True).fractions(),
-                variant)
+                instability_losses(40, variant, scaled=True), variant)
             assert raw == scaled
 
 

@@ -178,8 +178,11 @@ class TestArgumentErrors:
          "step size eta must be positive"),
         (lambda tree, x: efg.BehavioralAverager(tree, "median"),
          "unknown averaging scheme 'median'"),
+        (lambda tree, x: efg.build_bimatrix_tree(np.ones((2, 2)),
+                                                 np.ones((2, 3))),
+         "need two payoff matrices of one shape"),
     ], ids=["block-count", "block-width", "off-simplex", "edge-probs",
-            "state-size", "eta", "averaging"])
+            "state-size", "eta", "averaging", "bimatrix-shapes"])
     def test_raises(self, call, message):
         tree = efg.build_kuhn(2, 3)
         with pytest.raises(ValueError, match=message):
@@ -1101,11 +1104,11 @@ DIGEST_TREES = {
 # joined the digest, each table then hashing alike on both sides; a saved
 # tree loads back to the very same digest
 TREE_DIGESTS = {
-    "kuhn3": "d670b912daedfa02", "kuhn4": "74bccf6d080086e8",
-    "kuhn5": "e76576a41c922fef", "kuhn6": "7d444c992e808a8f",
-    "liars2": "986aeac245ffc6a5", "liars3": "c9dfbede5fb26cda",
-    "bimatrix": "510d08bc1c90df93", "chain1500": "94abf81b7d68676b",
-    "wide": "c9c8d5fb0269d74c",
+    "kuhn3": "ee12c1207f9e3d0c", "kuhn4": "b326c718a9a231e4",
+    "kuhn5": "7a67934a41e3bdcd", "kuhn6": "ba11e9d2e57060d7",
+    "liars2": "b5d1af242707d5a2", "liars3": "31ee76cfa661f667",
+    "bimatrix": "e7f875ca5a2cfacf", "chain1500": "82d07ddf905c7642",
+    "wide": "aa47eedab3c915eb",
 }
 
 

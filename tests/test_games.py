@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from regretkit import efg
 from regretkit.core import AggregateState, rm_plus_step
 from regretkit.games import (
     MatrixGame,
@@ -243,8 +244,16 @@ class TestArgumentErrors:
         (lambda: random_nfg((2, 3), 0).gradients([np.full(2, 0.5),
                                                   np.full(2, 0.5)]),
          "dimension mismatch for player 1"),
+        (lambda: random_matrix_game(0, 3, 0), "dimensions must be positive"),
+        (lambda: random_matrix_game(2, -1, 0), "dimensions must be positive"),
+        (lambda: random_nfg((3,), 0),
+         "need >= 2 players with positive action counts"),
+        (lambda: random_nfg((2, 0), 0),
+         "need >= 2 players with positive action counts"),
     ], ids=["matrix-1d", "matrix-nan", "nfg-empty", "nfg-axes", "nfg-shapes",
-            "nfg-inf", "gradient-count", "gradient-dim"])
+            "nfg-inf", "gradient-count", "gradient-dim", "random-matrix-rows",
+            "random-matrix-columns", "random-nfg-one-player",
+            "random-nfg-no-actions"])
     def test_raises(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -262,26 +271,26 @@ class TestHardInstance:
 
 class TestInstabilityLosses:
     def test_rm_plus_sequence(self):
-        seq = instability_losses(6, "rm+")
-        np.testing.assert_array_equal(seq.losses[:, 0],
+        losses = instability_losses(6, "rm+")
+        np.testing.assert_array_equal(losses[:, 0],
                                       [2.0, -1.0, 2.0, -2.0, 4.0, -4.0])
-        np.testing.assert_array_equal(seq.losses[:, 1], np.zeros(6))
+        np.testing.assert_array_equal(losses[:, 1], np.zeros(6))
 
     def test_prm_plus_sequence(self):
-        seq = instability_losses(4, "prm+")
-        np.testing.assert_array_equal(seq.losses[:, 0], [4.0, -1.0, 4.0, -2.0])
+        losses = instability_losses(4, "prm+")
+        np.testing.assert_array_equal(losses[:, 0], [4.0, -1.0, 4.0, -2.0])
 
     def test_scaled_bounds(self):
         for variant in ("rm+", "prm+"):
-            seq = instability_losses(17, variant, scaled=True)
-            assert np.abs(seq.losses).max() == 1.0
-            assert np.all(np.abs(seq.losses) <= 1.0)
+            losses = instability_losses(17, variant, scaled=True)
+            assert np.abs(losses).max() == 1.0
+            assert np.all(np.abs(losses) <= 1.0)
 
     def test_replay_alternates(self):
-        seq = instability_losses(12, "rm+")
+        losses = instability_losses(12, "rm+")
         state = AggregateState.initial(2)
         for t in range(1, 13):
-            state, x = rm_plus_step(state, seq.losses[t - 1])
+            state, x = rm_plus_step(state, losses[t - 1])
             expected = [0.5, 0.5] if t % 2 == 1 else [0.0, 1.0]
             np.testing.assert_allclose(x, expected, atol=1e-12)
 
@@ -293,11 +302,11 @@ class TestInstabilityLosses:
 
     @pytest.mark.parametrize("variant,largest", [("rm+", 2048), ("prm+", 2046)])
     def test_largest_horizon_in_float_range(self, variant, largest):
-        seq = instability_losses(largest, variant)
-        assert np.all(np.isfinite(seq.losses))
-        assert np.abs(seq.losses).max() == 2.0**1023
+        losses = instability_losses(largest, variant)
+        assert np.all(np.isfinite(losses))
+        assert np.abs(losses).max() == 2.0**1023
         assert np.abs(instability_losses(largest, variant,
-                                         scaled=True).losses).max() == 1.0
+                                         scaled=True)).max() == 1.0
         with pytest.raises(ValueError, match=f"at most T={largest}"):
             instability_losses(largest + 1, variant)
         with pytest.raises(ValueError, match=f"at most T={largest}"):
@@ -414,6 +423,29 @@ class TestGameFiles:
         for a, b in zip(loaded.payoffs, game.payoffs):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("opening", ["", "# Kuhn poker\n", "\n \n"],
+                             ids=["plain", "comment", "blank-lines"])
+    def test_tree_round_trip(self, tmp_path, opening):
+        """``save_game`` writes a tree as ``save_tree`` does, and
+        ``load_game`` reads it back under the comment and blank-line rule."""
+        tree = efg.build_kuhn(2, 3)
+        path, expected = tmp_path / "k.efg", tmp_path / "expected.efg"
+        save_game(tree, path)
+        efg.save_tree(tree, expected)
+        assert path.read_bytes() == expected.read_bytes()
+        path.write_text(opening + path.read_text())
+        efg.save_tree(load_game(path), path)
+        assert path.read_bytes() == expected.read_bytes()
+
+    def test_save_rejects_a_non_game(self, tmp_path):
+        """It raises before opening: a file already at the path keeps its
+        bytes."""
+        path = tmp_path / "g.game"
+        path.write_text("matrix\n1 1\n5\n")
+        with pytest.raises(ValueError, match="cannot serialize dict"):
+            save_game({}, path)
+        assert path.read_text() == "matrix\n1 1\n5\n"
+
     def test_grammar_golden(self, tmp_path):
         path = tmp_path / "tiny.game"
         path.write_text("# comment line\nmatrix\n2 2\n1 0\n0 1\n")
@@ -430,7 +462,7 @@ class TestGameFiles:
             load_game(path)
 
     @given(st.lists(st.sampled_from(
-        ["matrix", "nfg", "0", "1", "2", "3", "-1", "0.5", "x", "inf",
+        ["matrix", "nfg", "efg", "0", "1", "2", "3", "-1", "0.5", "x", "inf",
          "nan", "#", "\n"]), max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_any_token_stream_parses_or_names_its_line(self, tmp_path_factory,

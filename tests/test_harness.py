@@ -439,10 +439,13 @@ class TestArgumentErrors:
          "eta must be 'auto' or a positive real"),
         (lambda: SolverConfig(algorithm="rm+", k_max=0).validate(),
          "k_max must be >= 1"),
+        (lambda: SolverConfig(algorithm="conceptual-rm+",
+                              eps_schedule="abc").validate(),
+         "unknown eps schedule 'abc'"),
         (lambda: slope_loglog([1.0, 10.0], [1.0, 0.1], 5.0, 20.0),
          "fewer than 2 rows"),
     ], ids=["algorithm", "averaging", "report-skip", "eta-negative",
-            "eta-nan", "eta-word", "k-max", "one-row-window"])
+            "eta-nan", "eta-word", "k-max", "eps-word", "one-row-window"])
     def test_raises(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -500,6 +503,17 @@ class TestHeaderAndCsv:
         assert header["algorithm"] == "rm+"
         np.testing.assert_array_equal(ts, trace.t)
         np.testing.assert_allclose(gaps, trace.gap, rtol=1e-15)
+
+    def test_read_back_skips_blank_lines(self, tmp_path):
+        trace = run(SolverConfig(algorithm="rm+", iters=5), hard_instance())
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        path = tmp_path / "trace.csv"
+        path.write_text(buf.getvalue().replace("\n", "\n\n"))
+        header, ts, gaps = read_trace_csv(path)
+        assert header["algorithm"] == "rm+"
+        np.testing.assert_array_equal(ts, trace.t)
+        assert gaps.tobytes() == trace.gap.tobytes()
 
     def test_rate_estimate_on_trace(self):
         trace = run(SolverConfig(algorithm="exrm+", eta=0.1, iters=3000),

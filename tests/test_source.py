@@ -82,3 +82,19 @@ def test_only_counterfactual_values_takes_validate():
                 if "validate" in names:
                     owners.add((path.relative_to(SRC).as_posix(), node.name))
     assert owners == {("efg/values.py", "counterfactual_values")}
+
+
+def test_cli_reads_and_writes_game_files_through_games():
+    """``cli`` names neither tree-file function: every game file is read by
+    ``games.load_game`` and written by ``games.save_game``."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant):  # getattr(efg, "load_tree")
+            names.add(node.value)
+    assert not names & {"load_tree", "save_tree"}
