@@ -15,7 +15,8 @@ Liar's dice for P in {2, 3} players), a seeded random spec
 per seed, which is how sweeps cover instance distributions, or else a
 game file path: ``games.load_game`` reads every kind, ``save_game`` writes it.
 Relative output paths are resolved against $REGRETKIT_OUTDIR when set,
-and their parent directories are created.
+and their parent directories are created; ``sweep`` writes nothing until
+every cell's game and settings check out.
 
 Exit codes: 0 success, 2 configuration error (including unknown flags),
 3 numerical failure (a non-finite iterate; the message names the round).
@@ -152,26 +153,24 @@ def _cmd_sweep(args) -> int:
     if not etas:
         raise ValueError(f"--etas {args.etas!r} lists no step size")
     seeds = _parse_seeds(args.seeds)
-    outdir = _resolve_out(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    summary_rows = []
-    for eta in etas:
-        for seed in seeds:
-            # random-* specs draw one instance per seed; files are fixed
-            game = _load_any_game(args.game, seed)
-            trace = run(_config_from(args, eta=eta, seed=seed), game)
-            name = f"{args.algo.replace('+', 'p')}_eta{eta}_seed{seed}.csv"
-            with open(outdir / name, "w", encoding="utf-8") as fh:
-                trace.write_csv(fh)
-            summary_rows.append((
-                eta, seed, trace.gap[-1] if trace.gap.size else float("nan"),
-                float(np.max(trace.regret_max[-1])) if trace.t.size else float("nan"),
-            ))
-    with open(outdir / "summary.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# algorithm={args.algo}\n# game={args.game}\n")
-        fh.write("eta,seed,final_gap,final_regret_max\n")
-        for eta, seed, gap, reg in summary_rows:
-            fh.write(f"{eta},{seed},{gap:.17g},{reg:.17g}\n")
+    # random-* specs draw one instance per seed; files are fixed
+    games = {seed: _load_any_game(args.game, seed) for seed in seeds}
+    cells = [(eta, seed, _config_from(args, eta=eta, seed=seed))
+             for eta in etas for seed in seeds]
+    for _, _, config in cells:
+        config.validate()
+    summary = [f"# algorithm={args.algo}\n# game={args.game}\n",
+               "eta,seed,final_gap,final_regret_max\n"]
+    for eta, seed, config in cells:
+        trace = run(config, games[seed])
+        name = f"{args.algo.replace('+', 'p')}_eta{eta}_seed{seed}.csv"
+        with open(_resolve_out(os.path.join(args.outdir, name)), "w",
+                  encoding="utf-8") as fh:
+            trace.write_csv(fh)
+        summary.append(f"{eta},{seed},{trace.gap[-1]:.17g},"
+                       f"{np.max(trace.regret_max[-1]):.17g}\n")
+    _resolve_out(os.path.join(args.outdir, "summary.csv")).write_text(
+        "".join(summary), encoding="utf-8")
     return 0
 
 

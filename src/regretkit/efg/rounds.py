@@ -17,7 +17,7 @@ States, played profiles and regrets are flat vectors in the compiled
 tree's behavioural layout (``CompiledTree.layout``): predictive CFR's
 state one ``core.AggregateState`` (start: ``AggregateState.initial``),
 the clairvoyant state the lifted vector z (start: the uniform blocks of
-``fixedpoint.initial_lifted_point``).  Played profiles are handed back
+``stabilized.initial_lifted_point``).  Played profiles are handed back
 as ``BlockVector``s, read as one block per infoset.  Both rounds are
 pure, with one loop over update groups (``CompiledTree.groups``): every
 infoset at once, or, with ``alternate``, one player's infosets at a
@@ -32,7 +32,7 @@ predictive step is ``core._prm_plus_update`` from the bucket's played
 blocks, g([r + m]+) as the round computed them; each chopped projection
 of a group is one ``stabilized._ragged_chopped`` call.  The checks sit
 at entry (the state's size, eta, and the chopped membership of z, whose
-block masses ghat(z) shares, by ``fixedpoint._plays``), and once per
+block masses ghat(z) shares, by ``stabilized._plays``), and once per
 group, where a predictive round tests the regrets for finiteness.
 ``BehavioralAverager`` keeps the reach-weighted running average of the
 played profiles (uniform or linearly weighted).
@@ -50,8 +50,7 @@ from ..core import (
     _prm_plus_update,
     as_flat,
 )
-from ..fixedpoint import _plays
-from ..stabilized import _in_chopped, _ragged_chopped
+from ..stabilized import _in_chopped, _plays, _ragged_chopped
 from .tree import CompiledTree, GameTree
 from .values import (
     _group_regrets,

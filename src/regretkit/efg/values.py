@@ -92,6 +92,7 @@ import numpy as np
 
 from ..core import BlockVector, as_flat
 from ..core import joint_distance as behavioral_distance
+from ..stabilized import initial_lifted_point
 from .tree import CompiledTree, GameTree
 
 __all__ = [
@@ -113,7 +114,7 @@ __all__ = [
 
 def uniform_behavioral(tree: GameTree) -> list[np.ndarray]:
     """The profile playing every action of every infoset equally often."""
-    return [np.full(j.num_actions, 1.0 / j.num_actions) for j in tree.infosets]
+    return initial_lifted_point([j.num_actions for j in tree.infosets])
 
 
 def check_behavioral(tree: GameTree, x) -> list[np.ndarray]:

@@ -23,13 +23,11 @@ per player), each per-block step once per width bucket, with the floats
 of the per-block code: a bucket of one block or of a contiguous run of
 blocks is read and written as a view, any other by a gather.  Checks sit
 at the boundary: each inner iteration calls the public ``operator_F``
-(the first at z_{t-1}), whose membership test shares its block masses
-with g(w) (per bucket, one ``min`` over the entries and one over the
-masses, row sums of a C-contiguous stack and so bit for bit the 1-D
-sums, which ``np.add.reduceat``'s are not), and tests the proximal input
-z_{t-1} - eta F(w) once for finiteness.  The solve hands back g(w) and
-F(w) from its last operator call: the played increments <x, l> - l are
--F(w), so a caller needs no further gradient call.
+(the first at z_{t-1}), which checks w and plays g(w) by
+``stabilized._plays``, and tests the proximal input z_{t-1} - eta F(w)
+once for finiteness.  The solve hands back g(w) and F(w) from its last
+operator call: the played increments <x, l> - l are -F(w), so a caller
+needs no further gradient call.
 
 Step-size prescriptions used by the harness: eta = 1/(2 L_F) for the
 conceptual solver and eta = 1/(sqrt(2) L_F) for the extragradient one,
@@ -47,7 +45,7 @@ import numpy as np
 
 from .core import BlockVector, as_flat
 from .games import MatrixGame
-from .stabilized import _check_finite, _chopped_kernel
+from .stabilized import _check_finite, _chopped_kernel, _plays, initial_lifted_point
 
 __all__ = [
     "FixedPointReport",
@@ -90,20 +88,6 @@ def _flat_point(z_blocks, layout) -> np.ndarray:
     return z
 
 
-def _plays(w: np.ndarray, layout) -> np.ndarray:
-    """g(w), w checked to lie in the chopped joint space.  A NaN fails
-    the sign test, so no mass tested is NaN; an infinite mass passes."""
-    x = np.empty(layout.size)
-    for positions, shape in layout._views:
-        rows = w[positions].reshape(shape)
-        mass = np.add.reduce(rows, -1, keepdims=True)
-        if not (np.minimum.reduce(rows, None) >= 0.0
-                and min(mass.ravel().tolist()) >= 1.0 - 1e-9):
-            raise ValueError("point outside the chopped joint space")
-        x[positions] = (rows / mass).ravel()
-    return x
-
-
 def operator_F(z_blocks, game) -> BlockVector:
     """Evaluate F at a feasible joint lifted point (one block per player);
     the value reads as one block per player."""
@@ -125,11 +109,6 @@ def lipschitz_bound(game) -> float:
     if isinstance(game, MatrixGame):
         return 6.0**0.5 * l_u * max(game.dims)
     return max(game.dims) * (2.0 * b_u**2 + 4.0 * l_u**2) ** 0.5
-
-
-def initial_lifted_point(dims) -> list[np.ndarray]:
-    """Per-player uniform blocks (1/d_i) * 1: unit mass, feasible in X>."""
-    return [np.full(d, 1.0 / d) for d in dims]
 
 
 def _solve(z_prev: np.ndarray, game, eta: float, eps_target: float,

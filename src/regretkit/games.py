@@ -22,9 +22,9 @@ one C-order copy).  Each step is one ``np.dot`` on exactly the operands
 Game file grammar (``save_game`` / ``load_game``)
 -------------------------------------------------
 Plain text; blank lines and ``#`` comments are ignored, and the first
-token names the kind: ``matrix``, ``nfg``, or ``efg`` for a tree file
-(``efg.tree``'s grammar).  Matrix and normal-form tokens are
-whitespace-separated and may wrap lines freely.
+token names the kind: ``matrix``, ``nfg``, or ``efg`` for a tree file,
+read and written by ``efg`` in its grammar.  Matrix and normal-form
+tokens are whitespace-separated and may wrap lines freely.
 
 Matrix game (two-line header, then the d1 x d2 payoff grid in row-major
 order; entries are the row player's payoffs)::
@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import efg
 from ._rng import PortableRandom
 from .core import BlockLayout
 
@@ -363,7 +364,6 @@ def duality_gap(game: MatrixGame, x, y) -> float | np.ndarray:
 
 def save_game(game, path) -> None:
     """Write a matrix game, normal-form game or game tree in its grammar."""
-    from . import efg  # efg imports this module, through fixedpoint
     if isinstance(game, efg.GameTree):
         efg.save_tree(game, path)
         return
@@ -403,7 +403,6 @@ def load_game(path):
     if kind is None:
         raise ValueError(f"{path}: empty game file")
     if kind == "efg":
-        from . import efg  # efg imports this module, through fixedpoint
         return efg.load_tree(path)
 
     def error(message: str) -> ValueError:

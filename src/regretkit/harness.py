@@ -72,11 +72,12 @@ from .core import (
     NonFiniteError,
     as_flat,
 )
-from .fixedpoint import initial_lifted_point, lipschitz_bound
+from .fixedpoint import lipschitz_bound
 from .games import MatrixGame, NormalFormGame, duality_gap
 from .stabilized import (
     _initial_state,
     _lifted_round,
+    initial_lifted_point,
     smooth_initial_state,
     stable_initial_state,
 )
@@ -577,7 +578,7 @@ def _tree_family(config: SolverConfig, tree, eta):
     predictive = config.algorithm == "predictive-cfr"
     layout = tree.compiled.layout
     state = (AggregateState.initial(layout.size) if predictive
-             else as_flat(initial_lifted_point(layout.widths)))
+             else as_flat(efg.uniform_behavioral(tree)))
 
     def advance(t):
         nonlocal state
@@ -607,8 +608,6 @@ def run(config: SolverConfig, game) -> RunTrace:
     family = _FAMILY[algo]
     if (family is _tree_family) != isinstance(game, efg.GameTree):
         raise ValueError(f"{algo} is incompatible with {type(game).__name__}")
-    if family is _tree_family and not game.infosets:
-        raise ValueError("the tree has no decision node: no decisions to solve")
     eta, constants = resolve_eta(config, game)
     header = _header(config, game, eta, constants)
     advance = family(config, game, eta)

@@ -34,7 +34,8 @@ the alternation convention of the experiment harness.  The body checks
 nothing its caller built: the public rounds check their inputs (step
 size, dimensions, floors, chopped membership), the harness its floors
 once, at set-up.  Rounds are pure: (state, game) -> (state, played
-strategies).
+strategies).  This module owns the chopped orthant: its projections,
+membership (``_in_chopped``; ``_plays``, with ghat) and uniform start.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ __all__ = [
     "project_chopped",
     "stable_initial_state",
     "smooth_initial_state",
+    "initial_lifted_point",
     "stable_prmp_round",
     "smooth_prmp_round",
     "stable_prmp_round_alternating",
@@ -168,6 +170,27 @@ def _in_chopped(r):
     return (r >= 0.0).all() and r.sum() >= 1.0 - 1e-9
 
 
+def _plays(w: np.ndarray, layout) -> np.ndarray:
+    """ghat(w) per block of ``layout``, w checked to lie in the chopped
+    joint space with the masses ghat divides by: per bucket, row sums,
+    the 1-D sums bit for bit (``np.add.reduceat``'s are not).  NaN fails
+    the sign test; an infinite mass passes."""
+    x = np.empty(layout.size)
+    for positions, shape in layout._views:
+        rows = w[positions].reshape(shape)
+        mass = np.add.reduce(rows, -1, keepdims=True)
+        if not (np.minimum.reduce(rows, None) >= 0.0
+                and min(mass.ravel().tolist()) >= 1.0 - 1e-9):
+            raise ValueError("point outside the chopped joint space")
+        x[positions] = (rows / mass).ravel()
+    return x
+
+
+def initial_lifted_point(dims) -> list[np.ndarray]:
+    """Per-block uniform points (1/d_i) * 1: unit mass, feasible in D>."""
+    return [np.full(d, 1.0 / d) for d in dims]
+
+
 @dataclass(frozen=True)
 class JointLiftedState:
     """Joint lifted state of the two-step predictive update.
@@ -215,7 +238,7 @@ def stable_initial_state(dims, r0) -> JointLiftedState:
 
 def smooth_initial_state(dims) -> JointLiftedState:
     """w^0 = (1/d_i) * 1 per player (unit mass, inside the chopped set)."""
-    return _initial_state(tuple(np.full(d, 1.0 / d) for d in dims))
+    return _initial_state(tuple(initial_lifted_point(dims)))
 
 
 def _checked_round(state: JointLiftedState, game, eta: float, r0,

@@ -15,7 +15,7 @@ from regretkit.games import (
     save_game,
 )
 from regretkit.harness import ALGORITHMS
-from regretkit import efg
+from regretkit import cli, efg
 
 
 def run_cli(args, capsys):
@@ -464,6 +464,68 @@ class TestGenAndSweep:
         assert code == 2
         assert message in err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--game", "nope.game"], "game file not found: nope.game"),
+        (["--etas", "0.1,bad"], "bad eta 'bad'"),
+        (["--etas", "0.1,-1"], "eta must be 'auto' or a positive real"),
+        (["--kmax", "0"], "k_max must be >= 1"),
+        (["--game", "kuhn3"], "rm+ is incompatible with GameTree"),
+    ], ids=["missing-game", "bad-eta", "negative-eta", "zero-kmax",
+            "tree-game"])
+    def test_bad_sweep_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                      flags, message):
+        """Every cell's game and settings are checked before the first
+        write: a bad one leaves no directory and no file behind."""
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(
+            ["sweep", "--algo", "rm+", "--game", "hard3x3", "--iters", "2",
+             "--etas", "0.1", "--seeds", "0:2",
+             "--outdir", str(tmp_path / "made" / "here")] + flags, capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "made").exists()
+
+    @pytest.mark.parametrize("reader,spec", [
+        ("load_game", "m.game"), ("random_nfg", "random-nfg:2,2,2"),
+    ], ids=["file", "random-nfg"])
+    def test_sweep_reads_each_seeds_game_once(self, tmp_path, capsys,
+                                              monkeypatch, reader, spec):
+        save_game(hard_instance(), tmp_path / "m.game")
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        original = getattr(cli, reader)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, reader, counted)
+        code, _, err = run_cli(
+            ["sweep", "--algo", "rm+", "--game", spec, "--iters", "5",
+             "--etas", "0.1,1,10", "--seeds", "0:2",
+             "--outdir", str(tmp_path / "out")], capsys)
+        assert code == 0, err
+        assert len(calls) == 2
+        assert len(list((tmp_path / "out").iterdir())) == 3 * 2 + 1
+
+    def test_sweep_cells_are_runs(self, tmp_path, capsys):
+        """Each sweep CSV is, byte for byte, ``run`` with the cell's eta
+        and seed."""
+        flags = ["--algo", "smooth-prm+", "--alt", "--game",
+                 "random-nfg:3,3,3", "--iters", "200"]
+        code, _, err = run_cli(
+            ["sweep", *flags, "--etas", "0.1,auto", "--seeds", "0:2",
+             "--outdir", str(tmp_path / "sweep")], capsys)
+        assert code == 0, err
+        for eta in ("0.1", "auto"):
+            for seed in ("0", "1"):
+                out = tmp_path / f"run_eta{eta}_seed{seed}.csv"
+                code, _, err = run_cli(["run", *flags, "--eta", eta, "--seed",
+                                        seed, "--out", str(out)], capsys)
+                assert code == 0, err
+                cell = tmp_path / "sweep" / f"smooth-prmp_eta{eta}_seed{seed}.csv"
+                assert cell.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize("row,message", [
         ("garbage", "malformed trace row 'garbage'"),

@@ -98,3 +98,39 @@ def test_cli_reads_and_writes_game_files_through_games():
         elif isinstance(node, ast.Constant):  # getattr(efg, "load_tree")
             names.add(node.value)
     assert not names & {"load_tree", "save_tree"}
+
+
+def _imported_modules(node, package: str) -> set[str]:
+    """Full names of the modules an import statement in ``package`` may
+    name: ``from ..a import b`` in ``regretkit.efg`` gives
+    ``regretkit.a`` and ``regretkit.a.b``."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    parts = package.split(".")
+    if node.level:
+        parts = parts[:len(parts) - node.level + 1]
+    base = ".".join(parts + ([node.module] if node.module else []))
+    return {base} | {f"{base}.{alias.name}" for alias in node.names}
+
+
+def test_imports_sit_at_module_level_and_efg_needs_no_solver_module():
+    """No ``import`` statement sits inside a function, and no module under
+    ``efg/`` imports ``fixedpoint``, ``games`` or ``harness``: the
+    chopped orthant's rules reach ``efg`` from ``stabilized``, so
+    ``games`` imports ``efg`` at module level with no cycle."""
+    nested, efg_imports = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        package = ".".join(["regretkit", *path.relative_to(SRC).parts[:-1]])
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [(name, inner.lineno) for inner in ast.walk(node)
+                           if isinstance(inner, (ast.Import, ast.ImportFrom))]
+            elif (name.startswith("efg/")
+                  and isinstance(node, (ast.Import, ast.ImportFrom))):
+                efg_imports |= {(name, module) for module
+                                in _imported_modules(node, package)}
+    assert nested == []
+    solvers = ("regretkit.fixedpoint", "regretkit.games", "regretkit.harness")
+    assert sorted((name, module) for name, module in efg_imports
+                  if module.startswith(solvers)) == []
