@@ -15,8 +15,10 @@ Liar's dice for P in {2, 3} players), a seeded random spec
 per seed, which is how sweeps cover instance distributions, or else a
 game file path: ``games.load_game`` reads every kind, ``save_game`` writes it.
 Relative output paths are resolved against $REGRETKIT_OUTDIR when set,
-and their parent directories are created; ``sweep`` writes nothing until
-every cell's game and settings check out.
+and their parent directories are created.  ``sweep`` writes nothing until
+every cell's game and settings check out; if a cell then diverges (its
+eta and seed are named) or a write fails, it removes the CSVs it wrote
+and the directories it made, leaving nothing behind.
 
 Exit codes: 0 success, 2 configuration error (including unknown flags),
 3 numerical failure (a non-finite iterate; the message names the round).
@@ -56,16 +58,17 @@ _GAME_HELP = ("game file, built-in name (hard3x3, kuhn<R>, liars<P>), or "
               "seeded spec (random-matrix:D1xD2, random-nfg:D1,D2,..)")
 
 
+def _out_path(path: str) -> Path:
+    """``path`` under $REGRETKIT_OUTDIR when relative."""
+    return Path(os.environ.get("REGRETKIT_OUTDIR", ""), path)
+
+
 def _resolve_out(path: str | None) -> Path | None:
-    """``path`` under $REGRETKIT_OUTDIR when relative; makes its parent."""
-    if path is None:
-        return None
-    p = Path(path)
-    base = os.environ.get("REGRETKIT_OUTDIR")
-    if base and not p.is_absolute():
-        p = Path(base) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
-    return p
+    """``_out_path(path)``, with its parent directories made."""
+    if path is not None:
+        path = _out_path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _load_any_game(spec: str, seed: int = 0):
@@ -153,24 +156,39 @@ def _cmd_sweep(args) -> int:
     if not etas:
         raise ValueError(f"--etas {args.etas!r} lists no step size")
     seeds = _parse_seeds(args.seeds)
-    # random-* specs draw one instance per seed; files are fixed
-    games = {seed: _load_any_game(args.game, seed) for seed in seeds}
+    # random-* specs draw one instance per seed; every other game is fixed
+    games = ({seed: _load_any_game(args.game, seed) for seed in seeds}
+             if args.game.startswith("random-")
+             else dict.fromkeys(seeds, _load_any_game(args.game)))
     cells = [(eta, seed, _config_from(args, eta=eta, seed=seed))
              for eta in etas for seed in seeds]
     for _, _, config in cells:
         config.validate()
     summary = [f"# algorithm={args.algo}\n# game={args.game}\n",
                "eta,seed,final_gap,final_regret_max\n"]
-    for eta, seed, config in cells:
-        trace = run(config, games[seed])
-        name = f"{args.algo.replace('+', 'p')}_eta{eta}_seed{seed}.csv"
-        with open(_resolve_out(os.path.join(args.outdir, name)), "w",
-                  encoding="utf-8") as fh:
-            trace.write_csv(fh)
-        summary.append(f"{eta},{seed},{trace.gap[-1]:.17g},"
-                       f"{np.max(trace.regret_max[-1]):.17g}\n")
-    _resolve_out(os.path.join(args.outdir, "summary.csv")).write_text(
-        "".join(summary), encoding="utf-8")
+    outdir = _out_path(args.outdir)
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
+    written: list[Path] = []
+    try:
+        for eta, seed, config in cells:
+            cell = f"eta={eta}, seed={seed}"
+            trace = run(config, games[seed])
+            name = f"{args.algo.replace('+', 'p')}_eta{eta}_seed{seed}.csv"
+            written.append(_resolve_out(os.path.join(args.outdir, name)))
+            with open(written[-1], "w", encoding="utf-8") as fh:
+                trace.write_csv(fh)
+            summary.append(f"{eta},{seed},{trace.gap[-1]:.17g},"
+                           f"{np.max(trace.regret_max[-1]):.17g}\n")
+        written.append(_resolve_out(os.path.join(args.outdir, "summary.csv")))
+        written[-1].write_text("".join(summary), encoding="utf-8")
+    except BaseException as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in filter(Path.exists, made):
+            directory.rmdir()
+        if isinstance(exc, NumericalDivergence):
+            exc.args = (f"{exc} ({cell})",)
+        raise
     return 0
 
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import efg
-from ._rng import PortableRandom
+from . import _rng
 from .core import BlockLayout
 
 __all__ = [
@@ -231,7 +231,8 @@ class NormalFormGame:
             # indexing ``u`` with the profile, enumerated in the same order
             fibers = np.moveaxis(u, i, -1)
             for index in np.ndindex(fibers.shape[:-1]):
-                b_u = max(b_u, float(np.linalg.norm(fibers[index])))
+                fiber = fibers[index].ravel(order="K")
+                b_u = max(b_u, math.sqrt(fiber @ fiber))
             lik_sq = 0.0
             for k in range(n):
                 if k == i:
@@ -248,7 +249,10 @@ class NormalFormGame:
 def spectral_norm(a: np.ndarray) -> float:
     """||A||_op by power iteration on A^T A, deterministic start 1/sqrt(d):
     at most 200 iterations, stopping once the estimate moves by no more
-    than 1e-10 of itself."""
+    than 1e-10 of itself.  ||w|| is ``math.sqrt(w @ w)``: the BLAS ddot and
+    sqrt that ``np.linalg.norm`` runs on a 1-D vector, here a fresh product
+    (``NormalFormGame.constants`` copies each strided fiber first, as
+    ``norm`` does: a ddot on strided or offset data rounds differently)."""
     a = np.asarray(a, dtype=float)
     if a.size == 0 or not a.any():
         return 0.0
@@ -256,12 +260,10 @@ def spectral_norm(a: np.ndarray) -> float:
     sigma = 0.0
     for _ in range(200):
         w = a.T @ (a @ v)
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(w @ w)
         if norm == 0.0:
             # start vector in the kernel: fall back to the largest column
-            j = int(np.argmax(np.linalg.norm(a, axis=0)))
-            v = np.zeros(a.shape[1])
-            v[j] = 1.0
+            v = np.eye(a.shape[1])[np.argmax(np.linalg.norm(a, axis=0))]
             continue
         v = w / norm
         new_sigma = norm**0.5
@@ -325,12 +327,10 @@ def instability_losses(T: int, variant: str, scaled: bool = False) -> np.ndarray
 
 
 def random_matrix_game(d1: int, d2: int, seed: int) -> MatrixGame:
-    """Seeded i.i.d. standard-normal payoff matrix (PortableRandom stream)."""
+    """Seeded i.i.d. standard-normal payoff matrix (``_rng`` stream)."""
     if d1 < 1 or d2 < 1:
         raise ValueError("dimensions must be positive")
-    rng = PortableRandom(seed)
-    entries = np.array(rng.normals(d1 * d2)).reshape(d1, d2)
-    return MatrixGame(entries)
+    return MatrixGame(_rng.normals(seed, d1 * d2).reshape(d1, d2))
 
 
 def random_nfg(dims, seed: int) -> NormalFormGame:
@@ -338,13 +338,9 @@ def random_nfg(dims, seed: int) -> NormalFormGame:
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError("need >= 2 players with positive action counts")
-    rng = PortableRandom(seed)
-    size = int(np.prod(dims))
-    tensors = tuple(
-        (2.0 * np.array(rng.uniforms(size)) - 1.0).reshape(dims)
-        for _ in range(len(dims))
-    )
-    return NormalFormGame(tensors)
+    draws = _rng.uniforms(seed, math.prod(dims) * len(dims))
+    return NormalFormGame(tuple((2.0 * block - 1.0).reshape(dims)
+                                for block in np.split(draws, len(dims))))
 
 
 def duality_gap(game: MatrixGame, x, y) -> float | np.ndarray:
@@ -372,9 +368,7 @@ def save_game(game, path) -> None:
         raise ValueError(f"cannot serialize {type(game).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
         if isinstance(game, MatrixGame):
-            d1, d2 = game.dims
-            fh.write("matrix\n")
-            fh.write(f"{d1} {d2}\n")
+            fh.write("matrix\n{} {}\n".format(*game.dims))
             for row in game.payoff:
                 fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
         else:

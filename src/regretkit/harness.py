@@ -54,7 +54,8 @@ max_i [regret_i]+ / t) and the averager (the tree's, reach-weighted,
 stays per round).  A non-finite value, raised inside a round
 (``NonFiniteError``), in a play or in a stored row's regret, gap or
 squared step ends the run with ``NumericalDivergence`` naming the round,
-the first non-finite play's wherever there is one.
+the first non-finite play's wherever there is one: the rounds run with
+numpy's floating-point warnings off, as that error reports it.
 """
 
 from __future__ import annotations
@@ -350,9 +351,7 @@ def _header(config: SolverConfig, game, eta: float, constants: dict) -> dict:
     if config.algorithm == "conceptual-rm+":
         header["eps_schedule"] = config.eps_schedule or "tight"
         header["k_max"] = config.k_max
-    for key, value in constants.items():
-        header[key] = _fmt(value)
-    return header
+    return header | {key: _fmt(value) for key, value in constants.items()}
 
 
 # --- one recorder for every family ---------------------------------------------
@@ -609,14 +608,14 @@ def run(config: SolverConfig, game) -> RunTrace:
     if (family is _tree_family) != isinstance(game, efg.GameTree):
         raise ValueError(f"{algo} is incompatible with {type(game).__name__}")
     eta, constants = resolve_eta(config, game)
-    header = _header(config, game, eta, constants)
     advance = family(config, game, eta)
     recorder = _Recorder(config, game)
-    for t in range(1, config.iters + 1):
-        try:
-            blocks, increments, extras = advance(t)
-        except NonFiniteError:
-            recorder.check_plays()  # an earlier play's round comes first
-            raise NumericalDivergence(t) from None
-        recorder.observe(t, blocks, increments, **extras)
-    return recorder.finish(header)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(1, config.iters + 1):
+            try:
+                blocks, increments, extras = advance(t)
+            except NonFiniteError:
+                recorder.check_plays()  # an earlier play's round comes first
+                raise NumericalDivergence(t) from None
+            recorder.observe(t, blocks, increments, **extras)
+        return recorder.finish(_header(config, game, eta, constants))

@@ -95,6 +95,102 @@ def nfg_loss_gradient_tensordot(payoffs, player: int,
     return -grad
 
 
+_MASK64 = (1 << 64) - 1
+
+
+class PortableRandom:
+    """SplitMix64 one Python integer at a time, with uniform and normal
+    variates: the scalar stream ``regretkit._rng`` draws as one array."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+        self._spare_normal: float | None = None
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def uniform(self) -> float:
+        """One double in [0, 1) from the top 53 bits of the stream."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def normal(self) -> float:
+        """One standard normal variate (Box-Muller, pair cached)."""
+        if self._spare_normal is not None:
+            z = self._spare_normal
+            self._spare_normal = None
+            return z
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # in (0, 1]
+        u2 = self.uniform()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        self._spare_normal = radius * math.sin(theta)
+        return radius * math.cos(theta)
+
+    def uniforms(self, count: int) -> list[float]:
+        return [self.uniform() for _ in range(count)]
+
+    def normals(self, count: int) -> list[float]:
+        return [self.normal() for _ in range(count)]
+
+
+def spectral_norm_by_linalg(a: np.ndarray) -> float:
+    """``games.spectral_norm`` with every vector norm taken by
+    ``np.linalg.norm``."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0 or not a.any():
+        return 0.0
+    v = np.full(a.shape[1], 1.0 / a.shape[1] ** 0.5)
+    sigma = 0.0
+    for _ in range(200):
+        w = a.T @ (a @ v)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            j = int(np.argmax(np.linalg.norm(a, axis=0)))
+            v = np.zeros(a.shape[1])
+            v[j] = 1.0
+            continue
+        v = w / norm
+        new_sigma = norm**0.5
+        if sigma > 0.0 and abs(new_sigma - sigma) <= 1e-10 * sigma:
+            return new_sigma
+        sigma = new_sigma
+    return sigma
+
+
+def matrix_constants_by_linalg(game: MatrixGame) -> tuple[float, float]:
+    """(B_u, L_u) of a matrix game through ``spectral_norm_by_linalg``."""
+    a = game.payoff
+    b_u = max(float(np.linalg.norm(a, axis=0).max()),
+              float(np.linalg.norm(a, axis=1).max()))
+    return b_u, spectral_norm_by_linalg(a)
+
+
+def nfg_constants_by_linalg(game) -> tuple[float, float]:
+    """(B_u, L_u) of a normal-form game, indexing each payoff tensor with
+    every pure profile of the others and taking each norm by
+    ``np.linalg.norm``."""
+    n = game.num_players
+    b_u = l_u = 0.0
+    for i, u in enumerate(game.payoffs):
+        fibers = np.moveaxis(u, i, -1)
+        for index in np.ndindex(fibers.shape[:-1]):
+            b_u = max(b_u, float(np.linalg.norm(fibers[index])))
+        lik_sq = 0.0
+        for k in range(n):
+            if k != i:
+                slabs = np.moveaxis(u, (i, k), (-2, -1))
+                lik = 0.0
+                for index in np.ndindex(slabs.shape[:-2]):
+                    lik = max(lik, spectral_norm_by_linalg(slabs[index]))
+                lik_sq += lik * lik
+        l_u = max(l_u, lik_sq**0.5)
+    return b_u, l_u
+
+
 def max_eigenvalue_3x3(m: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric 3x3 matrix via the roots of its
     characteristic polynomial."""

@@ -1,4 +1,7 @@
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -486,28 +489,70 @@ class TestGenAndSweep:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "made").exists()
 
-    @pytest.mark.parametrize("reader,spec", [
-        ("load_game", "m.game"), ("random_nfg", "random-nfg:2,2,2"),
-    ], ids=["file", "random-nfg"])
+    @pytest.mark.parametrize("owner,reader,spec,algo,loads", [
+        (cli, "load_game", "m.game", "rm+", 1),
+        (cli, "hard_instance", "hard3x3", "rm+", 1),
+        (efg, "build_kuhn", "kuhn3", "predictive-cfr", 1),
+        (cli, "random_nfg", "random-nfg:2,2,2", "rm+", 2),
+    ], ids=["file", "hard3x3", "kuhn3", "random-nfg"])
     def test_sweep_reads_each_seeds_game_once(self, tmp_path, capsys,
-                                              monkeypatch, reader, spec):
+                                              monkeypatch, owner, reader, spec,
+                                              algo, loads):
+        """A game that does not depend on the seed is read or built once
+        for the whole sweep; a random spec is drawn once per seed."""
         save_game(hard_instance(), tmp_path / "m.game")
         monkeypatch.chdir(tmp_path)
         calls = []
-        original = getattr(cli, reader)
+        original = getattr(owner, reader)
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(cli, reader, counted)
+        monkeypatch.setattr(owner, reader, counted)
         code, _, err = run_cli(
-            ["sweep", "--algo", "rm+", "--game", spec, "--iters", "5",
+            ["sweep", "--algo", algo, "--game", spec, "--iters", "5",
              "--etas", "0.1,1,10", "--seeds", "0:2",
              "--outdir", str(tmp_path / "out")], capsys)
         assert code == 0, err
-        assert len(calls) == 2
+        assert len(calls) == loads
         assert len(list((tmp_path / "out").iterdir())) == 3 * 2 + 1
+
+    @pytest.mark.parametrize("outdir", ["made/here", "."])
+    def test_diverging_sweep_leaves_nothing(self, tmp_path, capsys,
+                                            monkeypatch, outdir):
+        """A cell that diverges after others were written: the sweep
+        removes its CSVs and the directories it made, keeps what was there
+        before, and names the failing cell."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "mine.csv").write_text("kept\n")
+        code, _, err = run_cli(
+            ["sweep", "--algo", "smooth-prm+", "--game", "hard3x3", "--iters",
+             "5", "--etas", "0.1,1e308", "--seeds", "0:2",
+             "--outdir", outdir], capsys)
+        assert code == 3
+        assert err == ("numerical failure: non-finite iterate at round 1 "
+                       "(eta=1e308, seed=0)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mine.csv"]
+        assert (tmp_path / "mine.csv").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("run", ["--eta", "1e308"], "non-finite iterate at round 1"),
+        ("sweep", ["--etas", "0.1,1e308", "--outdir", "out"],
+         "non-finite iterate at round 1 (eta=1e308, seed=0)"),
+    ], ids=["run", "sweep"])
+    def test_divergence_prints_one_stderr_line(self, tmp_path, command, flags,
+                                               message):
+        """With Python's default warning filters, a divergence prints the
+        exit-3 message and nothing else: no numpy overflow warning."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "regretkit.cli", command, "--algo",
+             "smooth-prm+", "--game", "hard3x3", "--iters", "5", *flags],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 3
+        assert done.stderr == f"numerical failure: {message}\n"
 
     def test_sweep_cells_are_runs(self, tmp_path, capsys):
         """Each sweep CSV is, byte for byte, ``run`` with the cell's eta

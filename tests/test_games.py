@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -21,7 +22,23 @@ from regretkit.games import (
 )
 from regretkit.harness import SolverConfig, run
 
-from .oracles import nfg_gradient_by_enumeration, nfg_loss_gradient_tensordot
+from .oracles import (
+    PortableRandom,
+    matrix_constants_by_linalg,
+    nfg_constants_by_linalg,
+    nfg_gradient_by_enumeration,
+    nfg_loss_gradient_tensordot,
+    spectral_norm_by_linalg,
+)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# 2-4 players, 1-6 actions each (at most 4 each with 4 players)
+NFG_DIMS = st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.integers(1, 6 if n < 4 else 4), min_size=n, max_size=n))
 
 
 class TestMatrixGradients:
@@ -218,6 +235,38 @@ class TestConstants:
         rps = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
         assert spectral_norm(rps) == pytest.approx(np.linalg.norm(rps, 2),
                                                    abs=1e-9)
+        assert _bits(spectral_norm(rps)) == _bits(spectral_norm_by_linalg(rps))
+
+    @settings(max_examples=40, deadline=None)
+    @given(dims=NFG_DIMS, seed=st.integers(0, 2**32),
+           scale=st.sampled_from([1.0, 1e-3, 7.5e4]))
+    def test_nfg_constants_match_the_linalg_oracle(self, dims, seed, scale):
+        game = NormalFormGame(tuple(
+            scale * u for u in random_nfg(dims, seed).payoffs))
+        assert _bits(game.constants) == _bits(nfg_constants_by_linalg(game))
+
+    def test_nfg_constants_match_the_linalg_oracle_on_a_grid(self):
+        """Every shape of a grid, three seeds each: a ddot on a row of one
+        shared copy, instead of on each fiber's own copy, differs on a few
+        of them."""
+        shapes = [*itertools.product(range(1, 7), repeat=2),
+                  *itertools.product((1, 3, 6), repeat=3),
+                  *itertools.product((2, 4), repeat=4)]
+        for dims in shapes:
+            for seed in range(3):
+                game = random_nfg(dims, seed)
+                assert (_bits(game.constants)
+                        == _bits(nfg_constants_by_linalg(game))), (dims, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d1=st.integers(1, 12), d2=st.integers(1, 12),
+           seed=st.integers(0, 2**32))
+    def test_matrix_constants_match_the_linalg_oracle(self, d1, d2, seed):
+        payoff = random_matrix_game(d1, d2, seed).payoff
+        for a in (payoff, payoff[::2, ::-1], payoff.T):
+            game = MatrixGame(a)
+            assert (_bits(game.constants)
+                    == _bits(matrix_constants_by_linalg(game)))
 
     @pytest.mark.parametrize("dims", list(NFG_CONSTANTS_DIGESTS))
     def test_nfg_constants_digest(self, dims):
@@ -327,6 +376,27 @@ class TestRandomGames:
     def test_mean_within_three_sigma(self):
         a = random_matrix_game(30, 40, 77).payoff
         assert abs(a.mean()) <= 3.0 / np.sqrt(30 * 40)
+
+    @pytest.mark.parametrize("seed", [-1, 0, 7, 2**64 - 1, 2**64 + 7])
+    def test_payoffs_are_the_scalar_stream(self, seed):
+        """Matrix payoffs are the stream's normals row by row, and each
+        player's normal-form payoffs the next block of 2u - 1."""
+        rng = PortableRandom(seed)
+        assert (_bits(random_matrix_game(3, 5, seed).payoff.ravel())
+                == _bits(rng.normals(15)))
+        rng = PortableRandom(seed)
+        for u in random_nfg((2, 3, 2), seed).payoffs:
+            assert _bits(u.ravel()) == _bits(
+                [2.0 * x - 1.0 for x in rng.uniforms(12)])
+
+    @pytest.mark.parametrize("seed", [np.int64(-1), np.uint64(2**64 - 1),
+                                      np.int32(7)], ids=repr)
+    def test_a_numpy_integer_seed_is_its_value(self, seed):
+        assert (_bits(random_matrix_game(3, 4, seed).payoff)
+                == _bits(random_matrix_game(3, 4, int(seed)).payoff))
+        for u, v in zip(random_nfg((2, 3), seed).payoffs,
+                        random_nfg((2, 3), int(seed)).payoffs):
+            assert _bits(u) == _bits(v)
 
     def test_random_nfg_range_and_determinism(self):
         g1 = random_nfg((2, 3), 9)

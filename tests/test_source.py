@@ -134,3 +134,25 @@ def test_imports_sit_at_module_level_and_efg_needs_no_solver_module():
     solvers = ("regretkit.fixedpoint", "regretkit.games", "regretkit.harness")
     assert sorted((name, module) for name, module in efg_imports
                   if module.startswith(solvers)) == []
+
+
+# numpy's own loops for these round differently from libm on some
+# arguments; the square root, sums and products are correctly rounded
+NUMPY_TRANSCENDENTALS = {"log", "log1p", "log2", "log10", "exp", "exp2",
+                         "expm1", "sin", "cos", "tan", "power", "float_power"}
+
+
+def test_rng_takes_no_transcendental_from_numpy():
+    """``_rng`` names no numpy transcendental function, called or passed
+    on: its normals take log, cos and sin from libm, so seeded games keep
+    their payoffs."""
+    used = []
+    for node in ast.walk(ast.parse((SRC / "_rng.py").read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            used.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            used += [(node.lineno, alias.name) for alias in node.names
+                     if alias.name in NUMPY_TRANSCENDENTALS | {"*"}]
+    assert used == []
