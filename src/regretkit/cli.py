@@ -20,8 +20,12 @@ every cell's game and settings check out; if a cell then diverges (its
 eta and seed are named) or a write fails, it removes the CSVs it wrote
 and the directories it made, leaving nothing behind.
 
-Exit codes: 0 success, 2 configuration error (including unknown flags),
-3 numerical failure (a non-finite iterate; the message names the round).
+numpy's floating-point warnings (overflow, invalid value, divide by zero)
+are not printed: a run that goes non-finite exits 3 naming the round.
+
+Exit codes: 0 success, 2 configuration error (including unknown flags,
+and a game or horizon too large to allocate), 3 numerical failure (a
+non-finite iterate; the message names the round).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -287,11 +292,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # a run reports non-finite values itself, by exit code and round
+            warnings.filterwarnings(
+                "ignore", r"(overflow|invalid value|divide by zero) encountered",
+                RuntimeWarning)
+            return args.func(args)
     except NumericalDivergence as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

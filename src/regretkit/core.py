@@ -111,7 +111,7 @@ def _checked(x, loss) -> tuple[np.ndarray, np.ndarray]:
     x, loss = np.asarray(x, dtype=float), np.asarray(loss, dtype=float)
     if x.shape != loss.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {loss.shape}")
-    if not np.all(np.isfinite(loss)):
+    if not np.isfinite(loss).all():
         raise NonFiniteError("regret_loss: non-finite loss")
     return x, loss
 

@@ -252,7 +252,8 @@ def spectral_norm(a: np.ndarray) -> float:
     than 1e-10 of itself.  ||w|| is ``math.sqrt(w @ w)``: the BLAS ddot and
     sqrt that ``np.linalg.norm`` runs on a 1-D vector, here a fresh product
     (``NormalFormGame.constants`` copies each strided fiber first, as
-    ``norm`` does: a ddot on strided or offset data rounds differently)."""
+    ``norm`` does: a ddot on strided or offset data rounds differently).
+    The result is ``inf`` once A^T A overflows."""
     a = np.asarray(a, dtype=float)
     if a.size == 0 or not a.any():
         return 0.0
@@ -261,6 +262,8 @@ def spectral_norm(a: np.ndarray) -> float:
     for _ in range(200):
         w = a.T @ (a @ v)
         norm = math.sqrt(w @ w)
+        if not norm < math.inf:  # A^T A overflowed (inf, or nan from inf - inf)
+            return math.inf
         if norm == 0.0:
             # start vector in the kernel: fall back to the largest column
             v = np.eye(a.shape[1])[np.argmax(np.linalg.norm(a, axis=0))]

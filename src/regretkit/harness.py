@@ -54,8 +54,9 @@ max_i [regret_i]+ / t) and the averager (the tree's, reach-weighted,
 stays per round).  A non-finite value, raised inside a round
 (``NonFiniteError``), in a play or in a stored row's regret, gap or
 squared step ends the run with ``NumericalDivergence`` naming the round,
-the first non-finite play's wherever there is one: the rounds run with
-numpy's floating-point warnings off, as that error reports it.
+the first non-finite play's wherever there is one.  ``run`` leaves
+numpy's floating-point error state alone, so code that calls it directly
+sees numpy's default warnings; the command line filters them.
 """
 
 from __future__ import annotations
@@ -610,12 +611,11 @@ def run(config: SolverConfig, game) -> RunTrace:
     eta, constants = resolve_eta(config, game)
     advance = family(config, game, eta)
     recorder = _Recorder(config, game)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for t in range(1, config.iters + 1):
-            try:
-                blocks, increments, extras = advance(t)
-            except NonFiniteError:
-                recorder.check_plays()  # an earlier play's round comes first
-                raise NumericalDivergence(t) from None
-            recorder.observe(t, blocks, increments, **extras)
-        return recorder.finish(_header(config, game, eta, constants))
+    for t in range(1, config.iters + 1):
+        try:
+            blocks, increments, extras = advance(t)
+        except NonFiniteError:
+            recorder.check_plays()  # an earlier play's round comes first
+            raise NumericalDivergence(t) from None
+        recorder.observe(t, blocks, increments, **extras)
+    return recorder.finish(_header(config, game, eta, constants))

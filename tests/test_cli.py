@@ -277,9 +277,9 @@ class TestRun:
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("algo,text,source", [
-        ("exrm+", "matrix\n2 2\n1e308 -1e308\n-1e308 1e308\n", "L_F=nan"),
+        ("exrm+", "matrix\n2 2\n1e308 -1e308\n-1e308 1e308\n", "L_F=inf"),
         ("conceptual-rm+", "matrix\n2 2\n1e308 -1e308\n-1e308 1e308\n",
-         "L_F=nan"),
+         "L_F=inf"),
         ("exrm+", "matrix\n2 2\n0 0\n0 0\n", "L_F=0.0"),
         ("smooth-prm+", "nfg 1\n2\n1 2\n", "1 player(s)"),
     ], ids=["exrm-overflowing-constants", "conceptual-overflowing-constants",
@@ -308,6 +308,17 @@ class TestRun:
              "--iters", "2"], capsys)
         assert code == 2 and out == ""
         assert "bad eta 'abc'" in err
+
+    def test_game_too_large_to_allocate_exits_two(self, capsys, monkeypatch):
+        def refuse(dims, seed):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+
+        monkeypatch.setattr(cli, "random_nfg", refuse)
+        code, out, err = run_cli(
+            ["run", "--algo", "rm+", "--game", "random-nfg:100000,100000",
+             "--iters", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: Unable to allocate 149. GiB for an array\n"
 
     def test_random_nfg_spec(self, capsys):
         code, out, _ = run_cli(
@@ -553,6 +564,28 @@ class TestGenAndSweep:
             cwd=tmp_path, env=env, capture_output=True, text=True)
         assert done.returncode == 3
         assert done.stderr == f"numerical failure: {message}\n"
+
+    @pytest.mark.parametrize("command,flags,csv", [
+        ("run", [], None),
+        ("sweep", ["--etas", "0.1", "--outdir", "out"],
+         "out/exrmp_eta0.1_seed0.csv"),
+    ], ids=["run", "sweep"])
+    def test_overflowing_constants_print_nothing(self, tmp_path, command,
+                                                 flags, csv):
+        """Finite payoffs whose norms overflow: with Python's default
+        warning filters, the run exits 0 with an empty stderr and records
+        ``L_u=inf``."""
+        (tmp_path / "big.game").write_text(
+            "matrix\n2 2\n1e308 -1e308\n-1e308 1e308\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "regretkit.cli", command, "--algo", "exrm+",
+             "--eta", "0.1", "--game", "big.game", "--iters", "3", *flags],
+            cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0 and done.stderr == ""
+        trace = done.stdout if csv is None else (tmp_path / csv).read_text()
+        assert "# L_u=inf\n" in trace
 
     def test_sweep_cells_are_runs(self, tmp_path, capsys):
         """Each sweep CSV is, byte for byte, ``run`` with the cell's eta

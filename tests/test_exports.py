@@ -39,3 +39,11 @@ def test_every_exported_function_and_class_has_its_own_docstring(name):
             if not ast.get_docstring(definition.body[0]):
                 missing.append(export)
     assert not missing, f"{name}: no docstring of their own: {missing}"
+
+
+def test_efg_exports_every_submodule_export():
+    names = [export for module in (regretkit.efg.builders, regretkit.efg.rounds,
+                                   regretkit.efg.tree, regretkit.efg.values)
+             for export in module.__all__]
+    assert [name for name in names if not hasattr(regretkit.efg, name)] == []
+    assert sorted(regretkit.efg.__all__) == sorted(names)

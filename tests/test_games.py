@@ -237,6 +237,22 @@ class TestConstants:
                                                    abs=1e-9)
         assert _bits(spectral_norm(rps)) == _bits(spectral_norm_by_linalg(rps))
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_spectral_norm_is_inf_once_the_product_overflows(self):
+        # finite payoffs, but A^T A overflows after the kernel restart
+        a = np.array([[1e308, -1e308], [-1e308, 1e308]])
+        assert spectral_norm(a) == np.inf
+        assert MatrixGame(a).constants == (np.inf, np.inf)
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_nfg_smoothness_is_inf_when_one_players_norm_overflows(self):
+        """Player 0's overflowing slab is not dropped for player 1's
+        finite value."""
+        game = NormalFormGame((
+            np.array([[1e160, -1e160], [-1e160, 1e160]]),
+            np.array([[1.0, 2.0], [3.0, 4.0]])))
+        assert game.constants[1] == np.inf
+
     @settings(max_examples=40, deadline=None)
     @given(dims=NFG_DIMS, seed=st.integers(0, 2**32),
            scale=st.sampled_from([1.0, 1e-3, 7.5e4]))

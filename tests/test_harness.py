@@ -371,6 +371,19 @@ class TestDivergenceRounds:
         assert exc_info.value.iteration == 5
         assert str(exc_info.value) == "non-finite iterate at round 5"
 
+    def test_rounds_keep_the_callers_floating_point_error_state(self,
+                                                                 monkeypatch):
+        seen = []
+        lifted_round = harness._lifted_round
+
+        def spying_round(*args):
+            seen.append(np.geterr())
+            return lifted_round(*args)
+
+        monkeypatch.setattr(harness, "_lifted_round", spying_round)
+        run(SolverConfig(algorithm="rm+", iters=3), hard_instance())
+        assert seen == [np.geterr()] * 3
+
 
 FUZZ_GAMES = {
     "hard3x3": lambda s: MatrixGame(10.0**s * hard_instance().payoff),
