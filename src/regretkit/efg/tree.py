@@ -244,7 +244,8 @@ class CompiledTree:
     positions and the children of a node are contiguous, in action order.
     Per position: ``parent`` (-1 at the root), ``mover`` (the player,
     ``num_players`` for chance, -1 at leaves), ``infoset`` (-1 off
-    decision nodes), ``first_child`` and ``num_children``.
+    decision nodes), ``first_child``, ``num_children`` and
+    ``parent_mover`` (the parent's ``mover``, -1 at the root).
     ``levels`` holds the ``(lo, hi)`` position range of every depth below
     the root; ``leaves`` and ``leaf_payoffs`` (one row per leaf) hold the
     payoff matrix.  Infoset j owns block j of one flat behavioural vector,
@@ -255,10 +256,19 @@ class CompiledTree:
     ``dfs_decisions`` lists the decision positions in depth-first
     pre-order, the order the recursive passes visit them in.
 
-    The rest are gather/scatter indices for the passes, into the
-    row-major (position, player) value matrix and the (position, player
-    or chance) reach matrix; ``groups`` holds the edge table of every
-    update group.
+    The rest are the passes' tables, on the flat row-major (position,
+    player or chance) reach matrix and (position, player) value matrix.
+    Reach: ``reach_source`` gathers every factor from the *source*, the
+    profile followed by ``chance_probs`` (``edge_source[c]`` in column
+    ``parent_mover[c]`` of position c, the last 1.0 everywhere else), and
+    ``reach_levels`` holds, per depth top-down, (parent entries, rows).
+    Values: ``leaf_values`` is the value matrix with the leaf payoffs and
+    0.0 elsewhere, ``value_source`` gathers each entry's edge probability
+    from the source, and ``value_levels`` (every column) and
+    ``column_levels`` (one column) hold, per depth bottom-up, (parent
+    entries, rows).  ``dfs_own_slot``/``dfs_infoset`` gather the owner's
+    reach of every decision position; ``groups`` holds the edge table of
+    every update group.
     """
 
     def __init__(self, tree: GameTree):
@@ -322,9 +332,21 @@ class CompiledTree:
 
         m = n + 1
         below = np.arange(1, size)
-        self.reach_gather = (self.parent[below, None] * m + np.arange(m)).ravel()
-        self.reach_factor = below * m + mover[self.parent[below]]
-        self.value_scatter = (self.parent[below, None] * n + np.arange(n)).ravel()
+        self.reach_source = np.full(size * m, self.edge_source[0])  # the 1.0
+        self.reach_source[below * m + self.parent_mover[below]] = (
+            self.edge_source[below])
+        gather = (self.parent[below, None] * m + np.arange(m)).ravel()
+        self.reach_levels = tuple((gather[(lo - 1) * m:(hi - 1) * m],
+                                   slice(lo * m, hi * m)) for lo, hi in self.levels)
+        self.value_source = np.repeat(self.edge_source, n)
+        self.leaf_values = np.zeros(size * n)
+        self.leaf_values.reshape(size, n)[self.leaves] = self.leaf_payoffs
+        scatter = (self.parent[below, None] * n + np.arange(n)).ravel()
+        self.value_levels = tuple((scatter[(lo - 1) * n:(hi - 1) * n],
+                                   slice(lo * n, hi * n))
+                                  for lo, hi in reversed(self.levels))
+        self.column_levels = tuple((self.parent[lo:hi], slice(lo, hi))
+                                   for lo, hi in reversed(self.levels))
         self.dfs_own_slot = self.dfs_decisions * m + mover[self.dfs_decisions]
         self.dfs_infoset = infoset[self.dfs_decisions]
 

@@ -23,17 +23,25 @@ Passes
 ------
 The passes run on ``tree.compiled``, the tree lowered to flat arrays in
 its own node numbering, which is breadth-first (``CompiledTree``), in
-two steps.  The sweep (``_sweep``) depends on the profile alone: one
-gather, the probability on the edge into every position, then reach
-(every column) top-down.
+two steps; whatever depends on the tree alone is a table there, so a
+pass only gathers and multiplies.  The sweep (``_sweep``) depends on the
+profile alone.  Its *source* is the profile's flat vector followed by
+the chance probabilities and a last 1.0; one gather of it fills reach
+with every factor (the probability on the edge into a position in its
+parent mover's column, 1.0 elsewhere and at the root), and reach is then
+formed in place, top-down, one multiply per depth:
+``reach[rows] = reach[parent rows] * reach[rows]``, every column at once.
 The group step (``_pass``) computes G from a sweep for an update group:
 every infoset (``counterfactual_values``), or one player's (an
 alternating CFR round's, through ``_group_regrets``, which can take a
 sweep the round already made).  Node values (every player's, or the
-group player's alone) run bottom-up, one vectorized step per depth as
-reach does; then over the group's decision edges in pre-order
-(``CompiledTree.groups``) one product excludes the mover's reach and one
-scatter fills the behavioural slots.  A player's entries are bit for bit
+group player's alone) start from a copy of the leaf values and take the
+edge probabilities in one gather from the source; then, bottom-up, one
+scatter per depth adds each position's weighted values into its parent's
+(the per-depth (parent entries, rows) pairs of ``CompiledTree``).  Then,
+over the group's decision edges in pre-order (``CompiledTree.groups``),
+one product excludes the mover's reach and one scatter fills the
+behavioural slots.  A player's entries are bit for bit
 the full pass's: its column is swept alike, and each entry adds the same
 products in the same order.  Nothing recurses, so a tree's depth is not
 bounded by Python's recursion limit, and the per-node cost is numpy's,
@@ -126,7 +134,8 @@ def check_behavioral(tree: GameTree, x) -> list[np.ndarray]:
     for block, iset in zip(blocks, tree.infosets):
         if block.shape != (iset.num_actions,):
             raise ValueError(f"infoset {iset.key!r}: block dimension mismatch")
-        if np.any(block < -1e-9) or abs(block.sum() - 1.0) > 1e-9:
+        if (not np.isfinite(block).all() or np.any(block < -1e-9)
+                or abs(block.sum() - 1.0) > 1e-9):
             raise ValueError(f"infoset {iset.key!r}: block not on the simplex")
     return blocks
 
@@ -138,55 +147,45 @@ def _like(x, vector: np.ndarray, flat: CompiledTree):
     return [vector[lo:hi] for lo, hi in flat.layout.bounds]
 
 
-def _edge_probs(flat: CompiledTree, x) -> np.ndarray:
-    """Probability on the edge into every position (1.0 at the root)."""
-    probs = np.concatenate([as_flat(x), flat.chance_probs])
-    if probs.size != flat.layout.size + flat.chance_probs.size:
+def _source(flat: CompiledTree, x) -> np.ndarray:
+    """The profile's flat vector followed by ``chance_probs``: every edge
+    probability, and the root's 1.0 last."""
+    source = np.concatenate([as_flat(x), flat.chance_probs])
+    if source.size != flat.layout.size + flat.chance_probs.size:
         raise ValueError("profile does not match the tree's infosets")
-    return probs[flat.edge_source]
+    return source
 
 
-def _reach(flat: CompiledTree, probs: np.ndarray) -> np.ndarray:
-    """Reach products per position, flat row-major (position, k): k < n is
-    player k's own probability product on the path, k = n chance's."""
-    m = flat.num_players + 1
-    factors = np.ones(flat.size * m)
-    factors[flat.reach_factor] = probs[1:]
-    reach = np.ones(flat.size * m)
-    for lo, hi in flat.levels:
-        np.multiply(reach[flat.reach_gather[(lo - 1) * m:(hi - 1) * m]],
-                    factors[lo * m:hi * m], out=reach[lo * m:hi * m])
-    return reach
-
-
-def _node_values(flat: CompiledTree, probs: np.ndarray, player=None) -> np.ndarray:
+def _node_values(flat: CompiledTree, source: np.ndarray, player=None) -> np.ndarray:
     """Expected payoff below every position, flat row-major (position,
     player): every player's (``player`` None), or ``player``'s alone."""
     if player is None:
-        payoffs, scatter = flat.leaf_payoffs, flat.value_scatter
-        probs = np.repeat(probs, flat.num_players)
+        values, probs = flat.leaf_values.copy(), source[flat.value_source]
+        levels = flat.value_levels
     else:
-        payoffs, scatter = flat.leaf_payoffs[:, player:player + 1], flat.parent[1:]
-    n = payoffs.shape[1]
-    values = np.zeros(flat.size * n)
-    values.reshape(flat.size, n)[flat.leaves] = payoffs
-    for lo, hi in reversed(flat.levels):
-        lo, hi = lo * n, hi * n
-        np.add.at(values, scatter[lo - n:hi - n], values[lo:hi] * probs[lo:hi])
+        values = flat.leaf_values[player::flat.num_players].copy()
+        probs, levels = source[flat.edge_source], flat.column_levels
+    for scatter, rows in levels:
+        np.add.at(values, scatter, values[rows] * probs[rows])
     return values
 
 
 def _sweep(flat: CompiledTree, x) -> tuple[np.ndarray, np.ndarray]:
-    """A profile's top-down sweep: its edge probabilities and reach."""
-    probs = _edge_probs(flat, x)
-    return probs, _reach(flat, probs)
+    """A profile's top-down sweep: its source vector (``_source``) and
+    reach, flat row-major (position, k): k < n is player k's own
+    probability product on the path, k = n chance's."""
+    source = _source(flat, x)
+    reach = source[flat.reach_source]
+    for parents, rows in flat.reach_levels:
+        np.multiply(reach[parents], reach[rows], out=reach[rows])
+    return source, reach
 
 
 def _pass(flat: CompiledTree, sweep, player) -> np.ndarray:
     """G from a profile's sweep on the infosets of ``player``'s update group
     (every infoset for ``None``), flat, the other entries left at zero."""
-    probs, reach = sweep
-    values = _node_values(flat, probs, player)
+    source, reach = sweep
+    values = _node_values(flat, source, player)
     _, others, children, slots = flat.groups[player]
     factors = reach[others]
     excl = factors[0]
@@ -235,14 +234,15 @@ def expected_values(tree: GameTree, x) -> np.ndarray:
     """Per-player expected payoff of the joint profile, in [0, 1] units."""
     check_behavioral(tree, x)
     flat = tree.compiled
-    return _node_values(flat, _edge_probs(flat, x))[:flat.num_players].copy()
+    return _node_values(flat, _source(flat, x))[:flat.num_players].copy()
 
 
 def leaf_excl_weights(tree: GameTree, x, player: int) -> np.ndarray:
     """Per-node array: at each leaf, the product of chance and opponent
     probabilities on its path (player's own probabilities excluded)."""
     flat = tree.compiled
-    factors = np.where(flat.parent_mover == player, 1.0, _edge_probs(flat, x))
+    factors = np.where(flat.parent_mover == player, 1.0,
+                       _source(flat, x)[flat.edge_source])
     path = np.ones(flat.size)
     for lo, hi in flat.levels:
         np.multiply(path[flat.parent[lo:hi]], factors[lo:hi], out=path[lo:hi])

@@ -382,6 +382,11 @@ class _Recorder:
             store_full = config.store_full
         self.layout = layout
         self.owned = [np.array(own, dtype=np.intp) for own in owned]
+        # each player's block columns after a zero column (``_player_sums``)
+        self._sum_gather = [np.concatenate(([0], own + 1)) for own in self.owned]
+        # per width bucket, its blocks and their (rows, width) positions
+        self._buckets = [(ids, np.arange(layout.size)[index].reshape(ids.size, -1))
+                         for ids, index in layout.buckets]
         if isinstance(game, MatrixGame):
             d1 = game.dims[0]
             self.gap_of = lambda ts, regrets, means: duality_gap(
@@ -470,8 +475,11 @@ class _Recorder:
         trace.gap[lo:hi] = self.gap_of(
             ts, regrets, self.sums[rows] / self.weights[rows, None])
         squares = (self.plays[rows] - self.plays[rows - 1]) ** 2
-        steps = np.stack([squares[:, a:b].sum(axis=-1)
-                          for a, b in layout.bounds], axis=-1)
+        steps = np.empty((rows.size, layout.widths.size))
+        for ids, index in self._buckets:
+            # a C-contiguous (rounds, rows, width) stack: each row sums as
+            # its block's own ``.sum()`` (``squares[:, index]`` is not one)
+            steps[:, ids] = np.take(squares, index, axis=1).sum(axis=-1)
         # round 1 has no previous play
         trace.iter_var[lo:hi] = np.where((ts > 1)[:, None],
                                          self._player_sums(steps), 0.0)
@@ -488,12 +496,11 @@ class _Recorder:
 
     def _player_sums(self, values: np.ndarray) -> np.ndarray:
         """Per row and player, the sum of the player's block columns, added
-        left to right in block order, starting from 0.0."""
-        out = np.zeros((len(values), len(self.owned)))
-        for i, own in enumerate(self.owned):
-            for j in own.tolist():
-                out[:, i] += values[:, j]
-        return out
+        left to right in block order, starting from 0.0 (``accumulate``
+        adds one column at a time)."""
+        padded = np.column_stack((np.zeros(len(values)), values))
+        return np.column_stack([np.add.accumulate(padded[:, gather], axis=1)[:, -1]
+                                for gather in self._sum_gather])
 
     def finish(self, header) -> RunTrace:
         self._flush()

@@ -188,6 +188,17 @@ class TestArgumentErrors:
         with pytest.raises(ValueError, match=message):
             call(tree, efg.uniform_behavioral(tree))
 
+    @pytest.mark.parametrize("block", [[np.nan, np.nan], [1.0, np.nan],
+                                       [np.inf, np.nan]])
+    @pytest.mark.parametrize("call", [efg.check_behavioral, efg.exploitability,
+                                      efg.counterfactual_values])
+    def test_non_finite_block_is_off_the_simplex(self, call, block):
+        tree = efg.build_kuhn(2, 3)
+        x = efg.uniform_behavioral(tree)
+        x[3] = np.array(block)
+        with pytest.raises(ValueError, match="block not on the simplex"):
+            call(tree, x)
+
     def test_empty_average_is_uniform(self):
         tree = efg.build_kuhn(2, 3)
         average = efg.BehavioralAverager(tree).average()
@@ -740,6 +751,14 @@ TREES = {
 }
 
 
+def assert_same_floats(a, b) -> None:
+    """Equal shapes and bytes: unlike ``np.array_equal``, this tells
+    -0.0 from +0.0 and matches NaNs bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 class TestArrayPassesMatchRecursive:
     """The array passes return the very floats of the recursive ones."""
 
@@ -758,14 +777,23 @@ class TestArrayPassesMatchRecursive:
             x.append(block / block.sum())
         for a, b in zip(efg.counterfactual_values(tree, x),
                         oracles.counterfactual_values(tree, x)):
-            assert np.array_equal(a, b)
-        assert np.array_equal(efg.own_reach_per_infoset(tree, x),
-                              oracles.own_reach_per_infoset(tree, x))
-        assert np.array_equal(efg.expected_values(tree, x),
-                              oracles.expected_values(tree, x))
+            assert_same_floats(a, b)
+        assert_same_floats(efg.own_reach_per_infoset(tree, x),
+                           oracles.own_reach_per_infoset(tree, x))
+        assert_same_floats(efg.expected_values(tree, x),
+                           oracles.expected_values(tree, x))
+        # each player-restricted pass has the full pass's entries for its
+        # player, and +0.0 elsewhere
+        profile = np.concatenate(x)
+        full = _group_regrets(tree, profile, None)
+        owner = np.repeat([j.player for j in tree.infosets],
+                          tree.compiled.layout.widths)
+        for i in range(tree.num_players):
+            assert_same_floats(_group_regrets(tree, profile, i),
+                               np.where(owner == i, full, 0.0))
         for i in range(tree.num_players):
             weights = efg.leaf_excl_weights(tree, x, i)
-            assert np.array_equal(weights, oracles.leaf_excl_weights(tree, x, i))
+            assert_same_floats(weights, oracles.leaf_excl_weights(tree, x, i))
             for w in (weights, rng.random(len(tree.nodes))):
                 assert (efg.best_response_value(tree, i, w)
                         == oracles.best_response_value(tree, i, w))
@@ -1075,8 +1103,9 @@ def _hash_into(digest, obj) -> None:
 def tree_digest(tree: efg.GameTree) -> str:
     """One hash of a tree and a fresh compile of it: every node payload,
     infoset, own sequence and the payoff map, every ``CompiledTree``
-    attribute, and each update group's layout (buckets, ``ragged``,
-    ``_views``) and edge tables."""
+    attribute (the passes' gather tables and per-depth (parent entries,
+    rows) pairs among them), and each update group's layout (buckets,
+    ``ragged``, ``_views``) and edge tables."""
     digest = hashlib.sha256()
     _hash_into(digest, [tree.num_players, tree.nodes, tree.infosets,
                         tree.payoff_scale, tree.payoff_offset,
@@ -1100,15 +1129,17 @@ DIGEST_TREES = {
 
 # recorded before the tree builder, the loader and the compile were each
 # rewritten as one pass, and again whenever attributes left the compile,
-# every kept one then byte-identical, and once more when the group tables
-# joined the digest, each table then hashing alike on both sides; a saved
-# tree loads back to the very same digest
+# every kept one then byte-identical, once more when the group tables
+# joined the digest, each table then hashing alike on both sides, and
+# once more when the passes' reach and value tables replaced the flat
+# gather and scatter indices, every kept attribute and group table then
+# byte-identical; a saved tree loads back to the very same digest
 TREE_DIGESTS = {
-    "kuhn3": "ee12c1207f9e3d0c", "kuhn4": "b326c718a9a231e4",
-    "kuhn5": "7a67934a41e3bdcd", "kuhn6": "ba11e9d2e57060d7",
-    "liars2": "b5d1af242707d5a2", "liars3": "31ee76cfa661f667",
-    "bimatrix": "e7f875ca5a2cfacf", "chain1500": "82d07ddf905c7642",
-    "wide": "aa47eedab3c915eb",
+    "kuhn3": "2f5da7672c068b64", "kuhn4": "55950df7be4182fb",
+    "kuhn5": "c79824a6c15cff3f", "kuhn6": "c09d15f59f3877dc",
+    "liars2": "07bf7cd967c96d7b", "liars3": "b36c147693976399",
+    "bimatrix": "0aab19e0411b6077", "chain1500": "98340eaaf3351030",
+    "wide": "3561e45a1624ea90",
 }
 
 

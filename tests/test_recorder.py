@@ -13,13 +13,17 @@ from regretkit.games import hard_instance, random_matrix_game, random_nfg
 from regretkit.harness import SolverConfig
 
 from .oracles import PerRoundRecorder
+from .test_efg import wide_tree
 
 GAMES = {"hard3x3": hard_instance,
          "nfg2x3x4": lambda: random_nfg((2, 3, 4), 0),
          # 200 floats per row: the chunk is bounded by bytes, not rows
          "matrix90x110": lambda: random_matrix_game(90, 110, 1)}
 TREES = {"kuhn3": lambda: efg.build_kuhn(2, 3),
-         "liars3": lambda: efg.build_liars_dice(3, 2)}
+         "liars3": lambda: efg.build_liars_dice(3, 2),
+         # buckets of several blocks 9 and 17 wide: there a row sum of a
+         # strided gather departs from each block's own ``.sum()``
+         "wide": wide_tree}
 LIFTED = ("rm+", "prm+", "stable-prm+", "smooth-prm+")
 FIXED_POINT = ("exrm+", "conceptual-rm+")
 
