@@ -22,8 +22,17 @@ value (``AggregateState``) and each step is a pure function from
 concurrently without sharing anything.  The steps, ``regret_loss`` and
 the normalization also take ``(rows, d)`` stacks of independent
 vectors and treat each row exactly as they treat a 1-D vector, bit for
-bit: row sums are ``sum(axis=1)`` and row inner products ``np.vecdot``,
-which on C-contiguous stacks reduce each row in the 1-D order.
+bit: row sums are ``np.add.reduce(r, 1)`` and row inner products
+``np.vecdot``, which on C-contiguous stacks reduce each row in the 1-D
+order.
+
+The per-round kernels here and in ``stabilized``, ``games`` and ``efg``
+call numpy's C entry points directly: ufunc methods and ndarray methods,
+never the Python-level wrappers around them.  ``np.add.reduce``,
+``np.add.accumulate`` and ``np.logical_and.reduce`` are the loops that
+``.sum()``, ``np.cumsum`` and ``.all()`` run, and ``.dot``, ``.argmax``,
+``.nonzero`` and ``.sort`` the methods ``np.dot``, ``np.argmax``,
+``np.nonzero`` and ``np.sort`` reach, so the floats are the wrappers'.
 
 Block layouts
 -------------
@@ -72,13 +81,16 @@ class NonFiniteError(ValueError):
 
 def _normalize_nonneg(r: np.ndarray) -> np.ndarray:
     if r.ndim == 1:
-        total = r.sum()
+        total = np.add.reduce(r)
         if total > 0.0:
             return r / total
-        return np.full(r.shape, 1.0 / r.size)
-    total = r.sum(axis=1, keepdims=True)
-    return np.divide(r, total, out=np.full(r.shape, 1.0 / r.shape[1]),
-                     where=total > 0.0)
+        out = np.empty(r.shape)
+        out.fill(1.0 / r.size)
+        return out
+    total = np.add.reduce(r, 1, keepdims=True)
+    out = np.empty(r.shape)
+    out.fill(1.0 / r.shape[1])
+    return np.divide(r, total, out=out, where=total > 0.0)
 
 
 def normalize(r) -> np.ndarray:
@@ -111,15 +123,15 @@ def _checked(x, loss) -> tuple[np.ndarray, np.ndarray]:
     x, loss = np.asarray(x, dtype=float), np.asarray(loss, dtype=float)
     if x.shape != loss.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {loss.shape}")
-    if not np.isfinite(loss).all():
+    if not np.logical_and.reduce(np.isfinite(loss), None):
         raise NonFiniteError("regret_loss: non-finite loss")
     return x, loss
 
 
 def _regret_loss(x: np.ndarray, loss: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
-        return loss - np.dot(x, loss)
-    # a one-term np.dot is the product, -0.0 kept; np.vecdot adds it to +0.0
+        return loss - x.dot(loss)
+    # a one-term dot is the product, -0.0 kept; np.vecdot adds it to +0.0
     return loss - (x * loss if x.shape[1] == 1 else np.vecdot(x, loss)[:, None])
 
 

@@ -98,7 +98,7 @@ def predictive_cfr_round(state: AggregateState, tree: GameTree,
     r, prediction = state.r.copy(), state.prediction.copy()
     for player, group in _update_groups(flat, alternate):
         h = _group_regrets(tree, profile, player)
-        if not np.isfinite(h).all():
+        if not np.logical_and.reduce(np.isfinite(h), None):
             raise NonFiniteError("non-finite counterfactual regrets")
         for _, index in group.buckets:
             rj, mj = _prm_plus_update(r[index], played[index], -h[index])

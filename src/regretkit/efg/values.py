@@ -74,11 +74,15 @@ Per-infoset work (the regret operator's ``<G_j, x_j>``, the CFR rounds'
 steps, projections and normalizations, the recorder's step norms) runs
 once per *width bucket*: the infosets that share an action count,
 gathered from the flat vector as a C-contiguous ``(rows, width)`` stack
-(``BlockLayout``).  On such a stack ``sum(axis=1)``, ``cumsum(axis=1)``
-and ``np.vecdot`` equal the per-block ``.sum()``, ``np.cumsum`` and
-``np.dot`` bit for bit (checked on numpy 2.4 with OpenBLAS for widths
-1-40), but at width 1 ``np.vecdot`` adds a -0.0 product to +0.0 where
-``np.dot`` keeps it.  Cheaper-looking alternatives are not exact:
+(``BlockLayout``).  On such a stack ``np.add.reduce(rows, 1)``,
+``np.add.accumulate(rows, 1)`` and ``np.vecdot`` equal the per-block
+``np.add.reduce``, ``np.add.accumulate`` and ``np.dot`` bit for bit
+(checked on numpy 2.4 with OpenBLAS for widths 1-40), but at width 1
+``np.vecdot`` adds a -0.0 product to +0.0 where ``np.dot`` keeps it.
+The kernels call these ufunc methods, and ``np.logical_and.reduce`` for
+their checks, directly: they are the loops that ``.sum()``,
+``np.cumsum`` and ``.all()`` run, without numpy's Python-level wrappers
+(see ``core``).  Cheaper-looking alternatives are not exact:
 
 * padding blocks to one width: ``np.vecdot`` on zero-padded rows departs
   from the per-block ``np.dot`` from a padded width of 16, where BLAS

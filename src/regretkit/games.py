@@ -16,8 +16,9 @@ A normal-form gradient contracts player i's payoff tensor with the other
 players' strategies, last player first, through a plan built once per
 player: per step the permutation and 2-D shape that ``np.tensordot(grad,
 x_j, axes=([j], [0]))`` builds, and the first step's matrix (a view, or
-one C-order copy).  Each step is one ``np.dot`` on exactly the operands
-``tensordot`` hands it, so the floats are ``tensordot``'s.
+one C-order copy).  Each step is one ``ndarray.dot``, the product
+``np.dot`` runs, on exactly the operands ``tensordot`` hands it, so the
+floats are ``tensordot``'s.
 
 Game file grammar (``save_game`` / ``load_game``)
 -------------------------------------------------
@@ -209,7 +210,7 @@ class NormalFormGame:
         for k, (j, perm, matrix, rest) in enumerate(steps):
             if k:
                 grad = grad.transpose(perm).reshape(matrix)
-            grad = np.dot(grad, xs[j].reshape(matrix[1], 1)).reshape(rest)
+            grad = grad.dot(xs[j].reshape(matrix[1], 1)).reshape(rest)
         return -grad
 
     @functools.cached_property

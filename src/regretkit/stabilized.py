@@ -63,7 +63,7 @@ __all__ = [
 
 def _check_finite(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
-    if not np.isfinite(y).all():
+    if not np.logical_and.reduce(np.isfinite(y), None):
         raise NonFiniteError("non-finite input to projection")
     return y
 
@@ -91,27 +91,29 @@ _NO_THRESHOLD = "simplex projection: the unit mass is lost to rounding"
 
 
 def _simplex_kernel(y: np.ndarray) -> np.ndarray:
+    u = y.copy()
+    u.sort()
     if y.ndim == 1:
-        u = np.sort(y)[::-1]
-        cumulative = np.cumsum(u)
+        u = u[::-1]
+        cumulative = np.add.accumulate(u)
         ks = np.arange(1, y.size + 1)
         candidates = u + (1.0 - cumulative) / ks
-        support = np.nonzero(candidates > 0.0)[0]
+        support = (candidates > 0.0).nonzero()[0]
         if not support.size:
             raise NonFiniteError(_NO_THRESHOLD)
         k = int(support[-1]) + 1
         tau = (1.0 - cumulative[k - 1]) / k
         return np.maximum(y + tau, 0.0)
-    u = np.sort(y, axis=1)[:, ::-1]
-    cumulative = np.cumsum(u, axis=1)
+    u = u[:, ::-1]
+    cumulative = np.add.accumulate(u, 1)
     thresholds = (1.0 - cumulative) / np.arange(1, y.shape[1] + 1)
     # u + c > 0 exactly when c > -u, for finite u; so written, the -inf
     # padding of ``_ragged_chopped`` never passes, with no invalid-value warning
     positive = thresholds > -u
     # the last passing column; a row where none passes lands on a failing one
     rows = np.arange(y.shape[0])
-    k = y.shape[1] - 1 - np.argmax(positive[:, ::-1], axis=1)
-    if not positive[rows, k].all():
+    k = y.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
+    if not np.logical_and.reduce(positive[rows, k], None):
         raise NonFiniteError(_NO_THRESHOLD)
     out = y + thresholds[rows, k][:, None]
     return np.maximum(out, 0.0, out=out)
@@ -133,10 +135,10 @@ def project_chopped(y) -> np.ndarray:
 def _chopped_kernel(y: np.ndarray) -> np.ndarray:
     positive = np.maximum(y, 0.0)
     if y.ndim == 1:
-        if positive.sum() >= 1.0:
+        if np.add.reduce(positive) >= 1.0:
             return positive
         return _simplex_kernel(y)
-    tight = np.flatnonzero(positive.sum(axis=1) < 1.0)
+    tight = (np.add.reduce(positive, 1) < 1.0).nonzero()[0]
     if tight.size == 1:  # the 1-D path: the same floats, and cheaper
         positive[tight[0]] = _simplex_kernel(y[tight[0]])
     elif tight.size:
@@ -157,7 +159,8 @@ def _ragged_chopped(y: np.ndarray, layout) -> np.ndarray:
     out = np.zeros(y.size + 1)  # the last entry takes the padding's writes
     positive = np.maximum(y, 0.0, out=out[:-1])
     mass = np.concatenate([np.empty(0)] + [
-        positive[lo:hi].reshape(shape).sum(axis=1) for lo, hi, shape in spans])
+        np.add.reduce(positive[lo:hi].reshape(shape), 1)
+        for lo, hi, shape in spans])
     tight = pad[mass < 1.0]
     if tight.size:
         out[tight] = _simplex_kernel(np.concatenate((y, [-np.inf]))[tight])
@@ -167,7 +170,8 @@ def _ragged_chopped(y: np.ndarray, layout) -> np.ndarray:
 def _in_chopped(r):
     """Membership of one block in D> (floor 1, 1e-9 slack on the mass);
     NaN fails it, an infinite mass passes."""
-    return (r >= 0.0).all() and r.sum() >= 1.0 - 1e-9
+    return (np.logical_and.reduce(r >= 0.0, None)
+            and np.add.reduce(r, None) >= 1.0 - 1e-9)
 
 
 def _plays(w: np.ndarray, layout) -> np.ndarray:
@@ -291,13 +295,15 @@ def _lifted_round(state: JointLiftedState, game, eta: float, algorithm: str,
         loss = game.gradient_for(i, profile) if later else losses[i]
         f = regret_loss(x, loss)
         # the increment at the plays' losses is -f unless i saw later plays
-        increments.append(np.dot(x, losses[i]) - losses[i] if later else -f)
+        increments.append(x.dot(losses[i]) - losses[i] if later else -f)
         wi = project(w - eta * f)
         # a restart: componentwise <= the floor, ties included; sitting
         # exactly at the floor with nothing to reset is not logged
-        if floors is not None and (wi <= floors[i]).all() and (
-                (wi != floors[i]).any() or (f != 0.0).any()):
-            wi = np.full(wi.shape, floors[i])
+        if floors is not None and np.logical_and.reduce(
+                wi <= floors[i], None) and np.logical_or.reduce(
+                (wi != floors[i]) | (f != 0.0), None):
+            wi = np.empty(wi.shape)
+            wi.fill(floors[i])
             f = np.zeros(wi.shape)
             events.append((t, i))
         if predictive:

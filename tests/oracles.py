@@ -15,6 +15,7 @@ from regretkit import efg, harness
 from regretkit.core import (
     BlockLayout,
     BlockVector,
+    NonFiniteError,
     _normalize_nonneg,
     as_flat,
     joint_distance,
@@ -22,7 +23,7 @@ from regretkit.core import (
 )
 from regretkit.efg import ChanceNode, GameTree, LeafNode, check_behavioral
 from regretkit.games import MatrixGame, duality_gap
-from regretkit.stabilized import _in_chopped, project_chopped
+from regretkit.stabilized import _in_chopped, _simplex_kernel, project_chopped
 
 
 def left_to_right_sum(values) -> float:
@@ -249,6 +250,66 @@ def simplex_kernel_before(y: np.ndarray) -> np.ndarray:
     k = y.shape[1] - np.argmax(positive[:, ::-1], axis=1)
     tau = (1.0 - cumulative[np.arange(y.shape[0]), k - 1]) / k
     return np.maximum(y + tau[:, None], 0.0)
+
+
+# The per-round kernels as they were written through numpy's Python-level
+# wrappers (``np.cumsum``, ``np.flatnonzero``, ``np.full``, ``np.dot``,
+# ``.sum()``, ``.all()``), verbatim but for their names; the kernels now
+# call the same C loops directly.  The simplex kernel's own oracle is
+# ``simplex_kernel_before``, so the chopped ones call the library's.
+
+def check_finite_with_wrappers(y) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise NonFiniteError("non-finite input to projection")
+    return y
+
+
+def chopped_kernel_with_wrappers(y: np.ndarray) -> np.ndarray:
+    positive = np.maximum(y, 0.0)
+    if y.ndim == 1:
+        if positive.sum() >= 1.0:
+            return positive
+        return _simplex_kernel(y)
+    tight = np.flatnonzero(positive.sum(axis=1) < 1.0)
+    if tight.size == 1:  # the 1-D path: the same floats, and cheaper
+        positive[tight[0]] = _simplex_kernel(y[tight[0]])
+    elif tight.size:
+        positive[tight] = _simplex_kernel(y[tight])
+    return positive
+
+
+def ragged_chopped_with_wrappers(y: np.ndarray, layout) -> np.ndarray:
+    _, spans, pad = layout.ragged
+    y = check_finite_with_wrappers(y)
+    if len(spans) == 1:  # one width: the stacked kernel
+        return chopped_kernel_with_wrappers(y.reshape(spans[0][2])).ravel()
+    out = np.zeros(y.size + 1)  # the last entry takes the padding's writes
+    positive = np.maximum(y, 0.0, out=out[:-1])
+    mass = np.concatenate([np.empty(0)] + [
+        positive[lo:hi].reshape(shape).sum(axis=1) for lo, hi, shape in spans])
+    tight = pad[mass < 1.0]
+    if tight.size:
+        out[tight] = _simplex_kernel(np.concatenate((y, [-np.inf]))[tight])
+    return positive
+
+
+def normalize_nonneg_with_wrappers(r: np.ndarray) -> np.ndarray:
+    if r.ndim == 1:
+        total = r.sum()
+        if total > 0.0:
+            return r / total
+        return np.full(r.shape, 1.0 / r.size)
+    total = r.sum(axis=1, keepdims=True)
+    return np.divide(r, total, out=np.full(r.shape, 1.0 / r.shape[1]),
+                     where=total > 0.0)
+
+
+def regret_loss_with_wrappers(x: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    if x.ndim == 1:
+        return loss - np.dot(x, loss)
+    # a one-term np.dot is the product, -0.0 kept; np.vecdot adds it to +0.0
+    return loss - (x * loss if x.shape[1] == 1 else np.vecdot(x, loss)[:, None])
 
 
 def project_chopped_reference(v: np.ndarray) -> np.ndarray:

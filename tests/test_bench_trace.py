@@ -156,7 +156,7 @@ PASSES_PER_ROUND = (  # (tree, algorithm, alternate, traced, restricted)
 )
 
 
-# Profile sweeps (edge probabilities and reach) per round inside the
+# Profile sweeps (the source vector and reach) per round inside the
 # rounds, in PASSES_PER_ROUND order: one per group pass, n for predictive
 # CFR, but an alternating clairvoyant group's first pass reads the
 # previous group's second sweep, n + 1 for clairvoyant CFR.

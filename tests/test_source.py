@@ -156,3 +156,61 @@ def test_rng_takes_no_transcendental_from_numpy():
             used += [(node.lineno, alias.name) for alias in node.names
                      if alias.name in NUMPY_TRANSCENDENTALS | {"*"}]
     assert used == []
+
+
+# the functions every round runs (file, function name; methods included)
+PER_ROUND_KERNELS = (
+    ("core.py", "_normalize_nonneg"),
+    ("core.py", "_checked"),
+    ("core.py", "_regret_loss"),
+    ("core.py", "_prm_plus_update"),
+    ("stabilized.py", "_check_finite"),
+    ("stabilized.py", "_simplex_kernel"),
+    ("stabilized.py", "_chopped_kernel"),
+    ("stabilized.py", "_ragged_chopped"),
+    ("stabilized.py", "_in_chopped"),
+    ("stabilized.py", "_plays"),
+    ("stabilized.py", "_lifted_round"),
+    ("games.py", "gradients"),
+    ("games.py", "gradient_for"),
+    ("games.py", "_loss_gradient"),
+    ("fixedpoint.py", "operator_F"),
+    ("fixedpoint.py", "_solve"),
+    ("efg/rounds.py", "_play"),
+    ("efg/rounds.py", "predictive_cfr_round"),
+    ("efg/rounds.py", "clairvoyant_cfr_round"),
+    ("efg/values.py", "_source"),
+    ("efg/values.py", "_node_values"),
+    ("efg/values.py", "_sweep"),
+    ("efg/values.py", "_pass"),
+    ("efg/values.py", "_group_regrets"),
+)
+# numpy functions that reach their C loop through a Python-level wrapper,
+# and the ndarray methods that do
+NUMPY_WRAPPERS = {"cumsum", "argmax", "flatnonzero", "nonzero", "sort",
+                  "full", "all", "any", "sum", "dot"}
+WRAPPED_METHODS = {"sum", "all", "any", "cumsum"}
+
+
+def test_per_round_kernels_call_numpy_without_its_python_wrappers():
+    """The per-round kernels call ufunc methods (``np.add.reduce``,
+    ``np.add.accumulate``, ``np.logical_and.reduce``) and ndarray methods
+    (``.dot``, ``.argmax``, ``.nonzero``, ``.sort``, ``.fill``), never
+    numpy's Python-level wrappers around the same loops."""
+    wrapped, missing = [], []
+    for name, function in PER_ROUND_KERNELS:
+        defs = [node for node in ast.walk(ast.parse((SRC / name).read_text()))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == function]
+        if not defs:
+            missing.append((name, function))
+        for node in (n for d in defs for n in ast.walk(d)):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            attr, owner = node.func.attr, node.func.value
+            if (isinstance(owner, ast.Name) and owner.id in ("np", "numpy")
+                    and attr in NUMPY_WRAPPERS) or attr in WRAPPED_METHODS:
+                wrapped.append((name, function, node.lineno, attr))
+    assert wrapped == []
+    assert missing == []

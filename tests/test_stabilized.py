@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regretkit.core import BlockLayout, NonFiniteError
+from regretkit.core import (
+    BlockLayout,
+    NonFiniteError,
+    _normalize_nonneg,
+    _regret_loss,
+)
 from regretkit.games import MatrixGame, hard_instance, random_nfg
 from regretkit.stabilized import (
     project_chopped,
@@ -16,11 +21,19 @@ from regretkit.stabilized import (
     stable_prmp_round,
     stable_prmp_round_alternating,
 )
-from regretkit.stabilized import _chopped_kernel, _ragged_chopped
+from regretkit.stabilized import (
+    _chopped_kernel,
+    _ragged_chopped,
+    _simplex_kernel,
+)
 
 from .oracles import (
+    chopped_kernel_with_wrappers,
     enumerate_project_chopped,
     grid_project_simplex,
+    normalize_nonneg_with_wrappers,
+    ragged_chopped_with_wrappers,
+    regret_loss_with_wrappers,
     simplex_kernel_before,
     straight_line_smooth_round,
     straight_line_stable_round,
@@ -280,6 +293,78 @@ class TestRaggedChopped:
         with pytest.raises(NonFiniteError) as grouped:
             _ragged_chopped(y[layout.ragged[0]], layout)
         assert str(grouped.value) == str(alone.value)
+
+
+# zeros of both signs, repeated values for ties, and any float in range
+KERNEL_ENTRIES = (st.sampled_from([0.0, -0.0, 0.125, -0.125, 0.25, -0.5,
+                                   1.0 / 3.0, 1.0, -1.0, 2.0])
+                  | st.floats(-3.0, 3.0))
+NO_THRESHOLD = "simplex projection: the unit mass is lost to rounding"
+
+
+def _kernel_outcome(kernel, *args):
+    """A kernel's result, bytes and all, or the message it raised;
+    ``simplex_kernel_before``'s IndexError is the no-threshold message."""
+    try:
+        out = kernel(*args)
+    except NonFiniteError as exc:
+        return "raised", str(exc)
+    except IndexError:
+        if kernel is not simplex_kernel_before:
+            raise
+        return "raised", NO_THRESHOLD
+    return out.dtype, out.shape, out.tobytes()
+
+
+class TestKernelsMatchTheirWrapperForms:
+    """The kernels call numpy's ufunc and ndarray methods where they used
+    numpy's Python-level wrappers: every result, on 1-D rows and on
+    stacks, is byte for byte the wrapper form's (``tests/oracles.py``),
+    and a row without a threshold raises the same message."""
+
+    @given(data=st.data(),
+           widths=st.lists(st.integers(1, 8), min_size=1, max_size=6),
+           kind=st.sampled_from(["mixed", "all tight", "none tight",
+                                 "no threshold"]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_stacks_and_ragged_groups(self, data, widths, kind):
+        rows = []
+        for w in widths:
+            row = np.array(data.draw(st.lists(KERNEL_ENTRIES, min_size=w,
+                                              max_size=w)))
+            if kind == "all tight":  # positive mass at most 0.9
+                row *= 0.3 / w
+            elif kind == "none tight":  # positive mass at least 1
+                row = np.abs(row) + 1.0
+            rows.append(row)
+        if kind == "no threshold":
+            # distinct entries -1e20, -2e20, ...: the k-th candidate is
+            # about -(k - 1) * 5e19, and the first is -1e20 + fl(1 + 1e20)
+            # = 0, as the unit is lost to rounding
+            bad = data.draw(st.integers(0, len(rows) - 1))
+            order = data.draw(st.permutations(range(rows[bad].size)))
+            rows[bad] = -(1.0 + np.array(order, dtype=float)) * 1e20
+            with pytest.raises(NonFiniteError, match=NO_THRESHOLD):
+                _simplex_kernel(rows[bad])
+        stacks = [np.array([row for row in rows if row.size == w])
+                  for w in sorted(set(widths))]
+        pairs = ((_simplex_kernel, simplex_kernel_before),
+                 (_chopped_kernel, chopped_kernel_with_wrappers),
+                 (_normalize_nonneg, normalize_nonneg_with_wrappers))
+        for y in (*rows, *stacks):
+            nonneg = np.where(y < 0.0, -y, y)  # -0.0 stays
+            for kernel, oracle in pairs:
+                arg = nonneg if kernel is _normalize_nonneg else y
+                assert (_kernel_outcome(kernel, arg)
+                        == _kernel_outcome(oracle, arg))
+            x = normalize_nonneg_with_wrappers(nonneg)
+            assert (_kernel_outcome(_regret_loss, x, y)
+                    == _kernel_outcome(regret_loss_with_wrappers, x, y))
+        layout = BlockLayout(widths)
+        gather, _, _ = layout.ragged
+        flat = np.concatenate(rows)[gather]
+        assert (_kernel_outcome(_ragged_chopped, flat, layout)
+                == _kernel_outcome(ragged_chopped_with_wrappers, flat, layout))
 
 
 class TestNonExpansiveness:
